@@ -15,7 +15,7 @@ from .errors import (
     SchmidtNumberError,
     ValidationError,
 )
-from .linops import DEFAULT_TOL, Tolerance, eig4_unitary, kron, svd4
+from .linops import DEFAULT_TOL, Tolerance, kron, svd4
 from .gates import (
     Gate,
     PAULI_BASIS,
@@ -26,7 +26,6 @@ from .gates import (
     gate_from_json_data,
     gate_to_json_data,
     make_gate,
-    su4_normalize,
 )
 from .sampling import haar_gate, haar_unitary, random_local_unitary
 from .invariants import (
@@ -57,7 +56,7 @@ from .schmidt import (
 )
 from .edges import (
     EdgeSpec,
-    SweepRow,
+    Sweep,
     TableReport,
     edge,
     edge_names,
@@ -79,12 +78,10 @@ __all__ = [
     "DEFAULT_TOL",
     "kron",
     "svd4",
-    "eig4_unitary",
     "Gate",
     "PAULI_BASIS",
     "Q_MAGIC",
     "make_gate",
-    "su4_normalize",
     "bell_transform",
     "catalog",
     "catalog_names",
@@ -114,7 +111,7 @@ __all__ = [
     "schmidt_number_of",
     "controlled_unitary_gate",
     "EdgeSpec",
-    "SweepRow",
+    "Sweep",
     "TableReport",
     "edge",
     "edge_names",

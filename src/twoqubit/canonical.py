@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionError, ValidationError
+from .errors import ExtractionError
 from .gates import (
     Gate,
     IDENTITY2,
@@ -34,7 +34,7 @@ from .invariants import (
     invariants_from_point_array,
     invariants_from_unitary_array,
 )
-from .linops import kron
+from .linops import as_triple, kron
 
 __all__ = [
     "CanonicalPoint",
@@ -88,13 +88,6 @@ class CanonicalPoint:
 def _point(c) -> CanonicalPoint:
     c1, c2, c3 = (float(v) for v in c)
     return CanonicalPoint(c1, c2, c3)
-
-
-def _as_triple(c) -> np.ndarray:
-    a = np.asarray(tuple(c) if isinstance(c, CanonicalPoint) else c, dtype=float)
-    if a.shape != (3,):
-        raise ValidationError("expected a coordinate triple [c1, c2, c3]")
-    return a
 
 
 O = CanonicalPoint(0.0, 0.0, 0.0)
@@ -161,12 +154,12 @@ def weyl_reduce(c) -> CanonicalPoint:
 
     Idempotent, and preserves the local invariants to better than 1e-12.
     """
-    return _point(weyl_reduce_array(_as_triple(c)))
+    return _point(weyl_reduce_array(as_triple(c)))
 
 
 def in_weyl_chamber(c, tol: float = 1e-12) -> bool:
     """True iff the triple satisfies the fundamental-domain inequalities."""
-    c1, c2, c3 = _as_triple(c)
+    c1, c2, c3 = as_triple(c)
     ordered = c3 >= -tol and c2 >= c3 - tol and c1 >= c2 - tol
     closed = c1 + c2 <= np.pi + tol
     base = c3 > _BASE_TOL or c1 <= np.pi / 2 + tol
@@ -248,7 +241,7 @@ def is_perfect_entangler(c, boundary_tol: float = 1e-10) -> bool:
     tested against its supporting half-spaces after chamber reduction.
     Boundary points (CNOT, DCNOT, ...) count as inside.
     """
-    reduced = weyl_reduce_array(_as_triple(c))
+    reduced = weyl_reduce_array(as_triple(c))
     a, b = PE_HALFSPACES
     return bool(np.all(reduced @ a.T <= b + boundary_tol))
 
@@ -265,7 +258,7 @@ def schmidt_number_line(c, tol: float = 1e-9) -> bool:
     These are exactly the classes with Schmidt number at most 2; after
     reduction the line is c2 = c3 = 0.
     """
-    reduced = weyl_reduce_array(_as_triple(c))
+    reduced = weyl_reduce_array(as_triple(c))
     return bool(reduced[1] <= tol and reduced[2] <= tol)
 
 
@@ -281,7 +274,7 @@ def canonical_gate(c, name: str | None = None) -> Gate:
     The three factors commute and each squares to the identity, so the
     exponential is assembled in closed form.
     """
-    triple = _as_triple(c)
+    triple = as_triple(c)
     u = _II
     for angle, pauli2 in zip(triple, (_XX, _YY, _ZZ)):
         u = u @ (np.cos(angle / 2) * _II + 1j * np.sin(angle / 2) * pauli2)

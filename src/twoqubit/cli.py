@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .audit import run_audit
-from .canonical import canonical_point, is_perfect_entangler, schmidt_number_line
+from .canonical import canonical_point, is_perfect_entangler
 from .edges import edge, edge_svg, sweep, sweep_csv, verify_tables
 from .errors import NumericalError, ParseError, ValidationError
 from .gates import (
@@ -67,7 +67,8 @@ def analyze_gate(g: Gate, source: str) -> AnalysisReport:
         schmidt_number=data.schmidt_number,
         strength=data.strength,
         perfect_entangler=is_perfect_entangler(point),
-        controlled_unitary=schmidt_number_line(point),
+        # Schmidt number at most 2 is exactly the controlled-unitary line
+        controlled_unitary=data.schmidt_number <= 2,
     )
 
 
@@ -146,24 +147,22 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    edge(args.edge)  # validate the name before touching the filesystem
+    edge(args.edge)  # an unknown name is reported before a bad --n
     if args.n < 2:
         raise ValidationError("--n must be at least 2")
-    csv_text = sweep_csv(args.edge, args.n)
-    rows = sweep(args.edge, args.n)
-    strengths = [r.strength for r in rows]
+    sw = sweep(args.edge, args.n)
     out = Path(args.out)
     try:
-        out.write_text(csv_text, newline="\n")
+        out.write_text(sweep_csv(sw), newline="\n")
         if args.svg:
-            out.with_suffix(".svg").write_text(edge_svg(args.edge, args.n), newline="\n")
+            out.with_suffix(".svg").write_text(edge_svg(sw), newline="\n")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     written = str(out) + (f" and {out.with_suffix('.svg')}" if args.svg else "")
     print(
         f"edge {args.edge}: {args.n} points, strength range "
-        f"[{min(strengths):.6f}, {max(strengths):.6f}], wrote {written}"
+        f"[{sw.strength.min():.6f}, {sw.strength.max():.6f}], wrote {written}"
     )
     return EXIT_OK
 
@@ -204,9 +203,13 @@ def _cmd_audit(args) -> int:
     print("audit: FAIL")
     if result.counterexample is not None:
         path = Path(args.dump) if args.dump else Path("audit_counterexample.json")
-        path.write_text(
-            json.dumps(gate_to_json_data(result.counterexample)) + "\n", newline="\n"
-        )
+        try:
+            path.write_text(
+                json.dumps(gate_to_json_data(result.counterexample)) + "\n", newline="\n"
+            )
+        except OSError as exc:
+            print(f"error: cannot write counterexample: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(f"counterexample gate written to {path}")
     return EXIT_AUDIT
 

@@ -2,23 +2,20 @@
 perfect-entangler polyhedron.
 
 Each edge is a one-parameter family of canonical points together with
-closed-form Schmidt coefficients. Sweeps always compute coefficients
-through the expansion-coefficient engine (z_from_point); the closed forms
-are kept only as an independent oracle, checked by :func:`verify_tables`.
+closed-form Schmidt coefficients. :func:`sweep` evaluates an edge once,
+as columns (:class:`Sweep`), and :func:`sweep_csv` and :func:`edge_svg`
+render from that record. Sweeps always compute coefficients through the
+expansion-coefficient engine (z_from_point); the closed forms are kept
+only as an independent oracle, checked by :func:`verify_tables`.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .canonical import (
-    CanonicalPoint,
-    is_perfect_entangler_array,
-    weyl_reduce_array,
-)
+from .canonical import is_perfect_entangler_array, weyl_reduce_array
 from .errors import ValidationError
 from .invariants import invariants_from_point_array
 from .schmidt import schmidt_strength_array, z_from_point_array
@@ -26,7 +23,7 @@ from .svgplot import line_plot
 
 __all__ = [
     "EdgeSpec",
-    "SweepRow",
+    "Sweep",
     "EdgeCheck",
     "TableReport",
     "edge",
@@ -56,194 +53,188 @@ class EdgeSpec:
     closed_form_s: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point of an edge sweep; all fields mutually consistent."""
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """One edge evaluated on a parameter grid, as columns.
 
-    param: float
-    point: CanonicalPoint
-    s: tuple[float, float, float, float]
-    strength: float
-    g1: complex
-    g2: float
-    is_pe: bool
+    Row i of every array belongs to ``param[i]``: ``points`` (n, 3),
+    ``s`` (n, 4) with the Schmidt coefficients descending, and
+    ``strength``, complex ``g1``, ``g2`` and boolean ``is_pe``, each (n,).
+    """
 
-
-def _points(*coords) -> np.ndarray:
-    """Stack coordinate expressions (scalars or arrays) into (..., 3)."""
-    coords = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
-    return np.stack(coords, axis=-1)
-
-
-def _coeffs(*values) -> np.ndarray:
-    values = np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in values])
-    return np.stack(values, axis=-1)
+    name: str
+    param: np.ndarray
+    points: np.ndarray
+    s: np.ndarray
+    strength: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    is_pe: np.ndarray
 
 
-def _tetrahedron_edges() -> list[EdgeSpec]:
-    return [
-        EdgeSpec(
-            "OA1", "O", "A1", (0.0, _PI),
-            lambda t: _points(t, 0.0 * t, 0.0 * t),
-            lambda t: _coeffs(np.cos(t / 2), np.sin(t / 2), 0.0 * t, 0.0 * t),
-        ),
-        EdgeSpec(
-            "OA2", "O", "A2", (0.0, _PI / 2),
-            lambda t: _points(t, t, 0.0 * t),
-            lambda t: _coeffs(
-                np.cos(t / 2) ** 2,
-                np.sin(t) / 2,
-                np.sin(t) / 2,
-                np.sin(t / 2) ** 2,
-            ),
-        ),
-        EdgeSpec(
-            "A2A1", "A2", "A1", (0.0, _PI / 2),
-            lambda t: _points(_PI / 2 + t, _PI / 2 - t, 0.0 * t),
-            lambda t: _coeffs(
-                np.cos(t) / 2,
-                (1 + np.sin(t)) / 2,
-                (1 - np.sin(t)) / 2,
-                np.cos(t) / 2,
-            ),
-        ),
-        EdgeSpec(
-            "A2A3", "A2", "A3", (0.0, _PI / 2),
-            lambda t: _points(_PI / 2 + 0.0 * t, _PI / 2 + 0.0 * t, t),
-            lambda t: _coeffs(
-                0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t
-            ),
-        ),
-        EdgeSpec(
-            "OA3", "O", "A3", (0.0, 1.0),
-            lambda t: _points(_PI * t / 2, _PI * t / 2, _PI * t / 2),
-            lambda t: _coeffs(
-                np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
-                np.sin(_PI * t / 2) / 2,
-                np.sin(_PI * t / 2) / 2,
-                np.sin(_PI * t / 2) / 2,
-            ),
-        ),
-        EdgeSpec(
-            "A1A3", "A1", "A3", (0.0, 1.0),
-            lambda t: _points(_PI - _PI * t / 2, _PI * t / 2, _PI * t / 2),
-            lambda t: _coeffs(
-                np.sin(_PI * t / 2) / 2,
-                np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
-                np.sin(_PI * t / 2) / 2,
-                np.sin(_PI * t / 2) / 2,
-            ),
-        ),
-    ]
+def _stack(*columns) -> np.ndarray:
+    """Stack per-parameter expressions (scalars or arrays) into (..., k)."""
+    columns = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in columns])
+    return np.stack(columns, axis=-1)
 
 
-def _polyhedron_edges() -> list[EdgeSpec]:
-    return [
-        EdgeSpec(
-            "LQ", "L", "Q", (0.0, _PI / 4),
-            lambda t: _points(_PI / 2 - t, t, 0.0 * t),
-            lambda t: _coeffs(
-                (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-                (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
-                (np.sin(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-                (np.sin(t) / 2 - np.sin(t / 2) ** 2) / np.sqrt(2),
-            ),
+# The fifteen edges, built once: the six tetrahedron edges, then the nine
+# polyhedron edges.
+_SPECS = (
+    EdgeSpec(
+        "OA1", "O", "A1", (0.0, _PI),
+        lambda t: _stack(t, 0.0 * t, 0.0 * t),
+        lambda t: _stack(np.cos(t / 2), np.sin(t / 2), 0.0 * t, 0.0 * t),
+    ),
+    EdgeSpec(
+        "OA2", "O", "A2", (0.0, _PI / 2),
+        lambda t: _stack(t, t, 0.0 * t),
+        lambda t: _stack(
+            np.cos(t / 2) ** 2,
+            np.sin(t) / 2,
+            np.sin(t) / 2,
+            np.sin(t / 2) ** 2,
         ),
-        EdgeSpec(
-            "LM", "L", "M", (0.0, _PI / 4),
-            lambda t: _points(_PI / 2 + t, t, 0.0 * t),
-            lambda t: _coeffs(
-                (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
-                (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-                (np.sin(t) / 2 - np.sin(t / 2) ** 2) / np.sqrt(2),
-                (np.sin(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-            ),
+    ),
+    EdgeSpec(
+        "A2A1", "A2", "A1", (0.0, _PI / 2),
+        lambda t: _stack(_PI / 2 + t, _PI / 2 - t, 0.0 * t),
+        lambda t: _stack(
+            np.cos(t) / 2,
+            (1 + np.sin(t)) / 2,
+            (1 - np.sin(t)) / 2,
+            np.cos(t) / 2,
         ),
-        EdgeSpec(
-            "A2M", "A2", "M", (0.0, _PI / 4),
-            lambda t: _points(_PI / 2 + t, _PI / 2 - t, 0.0 * t),
-            lambda t: _coeffs(
-                np.cos(t) / 2,
-                (1 + np.sin(t)) / 2,
-                (1 - np.sin(t)) / 2,
-                np.cos(t) / 2,
-            ),
+    ),
+    EdgeSpec(
+        "A2A3", "A2", "A3", (0.0, _PI / 2),
+        lambda t: _stack(_PI / 2 + 0.0 * t, _PI / 2 + 0.0 * t, t),
+        lambda t: _stack(
+            0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t
         ),
-        EdgeSpec(
-            "A2Q", "A2", "Q", (0.0, _PI / 4),
-            lambda t: _points(_PI / 2 - t, _PI / 2 - t, 0.0 * t),
-            lambda t: _coeffs(
-                (1 + np.sin(t)) / 2,
-                np.cos(t) / 2,
-                np.cos(t) / 2,
-                (1 - np.sin(t)) / 2,
-            ),
+    ),
+    EdgeSpec(
+        "OA3", "O", "A3", (0.0, 1.0),
+        lambda t: _stack(_PI * t / 2, _PI * t / 2, _PI * t / 2),
+        lambda t: _stack(
+            np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
+            np.sin(_PI * t / 2) / 2,
+            np.sin(_PI * t / 2) / 2,
+            np.sin(_PI * t / 2) / 2,
         ),
-        EdgeSpec(
-            "QP", "Q", "P", (0.0, _PI / 4),
-            lambda t: _points(_PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t, t),
-            lambda t: _coeffs(
-                np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
-                1 / (2 * np.sqrt(2)) + 0.0 * t,
-                1 / (2 * np.sqrt(2)) + 0.0 * t,
-                np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
-            ),
+    ),
+    EdgeSpec(
+        "A1A3", "A1", "A3", (0.0, 1.0),
+        lambda t: _stack(_PI - _PI * t / 2, _PI * t / 2, _PI * t / 2),
+        lambda t: _stack(
+            np.sin(_PI * t / 2) / 2,
+            np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
+            np.sin(_PI * t / 2) / 2,
+            np.sin(_PI * t / 2) / 2,
         ),
-        EdgeSpec(
-            "MN", "M", "N", (0.0, _PI / 4),
-            lambda t: _points(3 * _PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t, t),
-            lambda t: _coeffs(
-                1 / (2 * np.sqrt(2)) + 0.0 * t,
-                np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
-                np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
-                1 / (2 * np.sqrt(2)) + 0.0 * t,
-            ),
+    ),
+    EdgeSpec(
+        "LQ", "L", "Q", (0.0, _PI / 4),
+        lambda t: _stack(_PI / 2 - t, t, 0.0 * t),
+        lambda t: _stack(
+            (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
+            (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
+            (np.sin(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
+            (np.sin(t) / 2 - np.sin(t / 2) ** 2) / np.sqrt(2),
         ),
-        EdgeSpec(
-            "PN", "P", "N", (0.0, _PI / 2),
-            lambda t: _points(_PI / 4 + t, _PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t),
-            lambda t: _coeffs(
-                np.sqrt(
-                    _C8**4 * np.cos(_PI / 8 + t / 2) ** 2
-                    + _S8**4 * np.sin(_PI / 8 + t / 2) ** 2
-                ),
-                np.sqrt(
-                    _S8**4 * np.cos(_PI / 8 + t / 2) ** 2
-                    + _C8**4 * np.sin(_PI / 8 + t / 2) ** 2
-                ),
-                1 / (2 * np.sqrt(2)) + 0.0 * t,
-                1 / (2 * np.sqrt(2)) + 0.0 * t,
-            ),
+    ),
+    EdgeSpec(
+        "LM", "L", "M", (0.0, _PI / 4),
+        lambda t: _stack(_PI / 2 + t, t, 0.0 * t),
+        lambda t: _stack(
+            (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
+            (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
+            (np.sin(t) / 2 - np.sin(t / 2) ** 2) / np.sqrt(2),
+            (np.sin(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
         ),
-        EdgeSpec(
-            "LN", "L", "N", (0.0, _PI / 4),
-            lambda t: _points(_PI / 2 + t, t, t),
-            lambda t: _coeffs(
-                np.sqrt(1 + np.cos(t) ** 2 - np.sin(2 * t)) / 2,
-                np.sqrt(1 + np.cos(t) ** 2 + np.sin(2 * t)) / 2,
-                np.sin(t) / 2,
-                np.sin(t) / 2,
-            ),
+    ),
+    EdgeSpec(
+        "A2M", "A2", "M", (0.0, _PI / 4),
+        lambda t: _stack(_PI / 2 + t, _PI / 2 - t, 0.0 * t),
+        lambda t: _stack(
+            np.cos(t) / 2,
+            (1 + np.sin(t)) / 2,
+            (1 - np.sin(t)) / 2,
+            np.cos(t) / 2,
         ),
-        EdgeSpec(
-            "A2P", "A2", "P", (0.0, _PI / 4),
-            lambda t: _points(_PI / 2 - t, _PI / 2 - t, t),
-            lambda t: _coeffs(
-                np.sqrt(1 + np.sin(t) ** 2 + np.sin(2 * t)) / 2,
-                np.cos(t) / 2,
-                np.cos(t) / 2,
-                np.sqrt(1 + np.sin(t) ** 2 - np.sin(2 * t)) / 2,
-            ),
+    ),
+    EdgeSpec(
+        "A2Q", "A2", "Q", (0.0, _PI / 4),
+        lambda t: _stack(_PI / 2 - t, _PI / 2 - t, 0.0 * t),
+        lambda t: _stack(
+            (1 + np.sin(t)) / 2,
+            np.cos(t) / 2,
+            np.cos(t) / 2,
+            (1 - np.sin(t)) / 2,
         ),
-    ]
+    ),
+    EdgeSpec(
+        "QP", "Q", "P", (0.0, _PI / 4),
+        lambda t: _stack(_PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t, t),
+        lambda t: _stack(
+            np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
+            1 / (2 * np.sqrt(2)) + 0.0 * t,
+            1 / (2 * np.sqrt(2)) + 0.0 * t,
+            np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
+        ),
+    ),
+    EdgeSpec(
+        "MN", "M", "N", (0.0, _PI / 4),
+        lambda t: _stack(3 * _PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t, t),
+        lambda t: _stack(
+            1 / (2 * np.sqrt(2)) + 0.0 * t,
+            np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
+            np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
+            1 / (2 * np.sqrt(2)) + 0.0 * t,
+        ),
+    ),
+    EdgeSpec(
+        "PN", "P", "N", (0.0, _PI / 2),
+        lambda t: _stack(_PI / 4 + t, _PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t),
+        lambda t: _stack(
+            np.sqrt(
+                _C8**4 * np.cos(_PI / 8 + t / 2) ** 2
+                + _S8**4 * np.sin(_PI / 8 + t / 2) ** 2
+            ),
+            np.sqrt(
+                _S8**4 * np.cos(_PI / 8 + t / 2) ** 2
+                + _C8**4 * np.sin(_PI / 8 + t / 2) ** 2
+            ),
+            1 / (2 * np.sqrt(2)) + 0.0 * t,
+            1 / (2 * np.sqrt(2)) + 0.0 * t,
+        ),
+    ),
+    EdgeSpec(
+        "LN", "L", "N", (0.0, _PI / 4),
+        lambda t: _stack(_PI / 2 + t, t, t),
+        lambda t: _stack(
+            np.sqrt(1 + np.cos(t) ** 2 - np.sin(2 * t)) / 2,
+            np.sqrt(1 + np.cos(t) ** 2 + np.sin(2 * t)) / 2,
+            np.sin(t) / 2,
+            np.sin(t) / 2,
+        ),
+    ),
+    EdgeSpec(
+        "A2P", "A2", "P", (0.0, _PI / 4),
+        lambda t: _stack(_PI / 2 - t, _PI / 2 - t, t),
+        lambda t: _stack(
+            np.sqrt(1 + np.sin(t) ** 2 + np.sin(2 * t)) / 2,
+            np.cos(t) / 2,
+            np.cos(t) / 2,
+            np.sqrt(1 + np.sin(t) ** 2 - np.sin(2 * t)) / 2,
+        ),
+    ),
+)
 
+TETRAHEDRON_EDGES = tuple(e.name for e in _SPECS[:6])
+POLYHEDRON_EDGES = tuple(e.name for e in _SPECS[6:])
 
-TETRAHEDRON_EDGES = tuple(e.name for e in _tetrahedron_edges())
-POLYHEDRON_EDGES = tuple(e.name for e in _polyhedron_edges())
-
-_EDGES: dict[str, EdgeSpec] = {
-    e.name: e for e in _tetrahedron_edges() + _polyhedron_edges()
-}
+_EDGES: dict[str, EdgeSpec] = {e.name: e for e in _SPECS}
 
 
 def edge_names() -> tuple[str, ...]:
@@ -264,59 +255,60 @@ def edge(name: str) -> EdgeSpec:
         ) from None
 
 
-def _grid(spec: EdgeSpec, n_points: int) -> np.ndarray:
+def _grid(param_range: tuple[float, float], n_points: int) -> np.ndarray:
     if n_points < 2:
         raise ValidationError("n_points must be at least 2")
-    lo, hi = spec.param_range
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(*param_range, n_points)
 
 
-def sweep(name: str, n_points: int) -> list[SweepRow]:
+def _descending(a: np.ndarray) -> np.ndarray:
+    return np.flip(np.sort(a, axis=-1), axis=-1)
+
+
+def _engine_s(points: np.ndarray) -> np.ndarray:
+    """Schmidt coefficients |z| of points (..., 3), descending."""
+    return _descending(np.abs(z_from_point_array(points)))
+
+
+def sweep(name: str, n_points: int) -> Sweep:
     """Evaluate an edge on an endpoint-inclusive uniform parameter grid.
 
     Coefficients come from the expansion-coefficient engine, not from the
-    closed-form table; rows carry point, sorted coefficients, strength,
-    invariants and the perfect-entangler flag.
+    closed-form table; the columns hold points, sorted coefficients,
+    strength, invariants and the perfect-entangler flag.
     """
     spec = edge(name)
-    params = _grid(spec, n_points)
+    params = _grid(spec.param_range, n_points)
     points = spec.point_fn(params)
-    s = np.flip(np.sort(np.abs(z_from_point_array(points)), axis=-1), axis=-1)
-    strengths = schmidt_strength_array(s)
+    s = _engine_s(points)
     g1, g2 = invariants_from_point_array(points)
-    pe = is_perfect_entangler_array(weyl_reduce_array(points))
-    return [
-        SweepRow(
-            param=float(params[i]),
-            point=CanonicalPoint(*(float(v) for v in points[i])),
-            s=tuple(float(v) for v in s[i]),
-            strength=float(strengths[i]),
-            g1=complex(g1[i]),
-            g2=float(g2[i]),
-            is_pe=bool(pe[i]),
-        )
-        for i in range(n_points)
-    ]
+    return Sweep(
+        name=name,
+        param=params,
+        points=points,
+        s=s,
+        strength=schmidt_strength_array(s),
+        g1=g1,
+        g2=g2,
+        is_pe=is_perfect_entangler_array(weyl_reduce_array(points)),
+    )
 
 
 def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def sweep_csv(name: str, n_points: int) -> str:
+def sweep_csv(sw: Sweep) -> str:
     """CSV rendering of a sweep: 15 significant digits, LF line endings."""
-    rows = sweep(name, n_points)
-    buf = io.StringIO()
-    buf.write("param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe\n")
-    for r in rows:
-        fields = (
-            [r.param, r.point.c1, r.point.c2, r.point.c3]
-            + list(r.s)
-            + [r.strength, r.g1.real, r.g1.imag, r.g2]
-        )
-        buf.write(",".join(_fmt(v) for v in fields))
-        buf.write(",true\n" if r.is_pe else ",false\n")
-    return buf.getvalue()
+    table = np.column_stack(
+        [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2]
+    ).tolist()
+    rows = (
+        ",".join(map(_fmt, row)) + (",true" if pe else ",false")
+        for row, pe in zip(table, sw.is_pe.tolist())
+    )
+    header = "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe"
+    return "\n".join([header, *rows]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -352,12 +344,9 @@ def verify_tables(n_points: int, tolerance: float = 1e-10) -> TableReport:
     checks = []
     for name in edge_names():
         spec = edge(name)
-        params = _grid(spec, n_points)
-        engine = np.flip(
-            np.sort(np.abs(z_from_point_array(spec.point_fn(params))), axis=-1),
-            axis=-1,
-        )
-        table = np.flip(np.sort(spec.closed_form_s(params), axis=-1), axis=-1)
+        params = _grid(spec.param_range, n_points)
+        engine = _engine_s(spec.point_fn(params))
+        table = _descending(spec.closed_form_s(params))
         dev = np.max(np.abs(engine - table), axis=-1)
         worst = int(np.argmax(dev))
         checks.append(
@@ -391,14 +380,10 @@ def _figure_series(figure: str, n_points: int):
         raise ValidationError(
             f"unknown figure {figure!r}; valid ids: {', '.join(FIGURES)}"
         ) from None
-    if n_points < 2:
-        raise ValidationError("n_points must be at least 2")
     series = []
-    params = None
-    for name, (lo, hi) in curves:
-        spec = edge(name)
-        params = np.linspace(lo, hi, n_points)
-        s = np.abs(z_from_point_array(spec.point_fn(params)))
+    for name, param_range in curves:
+        params = _grid(param_range, n_points)
+        s = np.abs(z_from_point_array(edge(name).point_fn(params)))
         series.append((name, params, schmidt_strength_array(s)))
     return params, series
 
@@ -408,33 +393,21 @@ def emit_figure_data(figure: str, n_points: int) -> str:
     per curve, in caption order. Curves within a figure share their
     parameter grid."""
     params, series = _figure_series(figure, n_points)
-    buf = io.StringIO()
-    buf.write("param," + ",".join(name for name, _, _ in series) + "\n")
-    for i in range(len(params)):
-        row = [params[i]] + [vals[i] for _, _, vals in series]
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue()
+    table = np.column_stack([params] + [vals for _, _, vals in series]).tolist()
+    header = "param," + ",".join(name for name, _, _ in series)
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in table)]) + "\n"
 
 
 def figure_svg(figure: str, n_points: int) -> str:
     """SVG line plot of the same data emit_figure_data produces."""
     _, series = _figure_series(figure, n_points)
-    return line_plot(
-        [(name, params, vals) for name, params, vals in series],
-        title=figure,
-        xlabel="parameter (rad)",
-        ylabel="Schmidt strength",
-    )
+    return _strength_plot(series, figure)
 
 
-def edge_svg(name: str, n_points: int) -> str:
+def edge_svg(sw: Sweep) -> str:
     """SVG line plot of one edge's strength profile."""
-    rows = sweep(name, n_points)
-    params = np.array([r.param for r in rows])
-    vals = np.array([r.strength for r in rows])
-    return line_plot(
-        [(name, params, vals)],
-        title=f"edge {name}",
-        xlabel="parameter (rad)",
-        ylabel="Schmidt strength",
-    )
+    return _strength_plot([(sw.name, sw.param, sw.strength)], f"edge {sw.name}")
+
+
+def _strength_plot(series, title: str) -> str:
+    return line_plot(series, title=title, xlabel="parameter (rad)", ylabel="Schmidt strength")

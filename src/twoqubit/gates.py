@@ -22,7 +22,6 @@ __all__ = [
     "Q_MAGIC",
     "Gate",
     "make_gate",
-    "su4_normalize",
     "bell_transform",
     "catalog",
     "catalog_names",
@@ -53,15 +52,10 @@ Q_MAGIC = (1 / np.sqrt(2)) * np.array(
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A two-qubit gate: a 4x4 unitary with an optional name.
-
-    ``phase_normalized`` records whether a global phase has been applied to
-    bring the determinant to 1 (see :func:`su4_normalize`).
-    """
+    """A two-qubit gate: a 4x4 unitary with an optional name."""
 
     matrix: np.ndarray
     name: str | None = None
-    phase_normalized: bool = False
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -82,23 +76,6 @@ def make_gate(matrix, name: str | None = None, tol: Tolerance = DEFAULT_TOL) -> 
             f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}"
         )
     return Gate(matrix=a, name=name)
-
-
-def su4_normalize(g: Gate) -> Gate:
-    """Rescale by a global phase so that det = 1.
-
-    The phase is exp(1j * alpha) with alpha = -arg(det) / 4 on the principal
-    branch, which fixes one of the four admissible fourth roots. Downstream
-    quantities (local invariants, Schmidt coefficients) are insensitive to
-    the residual fourth-root-of-unity ambiguity.
-    """
-    det = np.linalg.det(g.matrix)
-    alpha = -np.angle(det) / 4.0
-    return Gate(
-        matrix=g.matrix * np.exp(1j * alpha),
-        name=g.name,
-        phase_normalized=True,
-    )
 
 
 def bell_transform(g: Gate) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gates import Gate, Q_MAGIC
-from .linops import DEFAULT_TOL, Tolerance
+from .linops import DEFAULT_TOL, Tolerance, as_triple
 
 __all__ = [
     "LocalInvariants",
@@ -87,10 +87,7 @@ def invariants_from_point_array(c: np.ndarray):
 
 def invariants_from_point(c) -> LocalInvariants:
     """Invariants from canonical coordinates [c1, c2, c3] (any real triple)."""
-    c = np.asarray(tuple(c), dtype=float)
-    if c.shape != (3,):
-        raise ValidationError("expected a coordinate triple [c1, c2, c3]")
-    g1, g2 = invariants_from_point_array(c)
+    g1, g2 = invariants_from_point_array(as_triple(c))
     return LocalInvariants(g1=complex(g1), g2=float(g2))
 
 

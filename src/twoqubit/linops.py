@@ -16,12 +16,11 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_cmat",
+    "as_triple",
     "dagger",
-    "frobenius_norm",
     "unitarity_defect",
     "kron",
     "svd4",
-    "eig4_unitary",
 ]
 
 
@@ -31,10 +30,9 @@ class Tolerance:
 
     unitarity_tol: float = 1e-10
     zero_tol: float = 1e-8
-    eig_tol: float = 1e-9
 
     def __post_init__(self):
-        for name in ("unitarity_tol", "zero_tol", "eig_tol"):
+        for name in ("unitarity_tol", "zero_tol"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be strictly positive")
 
@@ -52,13 +50,27 @@ def as_cmat(m, size: int) -> np.ndarray:
     return a
 
 
+def as_triple(c) -> np.ndarray:
+    """Validate ``c`` as a real coordinate triple [c1, c2, c3]; return a copy.
+
+    ``c`` may be a CanonicalPoint (or any iterable of three numbers), a
+    sequence, or a shape-(3,) array.
+
+    Raises:
+        ValidationError: for any other input.
+    """
+    try:
+        a = np.array(c if isinstance(c, np.ndarray) else tuple(c), dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != (3,):
+        raise ValidationError(f"expected a coordinate triple [c1, c2, c3], got {c!r}")
+    return a
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, acting on the last two axes."""
     return np.conj(np.swapaxes(m, -1, -2))
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -77,7 +89,7 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_cmat(a, 2), as_cmat(b, 2))
 
 
-def svd4(m, tol: Tolerance = DEFAULT_TOL):
+def svd4(m):
     """Singular value decomposition of a 4x4 complex matrix.
 
     Returns ``(s, left, right)`` with ``m = left @ diag(s) @ right.conj().T``
@@ -92,38 +104,3 @@ def svd4(m, tol: Tolerance = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"4x4 SVD did not converge: {exc}") from None
     return s, u, dagger(vh)
-
-
-def eig4_unitary(m, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a unitary 4x4 matrix.
-
-    Returns ``(phases, vectors)`` where ``phases`` are the eigenphases in
-    (-pi, pi] sorted descending and ``vectors[:, k]`` satisfies
-    ``m @ v_k = exp(1j * phases[k]) * v_k``.
-
-    Within a degenerate eigenspace the returned basis is arbitrary; only
-    the phase multiset is meaningful to callers.
-
-    Raises:
-        ValidationError: if ``m`` is not unitary within ``tol.unitarity_tol``.
-        NumericalError: if an eigenpair residual exceeds ``tol.eig_tol``.
-    """
-    a = as_cmat(m, 4)
-    defect = unitarity_defect(a)
-    if defect > tol.unitarity_tol:
-        raise ValidationError(
-            f"matrix is not unitary: ||m^dag m - I||_F = {defect:.3e}"
-        )
-    vals, vecs = np.linalg.eig(a)
-    phases = np.angle(vals)
-    # np.angle returns [-pi, pi]; fold -pi onto the principal value +pi
-    phases = np.where(phases <= -np.pi, phases + 2 * np.pi, phases)
-    order = np.argsort(-phases, kind="stable")
-    phases = phases[order]
-    vecs = vecs[:, order]
-    residual = float(
-        np.max(np.linalg.norm(a @ vecs - vecs * np.exp(1j * phases), axis=0))
-    )
-    if residual > tol.eig_tol:
-        raise NumericalError(f"eigenpair residual {residual:.3e} exceeds tolerance")
-    return phases, vecs

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import CanonicalPoint
 from .errors import SchmidtNumberError, ValidationError
 from .gates import Gate, IDENTITY2, SIGMA_X, make_gate
-from .linops import DEFAULT_TOL, Tolerance, kron, svd4
+from .linops import DEFAULT_TOL, Tolerance, as_triple, kron, svd4
 
 __all__ = [
     "SchmidtData",
@@ -82,10 +81,7 @@ def z_from_point_array(c: np.ndarray) -> np.ndarray:
 
 def z_from_point(c) -> np.ndarray:
     """Expansion coefficients (4 complex values) for one coordinate triple."""
-    triple = np.asarray(tuple(c) if isinstance(c, CanonicalPoint) else c, dtype=float)
-    if triple.shape != (3,):
-        raise ValidationError("expected a coordinate triple [c1, c2, c3]")
-    return z_from_point_array(triple)
+    return z_from_point_array(as_triple(c))
 
 
 def _realign(u: np.ndarray) -> np.ndarray:
@@ -159,7 +155,7 @@ def schmidt_decompose(g: Gate, tol: Tolerance = DEFAULT_TOL) -> SchmidtData:
     orthonormal, so the singular values carry a factor 2 relative to the
     normalized coefficients.
     """
-    sigma, left, right = svd4(_realign(g.matrix), tol=tol)
+    sigma, left, right = svd4(_realign(g.matrix))
     coefficients = sigma / 2.0
     factors_a = np.ascontiguousarray(left.T.reshape(4, 2, 2))
     factors_b = np.ascontiguousarray(right.conj().T.reshape(4, 2, 2))

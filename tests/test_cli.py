@@ -1,10 +1,11 @@
 import json
 
 import numpy as np
+import pytest
 
-from twoqubit import gate_to_json_data
-from twoqubit.cli import main
-from twoqubit.sampling import haar_gate
+from twoqubit import canonical_gate, gate_to_json_data, make_gate
+from twoqubit.cli import analyze_gate, main
+from twoqubit.sampling import haar_gate, random_local_unitary
 
 
 def run(capsys, *argv):
@@ -101,6 +102,24 @@ def test_analyze_numerical_failure_exit_3(capsys, monkeypatch):
     assert "synthetic failure" in err
 
 
+@pytest.mark.parametrize("c2", [1e-9, 3e-9, 1e-8, 3e-8])
+def test_near_line_controlled_unitary_agrees_with_schmidt_number(c2):
+    # near [theta, 0, 0] the report must not claim K = 2 and "not controlled"
+    rng = np.random.default_rng(11)
+    core = canonical_gate([1.0, c2, 0.0]).matrix
+    gates = [core] + [
+        random_local_unitary(rng) @ core @ random_local_unitary(rng) for _ in range(20)
+    ]
+    for matrix in gates:
+        report = analyze_gate(make_gate(matrix), source="near-line")
+        assert (report.schmidt_number <= 2) == report.controlled_unitary
+
+
+def test_controlled_unitary_flag_on_and_off_the_line():
+    assert analyze_gate(canonical_gate([1.0, 0.0, 0.0]), "on").controlled_unitary
+    assert not analyze_gate(canonical_gate([1.0, 0.1, 0.0]), "off").controlled_unitary
+
+
 def test_sweep_writes_csv_and_svg(tmp_path, capsys):
     out_path = tmp_path / "a2a3.csv"
     code, out, _ = run(
@@ -143,6 +162,27 @@ def test_sweep_unwritable_path_exit_4(capsys, tmp_path):
     target = tmp_path / "no_such_dir" / "x.csv"
     code, _, err = run(capsys, "sweep", "OA1", "--n", "5", "--out", str(target))
     assert code == 4
+
+
+def test_sweep_evaluates_edge_once(tmp_path, capsys, monkeypatch):
+    import twoqubit.cli as cli_mod
+    import twoqubit.edges as edges_mod
+
+    true_sweep = edges_mod.sweep
+    results = []
+
+    def counted(name, n_points):
+        results.append(true_sweep(name, n_points))
+        return results[-1]
+
+    # bind the counter wherever the package holds the sweep function
+    monkeypatch.setattr(edges_mod, "sweep", counted)
+    monkeypatch.setattr(cli_mod, "sweep", counted)
+    out_path = tmp_path / "pn.csv"
+    code, _, _ = run(capsys, "sweep", "PN", "--n", "50", "--out", str(out_path), "--svg")
+    assert code == 0
+    assert len(results) == 1
+    assert isinstance(results[0].strength, np.ndarray)
 
 
 def test_verify_tables_pass(capsys):
@@ -200,6 +240,19 @@ def test_audit_counterexample_round_trip(tmp_path, capsys, rng, monkeypatch):
     code2, out2, _ = run(capsys, "analyze", str(dump), "--format", "json")
     assert code2 == 0
     assert json.loads(out2)["schmidt_number"] in (1, 2, 4)
+
+
+def test_audit_counterexample_unwritable_exit_4(tmp_path, capsys, monkeypatch):
+    import twoqubit.audit as audit_mod
+
+    monkeypatch.setattr(audit_mod, "ROUTE_TOL", 0.0)
+    target = tmp_path / "no_such_dir" / "counterexample.json"
+    code, out, err = run(
+        capsys, "audit", "--samples", "5", "--seed", "1", "--dump", str(target)
+    )
+    assert code == 4
+    assert "audit: FAIL" in out
+    assert "error: cannot write" in err
 
 
 def test_list_gates(capsys):

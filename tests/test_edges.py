@@ -94,35 +94,35 @@ def test_shared_coefficient_pairs(pair):
 
 
 def test_sweep_rows_consistent():
-    rows = sweep("LN", 33)
-    assert len(rows) == 33
-    for r in rows:
-        assert abs(r.strength - schmidt_strength(r.s)) <= 1e-12
-        assert r.s[0] >= r.s[1] >= r.s[2] >= r.s[3] >= -1e-15
+    sw = sweep("LN", 33)
+    assert sw.name == "LN"
+    assert sw.param.shape == sw.strength.shape == sw.g1.shape == sw.g2.shape == (33,)
+    assert sw.points.shape == (33, 3) and sw.s.shape == (33, 4) and sw.is_pe.shape == (33,)
+    for s, strength in zip(sw.s, sw.strength):
+        assert abs(strength - schmidt_strength(s)) <= 1e-12
+        assert s[0] >= s[1] >= s[2] >= s[3] >= -1e-15
 
 
 def test_sweep_oa1_three_points():
-    strengths = [r.strength for r in sweep("OA1", 3)]
+    strengths = sweep("OA1", 3).strength
     assert np.allclose(strengths, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_sweep_oa1_five_points_symmetric():
-    rows = sweep("OA1", 5)
-    strengths = [r.strength for r in rows]
+    strengths = sweep("OA1", 5).strength
     assert np.allclose(strengths, [0.0, H_EIGHTH, 1.0, H_EIGHTH, 0.0], atol=1e-12)
     for k in range(5):
         assert abs(strengths[k] - strengths[4 - k]) <= 1e-12
 
 
 def test_sweep_a2a3_constant_two():
-    for r in sweep("A2A3", 11):
-        assert abs(r.strength - 2.0) <= 1e-12
-        assert np.allclose(r.s, 0.5, atol=1e-12)
+    sw = sweep("A2A3", 11)
+    assert np.max(np.abs(sw.strength - 2.0)) <= 1e-12
+    assert np.allclose(sw.s, 0.5, atol=1e-12)
 
 
 def test_sweep_pn_symmetric_nonmonotonic():
-    rows = sweep("PN", 101)
-    strengths = np.array([r.strength for r in rows])
+    strengths = sweep("PN", 101).strength
     assert np.max(np.abs(strengths - strengths[::-1])) <= 1e-10
     diffs = np.diff(strengths)
     assert np.any(diffs > 0) and np.any(diffs < 0)
@@ -140,27 +140,27 @@ MONOTONIC_EDGES = ["OA2", "A2A1", "OA3", "A1A3", "LQ", "LM", "A2M", "A2Q", "QP",
 
 @pytest.mark.parametrize("name", MONOTONIC_EDGES)
 def test_strength_monotonic_on_grid(name):
-    strengths = np.array([r.strength for r in sweep(name, 101)])
+    strengths = sweep(name, 101).strength
     diffs = np.diff(strengths)
     assert np.all(diffs > 0) or np.all(diffs < 0), name
 
 
 def test_strength_monotonic_oa1_first_half():
-    rows = sweep("OA1", 101)
-    strengths = np.array([r.strength for r in rows if r.param <= PI / 2 + 1e-12])
+    sw = sweep("OA1", 101)
+    strengths = sw.strength[sw.param <= PI / 2 + 1e-12]
     assert np.all(np.diff(strengths) > 0)
 
 
 def test_polyhedron_edges_strength_range_and_pe():
     for name in POLYHEDRON_EDGES:
-        rows = sweep(name, 64)
-        for r in rows:
-            assert 1.0 - 1e-10 <= r.strength <= 2.0 + 1e-10, name
-            assert r.is_pe, name
+        sw = sweep(name, 64)
+        assert np.all(sw.strength >= 1.0 - 1e-10), name
+        assert np.all(sw.strength <= 2.0 + 1e-10), name
+        assert np.all(sw.is_pe), name
 
 
 def test_sweep_csv_format():
-    text = sweep_csv("A2A3", 3)
+    text = sweep_csv(sweep("A2A3", 3))
     lines = text.split("\n")
     assert lines[0] == "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe"
     assert len(lines) == 5 and lines[-1] == ""

@@ -12,7 +12,6 @@ from twoqubit import (
     gate_to_json_data,
     locally_equivalent,
     make_gate,
-    su4_normalize,
 )
 from twoqubit.gates import PAULI_BASIS, Q_MAGIC
 from twoqubit.sampling import haar_gate
@@ -31,7 +30,7 @@ def test_magic_basis_unitary():
 
 def test_make_gate_accepts_identity_and_cnot():
     assert make_gate(np.eye(4)).name is None
-    assert make_gate(catalog("cnot").matrix).phase_normalized is False
+    assert np.array_equal(make_gate(catalog("cnot").matrix).matrix, catalog("cnot").matrix)
 
 
 def test_make_gate_rejects_nonunitary():
@@ -48,35 +47,6 @@ def test_gate_matrix_is_readonly():
     g = catalog("swap")
     with pytest.raises(ValueError):
         g.matrix[0, 0] = 5.0
-
-
-def test_su4_normalize_identity():
-    g = su4_normalize(make_gate(np.eye(4)))
-    assert g.phase_normalized
-    assert np.allclose(g.matrix, np.eye(4), atol=1e-15)
-
-
-def test_su4_normalize_phase_multiple_of_identity():
-    g = su4_normalize(make_gate(np.exp(1j * np.pi / 7) * np.eye(4)))
-    # result is the identity up to a fourth root of unity, with det exactly 1
-    assert abs(np.linalg.det(g.matrix) - 1.0) <= 1e-12
-    ratio = g.matrix[0, 0]
-    assert np.allclose(g.matrix, ratio * np.eye(4), atol=1e-14)
-    assert abs(ratio**4 - 1.0) < 1e-12
-
-
-def test_su4_normalize_cnot_branch():
-    # det(CNOT) = -1 (odd permutation), so alpha = -pi/4
-    assert np.isclose(np.linalg.det(catalog("cnot").matrix), -1.0)
-    g = su4_normalize(catalog("cnot"))
-    assert abs(np.linalg.det(g.matrix) - 1.0) <= 1e-12
-    assert np.allclose(g.matrix, catalog("cnot").matrix * np.exp(-1j * np.pi / 4), atol=1e-14)
-
-
-def test_su4_normalize_random(rng):
-    for _ in range(25):
-        g = su4_normalize(haar_gate(rng))
-        assert abs(np.linalg.det(g.matrix) - 1.0) <= 1e-12
 
 
 def test_bell_transform_of_identity_is_qtq():

@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
 
-from twoqubit import DEFAULT_TOL, Tolerance, ValidationError, eig4_unitary, kron, svd4
-from twoqubit.gates import IDENTITY2, SIGMA_X, SIGMA_Z, Q_MAGIC, catalog, su4_normalize
+from twoqubit import (
+    DEFAULT_TOL,
+    Tolerance,
+    ValidationError,
+    canonical_gate,
+    invariants_from_point,
+    is_perfect_entangler,
+    kron,
+    svd4,
+    weyl_reduce,
+    z_from_point,
+)
+from twoqubit.gates import IDENTITY2, SIGMA_X, SIGMA_Z
 from twoqubit.sampling import haar_unitary
 
 
 def test_tolerance_defaults():
     assert DEFAULT_TOL.unitarity_tol == 1e-10
     assert DEFAULT_TOL.zero_tol == 1e-8
-    assert DEFAULT_TOL.eig_tol == 1e-9
 
 
-@pytest.mark.parametrize("field", ["unitarity_tol", "zero_tol", "eig_tol"])
+@pytest.mark.parametrize("field", ["unitarity_tol", "zero_tol"])
 def test_tolerance_must_be_positive(field):
     with pytest.raises(ValidationError):
         Tolerance(**{field: 0.0})
@@ -78,39 +88,11 @@ def test_svd4_rejects_nonfinite():
         svd4(m)
 
 
-def test_eig4_unitary_identity():
-    phases, _ = eig4_unitary(np.eye(4))
-    assert np.allclose(phases, 0.0, atol=1e-15)
-
-
-def test_eig4_unitary_diagonal_phases_sorted():
-    phases, vecs = eig4_unitary(np.diag([1j, -1j, 1, -1]))
-    # principal value in (-pi, pi], descending: -1 sits at +pi
-    assert np.allclose(phases, [np.pi, np.pi / 2, 0.0, -np.pi / 2], atol=1e-15)
-    m = np.diag([1j, -1j, 1, -1])
-    assert np.allclose(m @ vecs, vecs * np.exp(1j * phases), atol=1e-12)
-
-
-def test_eig4_unitary_cnot_bell_matrix():
-    # spectrum of M(U) for the det-normalized CNOT; the independent oracle
-    # is the characteristic polynomial, solved via np.roots
-    u = su4_normalize(catalog("cnot")).matrix
-    ub = Q_MAGIC.T @ u @ Q_MAGIC
-    m = ub.T @ ub
-    phases, _ = eig4_unitary(m)
-    assert np.allclose(np.sort(phases), [-np.pi / 2, -np.pi / 2, np.pi / 2, np.pi / 2], atol=1e-12)
-    root_phases = np.sort(np.angle(np.roots(np.poly(m))))
-    assert np.allclose(root_phases, np.sort(phases), atol=1e-9)
-
-
-def test_eig4_unitary_residual(rng):
-    for _ in range(50):
-        m = haar_unitary(rng, 4)
-        phases, vecs = eig4_unitary(m)
-        residual = np.linalg.norm(m @ vecs - vecs * np.exp(1j * phases), axis=0)
-        assert np.max(residual) <= DEFAULT_TOL.eig_tol
-
-
-def test_eig4_unitary_rejects_nonunitary():
-    with pytest.raises(ValidationError):
-        eig4_unitary(np.diag([1.0, 1.0, 1.0, 2.0]))
+@pytest.mark.parametrize(
+    "entry",
+    [invariants_from_point, z_from_point, weyl_reduce, is_perfect_entangler, canonical_gate],
+)
+@pytest.mark.parametrize("bad", [5.0, [1, 2], "abc", [[1, 2, 3]]], ids=repr)
+def test_malformed_triple_raises_validation_error(entry, bad):
+    with pytest.raises(ValidationError, match="coordinate triple"):
+        entry(bad)
