@@ -8,7 +8,11 @@ Checks, over ``samples`` Haar-random gates:
     single-qubit operations on both sides (1e-9);
   * Schmidt numbers take only the values 1, 2 or 4;
   * the perfect-entangler fraction matches the Haar-measure weight of the
-    polyhedron within a sample-size-dependent band.
+    polyhedron within 4 binomial standard deviations.
+
+Every check is evaluated on whole arrays. det(U) and M(U) are formed once
+for the plain gates, where they feed both the coordinate extraction and the
+matrix-route invariants, and once for the dressed gates.
 
 Everything is driven by one seeded generator, so a (samples, seed) pair
 fixes the outcome bit for bit.
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import canonical_points_array, is_perfect_entangler_array
-from .errors import SchmidtNumberError, ValidationError
+from .errors import ValidationError
 from .gates import Gate
 from .invariants import (
     invariants_from_unitary_array,
@@ -30,7 +34,7 @@ from .invariants import (
 from .sampling import haar_unitary, random_local_unitary
 from .schmidt import (
     schmidt_coefficients_array,
-    schmidt_number_from_coefficients,
+    schmidt_numbers_array,
     z_from_point_array,
 )
 
@@ -70,11 +74,10 @@ class AuditResult:
 
 
 def pe_fraction_tolerance(samples: int) -> float:
-    """Acceptance band for the perfect-entangler fraction.
-
-    0.05 at 1000 samples, shrinking with 1/sqrt(n) down to a floor of 0.02.
-    """
-    return max(0.02, 0.05 * np.sqrt(1000.0 / samples))
+    """Acceptance band for the perfect-entangler fraction: 4 binomial
+    standard deviations about ``HAAR_PE_FRACTION`` at ``samples`` draws."""
+    p = HAAR_PE_FRACTION
+    return 4.0 * float(np.sqrt(p * (1.0 - p) / samples))
 
 
 def run_audit(samples: int, seed: int) -> AuditResult:
@@ -101,68 +104,38 @@ def run_audit(samples: int, seed: int) -> AuditResult:
                 matrix=gates[worst_index].copy(), name=f"sample_{worst_index}"
             )
 
+    def record_max(name: str, deviation: np.ndarray, tol: float):
+        worst = int(np.argmax(deviation))
+        dev = float(deviation[worst])
+        record(name, dev <= tol, f"max deviation {dev:.3e} (tol {tol:g})", worst)
+
     # three-route invariant consistency
-    g1_u, g2_u = invariants_from_unitary_array(gates)
+    points, g1_u, g2_u = canonical_points_array(gates, return_invariants=True)
     g2_u = g2_u.real
-    points = canonical_points_array(gates)
     g1_c, g2_c = invariants_from_point_array(points)
-    z = z_from_point_array(points)
-    g1_z, g2_z = invariants_from_z_array(z)
+    g1_z, g2_z = invariants_from_z_array(z_from_point_array(points))
     g2_z = g2_z.real
-    route_dev = np.max(
-        np.stack(
-            [
-                np.abs(g1_u - g1_c),
-                np.abs(g1_u - g1_z),
-                np.abs(g1_c - g1_z),
-                np.abs(g2_u - g2_c),
-                np.abs(g2_u - g2_z),
-                np.abs(g2_c - g2_z),
-            ]
-        ),
-        axis=0,
-    )
-    worst = int(np.argmax(route_dev))
-    record(
-        "three-route invariant consistency",
-        float(route_dev[worst]) <= ROUTE_TOL,
-        f"max deviation {float(route_dev[worst]):.3e} (tol {ROUTE_TOL:g})",
-        worst,
-    )
+    pairs = ((g1_u, g1_c), (g1_u, g1_z), (g1_c, g1_z),
+             (g2_u, g2_c), (g2_u, g2_z), (g2_c, g2_z))
+    route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
+    record_max("three-route invariant consistency", route_dev, ROUTE_TOL)
 
     # invariance of coefficients and invariants under local operations
     dressed = k_left @ gates @ k_right
     s_plain = schmidt_coefficients_array(gates)
-    s_dressed = schmidt_coefficients_array(dressed)
-    coeff_dev = np.max(np.abs(s_plain - s_dressed), axis=-1)
+    coeff_dev = np.max(np.abs(s_plain - schmidt_coefficients_array(dressed)), axis=-1)
     g1_d, g2_d = invariants_from_unitary_array(dressed)
     inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - g2_d.real))
-    local_dev = np.maximum(coeff_dev, inv_dev)
-    worst = int(np.argmax(local_dev))
-    record(
-        "local invariance of schmidt coefficients",
-        float(local_dev[worst]) <= LOCAL_TOL,
-        f"max deviation {float(local_dev[worst]):.3e} (tol {LOCAL_TOL:g})",
-        worst,
+    record_max(
+        "local invariance of schmidt coefficients", np.maximum(coeff_dev, inv_dev), LOCAL_TOL
     )
 
     # Schmidt numbers in {1, 2, 4}
-    numbers = np.empty(samples, dtype=int)
-    bad_index: int | None = None
-    for i in range(samples):
-        try:
-            numbers[i] = schmidt_number_from_coefficients(s_plain[i])
-        except SchmidtNumberError:
-            numbers[i] = 3
-        if numbers[i] not in (1, 2, 4) and bad_index is None:
-            bad_index = i
-    histogram = {int(v): int(np.sum(numbers == v)) for v in sorted(set(numbers))}
-    record(
-        "schmidt number in {1, 2, 4}",
-        bad_index is None,
-        f"histogram {histogram}",
-        bad_index,
-    )
+    numbers = schmidt_numbers_array(s_plain)
+    bad = np.flatnonzero(~np.isin(numbers, (1, 2, 4)))
+    first_bad = int(bad[0]) if bad.size else None
+    histogram = dict(zip(*(a.tolist() for a in np.unique(numbers, return_counts=True))))
+    record("schmidt number in {1, 2, 4}", first_bad is None, f"histogram {histogram}", first_bad)
 
     # perfect-entangler fraction
     pe_flags = is_perfect_entangler_array(points)

@@ -16,7 +16,6 @@ midpoints of the tetrahedron edges plus A2.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +24,17 @@ from .errors import ExtractionError
 from .gates import (
     Gate,
     IDENTITY2,
-    Q_MAGIC,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
 )
 from .invariants import (
+    bell_matrix_array,
+    invariants_from_bell_array,
     invariants_from_point_array,
-    invariants_from_unitary_array,
 )
 from .linops import as_triple, kron
+from .schmidt import schmidt_numbers_array, z_from_point
 
 __all__ = [
     "CanonicalPoint",
@@ -166,66 +166,64 @@ def in_weyl_chamber(c, tol: float = 1e-12) -> bool:
     return bool(ordered and closed and base)
 
 
-# Ordered assignments of three of the four eigenphases of M(U) to the
-# combinations (c1+c2-c3, c1-c2+c3, -c1+c2+c3); the fourth is implied.
-_PHASE_ASSIGNMENTS = tuple(itertools.permutations(range(4), 3))
+# Mix x for the eigenbasis of Re M + x Im M. Distinct phases a, b of M collide
+# there when a + b = 2 atan(x) mod 2pi, which for this x is no rational multiple
+# of pi (x = sqrt2 - 1 would collide whenever a coordinate is pi/8).
+_MIX = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def canonical_points_array(u: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _eigenphases(m: np.ndarray, tol: float) -> np.ndarray:
+    """Eigenphases of stacked symmetric unitaries m (..., 4, 4): the commuting
+    Re m and Im m share the eigenbasis P of Re m + x Im m; rows whose P^T m P
+    keeps an off-diagonal entry above ``tol`` fall back to ``eigvals``."""
+    p = np.linalg.eigh(m.real + _MIX * m.imag)[1]
+    d = np.swapaxes(p, -1, -2) @ m @ p
+    diag = np.diagonal(d, axis1=-2, axis2=-1)
+    phases = np.angle(diag)
+    off = np.max(np.abs(d - diag[..., None] * np.eye(4)), axis=(-2, -1))
+    fallback = off > tol
+    if np.any(fallback):
+        phases[fallback] = np.angle(np.linalg.eigvals(m[fallback]))
+    return phases
+
+
+def canonical_points_array(
+    u: np.ndarray, tol: float = 1e-8, return_invariants: bool = False
+):
     """Chamber-reduced canonical coordinates for a stack of unitaries.
 
-    ``u`` has shape (..., 4, 4); the result has shape (..., 3).
+    ``u`` has shape (..., 4, 4); the result has shape (..., 3). With
+    ``return_invariants`` the result is ``(points, g1, g2)``, where (G1, G2)
+    come from the same det(U) and M(U) as ``invariants_from_unitary_array``
+    and are bit-identical to it (G2 complex).
 
     The eigenphases of M(U) = U_B^T U_B for the determinant-normalized gate
-    equal {c1+c2-c3, c1-c2+c3, -c1+c2+c3, -(c1+c2+c3)} modulo 2pi. Each
-    ordered assignment of three phases yields a candidate triple that is
-    correct modulo pi per coordinate, so chamber reduction followed by an
-    invariant check selects a valid branch. Candidates are tried in a fixed
-    lexicographic order and the first invariant-matching one wins.
+    are {c1+c2-c3, c1-c2+c3, -c1+c2+c3, -(c1+c2+c3)} modulo 2pi. Any three
+    of them, l0 <= l1 <= l2 here, give [l0+l1, l0+l2, l1+l2] / 2, which is
+    [c1, c2, c3] up to sign flips of coordinate pairs, permutations and
+    multiples of pi (a 2pi shift of one phase moves two coordinates by pi).
+    One Weyl reduction removes all of these. The point is then checked
+    against (G1, G2) computed from M.
 
     Raises:
-        ExtractionError: if no candidate reproduces (G1, G2) within ``tol``
-            (the message reports the best residual seen).
+        ExtractionError: if a point misses (G1, G2) by more than ``tol``;
+            the message names the rows, the worst residual and ``tol``.
     """
     u = np.asarray(u, dtype=complex)
-    batch = u.shape[:-2]
-    det = np.linalg.det(u)
-    su = u * np.exp(-1j * np.angle(det) / 4.0)[..., None, None]
-    ub = Q_MAGIC.T @ su @ Q_MAGIC
-    m = np.swapaxes(ub, -1, -2) @ ub
-    phases = np.angle(np.linalg.eigvals(m))
-
-    g1_ref, g2_ref = invariants_from_unitary_array(u)
-    g2_ref = g2_ref.real
-
-    out = np.zeros(batch + (3,), dtype=float)
-    found = np.zeros(batch, dtype=bool)
-    best = np.full(batch, np.inf)
-    for i, j, k in _PHASE_ASSIGNMENTS:
-        cand = 0.5 * np.stack(
-            [
-                phases[..., i] + phases[..., j],
-                phases[..., i] + phases[..., k],
-                phases[..., j] + phases[..., k],
-            ],
-            axis=-1,
-        )
-        cand = weyl_reduce_array(cand)
-        g1, g2 = invariants_from_point_array(cand)
-        residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref))
-        best = np.minimum(best, residual)
-        take = ~found & (residual <= tol)
-        if np.any(take):
-            out[take] = cand[take]
-            found |= take
-        if np.all(found):
-            break
-    if not np.all(found):
+    det, m = bell_matrix_array(u)
+    g1_ref, g2_ref = invariants_from_bell_array(det, m)
+    lam = np.sort(_eigenphases(m * np.exp(-0.5j * np.angle(det))[..., None, None], tol))
+    points = weyl_reduce_array(0.5 * (lam[..., [0, 0, 1]] + lam[..., [1, 2, 2]]))
+    g1, g2 = invariants_from_point_array(points)
+    residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref.real))
+    if not np.all(residual <= tol):
+        rows = np.flatnonzero(~(residual <= tol))
         raise ExtractionError(
-            "no coordinate candidate reproduced the local invariants; "
-            f"best residual {float(np.max(best[~found])):.3e}"
+            f"canonical point misses the local invariants at rows {rows[:10].tolist()}"
+            f"{' ...' if rows.size > 10 else ''} ({rows.size} in all); worst residual "
+            f"{float(np.max(residual)):.3e} exceeds tol {tol:g}"
         )
-    return out
+    return (points, g1_ref, g2_ref) if return_invariants else points
 
 
 def canonical_point(g: Gate, tol: float = 1e-8) -> CanonicalPoint:
@@ -252,14 +250,14 @@ def is_perfect_entangler_array(c: np.ndarray, boundary_tol: float = 1e-10) -> np
     return np.all(np.asarray(c) @ a.T <= b + boundary_tol, axis=-1)
 
 
-def schmidt_number_line(c, tol: float = 1e-9) -> bool:
+def schmidt_number_line(c, zero_tol: float = 1e-8) -> bool:
     """True iff the class lies on the controlled-unitary line [theta, 0, 0].
 
-    These are exactly the classes with Schmidt number at most 2; after
-    reduction the line is c2 = c3 = 0.
+    These are exactly the classes with Schmidt number at most 2, so the
+    test counts the Schmidt coefficients |z(c)| the way ``analyze`` counts
+    its Schmidt number.
     """
-    reduced = weyl_reduce_array(as_triple(c))
-    return bool(reduced[1] <= tol and reduced[2] <= tol)
+    return bool(schmidt_numbers_array(np.abs(z_from_point(c)), zero_tol) <= 2)
 
 
 _XX = kron(SIGMA_X, SIGMA_X)

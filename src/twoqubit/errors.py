@@ -17,7 +17,8 @@ class NumericalError(RuntimeError):
 
 
 class ExtractionError(NumericalError):
-    """No canonical-coordinate candidate reproduced the local invariants."""
+    """Extracted canonical coordinates missed the gate's local invariants;
+    the message names the rows, the worst residual and the tolerance."""
 
 
 class SchmidtNumberError(NumericalError):

@@ -49,20 +49,28 @@ def _checked(g1: complex, g2: complex) -> LocalInvariants:
     return LocalInvariants(g1=complex(g1), g2=float(g2.real))
 
 
-def invariants_from_unitary_array(u: np.ndarray):
-    """(G1, G2) for a stack of unitaries, shape (..., 4, 4).
-
-    G2 is returned complex; callers check the imaginary residue.
-    """
+def bell_matrix_array(u: np.ndarray):
+    """det(U) and M(U) = U_B^T U_B for a stack of unitaries, shape (..., 4, 4)."""
     ub = Q_MAGIC.T @ u @ Q_MAGIC
-    m = np.swapaxes(ub, -1, -2) @ ub
-    det = np.linalg.det(u)
+    return np.linalg.det(u), np.swapaxes(ub, -1, -2) @ ub
+
+
+def invariants_from_bell_array(det: np.ndarray, m: np.ndarray):
+    """(G1, G2) from ``bell_matrix_array``'s det(U) and M(U); G2 complex."""
     tr = np.trace(m, axis1=-2, axis2=-1)
     # tr(M^2) = sum_ij M_ij M_ji, cheaper than forming M @ M
     tr_m2 = np.sum(m * np.swapaxes(m, -1, -2), axis=(-2, -1))
     g1 = tr**2 / (16 * det)
     g2 = (tr**2 - tr_m2) / (4 * det)
     return g1, g2
+
+
+def invariants_from_unitary_array(u: np.ndarray):
+    """(G1, G2) for a stack of unitaries, shape (..., 4, 4).
+
+    G2 is returned complex; callers check the imaginary residue.
+    """
+    return invariants_from_bell_array(*bell_matrix_array(u))
 
 
 def invariants_from_unitary(g: Gate) -> LocalInvariants:

@@ -33,6 +33,7 @@ __all__ = [
     "schmidt_strength_array",
     "schmidt_number_of",
     "schmidt_number_from_coefficients",
+    "schmidt_numbers_array",
     "controlled_unitary_gate",
 ]
 
@@ -127,24 +128,36 @@ def schmidt_strength_array(s: np.ndarray) -> np.ndarray:
     return -np.sum(terms, axis=-1) + 0.0
 
 
-def schmidt_number_from_coefficients(s, zero_tol: float = 1e-8) -> int:
-    """Count the nonvanishing coefficients; the result is 1, 2 or 4.
+def schmidt_numbers_array(s: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
+    """Count the coefficients above ``zero_tol`` in each row of s (..., 4).
 
-    A count of 3 is impossible for two-qubit gates, so if it appears the
-    count is retried at 10x and 0.1x the tolerance (in that order) and the
-    first admissible value wins.
+    A count of 3 is impossible for two-qubit gates, so rows that count 3
+    are recounted at 10x and then 0.1x the tolerance, and the first count
+    other than 3 wins. Rows that count 3 at all three tolerances keep 3.
+    """
+    s = np.asarray(s, dtype=float)
+    n = np.array(np.sum(s > zero_tol, axis=-1))
+    for t in (10 * zero_tol, 0.1 * zero_tol):
+        retry = n == 3
+        if np.any(retry):
+            n[retry] = np.sum(s[retry] > t, axis=-1)
+    return n
+
+
+def schmidt_number_from_coefficients(s, zero_tol: float = 1e-8) -> int:
+    """Count the nonvanishing coefficients of one row, as
+    ``schmidt_numbers_array`` does; the result is 1, 2 or 4.
 
     Raises:
         SchmidtNumberError: if the count is 3 at all three tolerances.
     """
-    s = np.asarray(s, dtype=float)
-    for t in (zero_tol, 10 * zero_tol, 0.1 * zero_tol):
-        n = int(np.sum(s > t))
-        if n != 3:
-            return n
-    raise SchmidtNumberError(
-        f"coefficient count is 3 at tolerances around {zero_tol:g}: s = {s.tolist()}"
-    )
+    n = int(schmidt_numbers_array(s, zero_tol))
+    if n == 3:
+        raise SchmidtNumberError(
+            f"coefficient count is 3 at tolerances around {zero_tol:g}: "
+            f"s = {np.asarray(s, dtype=float).tolist()}"
+        )
+    return n
 
 
 def schmidt_decompose(g: Gate, tol: Tolerance = DEFAULT_TOL) -> SchmidtData:

@@ -244,6 +244,15 @@ def test_schmidt_number_line():
     assert schmidt_number_line((3 * PI / 4, 0.0, 0.0)) is True
 
 
+@pytest.mark.parametrize("c2", [3e-9, 1e-8, 3e-8])
+def test_schmidt_number_line_agrees_with_schmidt_number(c2):
+    from twoqubit import schmidt_number_of
+
+    point = (1.0, c2, 0.0)
+    assert schmidt_number_of(canonical_gate(point)) == 2
+    assert schmidt_number_line(point) is True
+
+
 def test_mirror_line_equivalence():
     theta = 0.7
     a = canonical_gate((theta, 0.0, 0.0))

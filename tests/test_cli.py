@@ -255,6 +255,19 @@ def test_audit_counterexample_unwritable_exit_4(tmp_path, capsys, monkeypatch):
     assert "error: cannot write" in err
 
 
+def test_parser_built_once(capsys, monkeypatch):
+    import twoqubit.cli as cli_mod
+
+    calls = []
+    build = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: calls.append(1) or build())
+    run(capsys, "list-gates")
+    run(capsys, "analyze", "cnot")
+    assert calls == []
+    assert cli_mod._parser() is cli_mod._parser()
+    assert cli_mod._parser.cache_info().misses == 1
+
+
 def test_list_gates(capsys):
     code, out, _ = run(capsys, "list-gates")
     assert code == 0

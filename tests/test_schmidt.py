@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoqubit import (
     ValidationError,
@@ -20,6 +22,7 @@ from twoqubit.sampling import haar_gate, random_local_unitary
 from twoqubit.schmidt import (
     schmidt_coefficients_array,
     schmidt_number_from_coefficients,
+    schmidt_numbers_array,
     z_from_point_array,
 )
 
@@ -205,6 +208,47 @@ def test_schmidt_number_error_is_raisable():
     s = s / np.linalg.norm(s)
     with pytest.raises(SchmidtNumberError):
         schmidt_number_from_coefficients(s, zero_tol=1e-8)
+
+
+def _count_one_row(s, zero_tol):
+    # the rule row by row: count, then recount a 3 at 10x and 0.1x
+    for t in (zero_tol, 10 * zero_tol, 0.1 * zero_tol):
+        n = int(np.sum(np.asarray(s) > t))
+        if n != 3:
+            return n
+    return 3
+
+
+_near_tolerance = st.sampled_from([1e-9, 1e-8, 1e-7]).flatmap(
+    lambda t: st.floats(0.3 * t, 3 * t) | st.just(t)
+)
+_rows = st.lists(
+    st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 1.0), _near_tolerance, _near_tolerance),
+    min_size=1,
+    max_size=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rows)
+def test_schmidt_numbers_array_matches_row_rule(rows):
+    s = np.array(rows)
+    numbers = schmidt_numbers_array(s)
+    expected = [_count_one_row(row, 1e-8) for row in s]
+    assert numbers.tolist() == expected
+    for row, n in zip(s, expected):
+        if n == 3:
+            with pytest.raises(SchmidtNumberError):
+                schmidt_number_from_coefficients(row)
+        else:
+            assert schmidt_number_from_coefficients(row) == n
+
+
+def test_schmidt_numbers_array_shapes():
+    assert schmidt_numbers_array([0.5, 0.5, 0.5, 0.5]).shape == ()
+    s = np.array([[1.0, 0.0, 0.0, 0.0], [0.8, 0.4, 0.4, 1e-20], [0.9, 0.4, 2e-8, 0.0]])
+    assert schmidt_numbers_array(s).tolist() == [1, 3, 2]
+    assert schmidt_numbers_array(s.reshape(3, 1, 4)).shape == (3, 1)
 
 
 def test_schmidt_data_consistency(rng):
