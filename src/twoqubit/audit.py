@@ -3,9 +3,9 @@ random gates.
 
 Checks, over ``samples`` Haar-random gates:
   * the three invariant routes (matrix, coordinates, expansion
-    coefficients) agree pairwise within 1e-8;
+    coefficients) agree pairwise within ``DEFAULT_TOL.invariant_tol``;
   * sorted Schmidt coefficients and invariants are unchanged by random
-    single-qubit operations on both sides (1e-9);
+    single-qubit operations on both sides (``DEFAULT_TOL.local_invariance_tol``);
   * Schmidt numbers take only the values 1, 2 or 4;
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.
@@ -26,6 +26,7 @@ import numpy as np
 from .canonical import canonical_points_array, is_perfect_entangler_array
 from .errors import ValidationError
 from .gates import Gate
+from .linops import DEFAULT_TOL
 from .invariants import (
     invariants_from_unitary_array,
     invariants_from_point_array,
@@ -39,9 +40,6 @@ from .schmidt import (
 )
 
 __all__ = ["AuditCheck", "AuditResult", "run_audit"]
-
-ROUTE_TOL = 1e-8
-LOCAL_TOL = 1e-9
 
 # Haar-measure weight of the perfect-entangler polyhedron. The polyhedron
 # fills exactly half the chamber by flat volume, but the Haar-induced
@@ -118,7 +116,7 @@ def run_audit(samples: int, seed: int) -> AuditResult:
     pairs = ((g1_u, g1_c), (g1_u, g1_z), (g1_c, g1_z),
              (g2_u, g2_c), (g2_u, g2_z), (g2_c, g2_z))
     route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
-    record_max("three-route invariant consistency", route_dev, ROUTE_TOL)
+    record_max("three-route invariant consistency", route_dev, DEFAULT_TOL.invariant_tol)
 
     # invariance of coefficients and invariants under local operations
     dressed = k_left @ gates @ k_right
@@ -126,8 +124,9 @@ def run_audit(samples: int, seed: int) -> AuditResult:
     coeff_dev = np.max(np.abs(s_plain - schmidt_coefficients_array(dressed)), axis=-1)
     g1_d, g2_d = invariants_from_unitary_array(dressed)
     inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - g2_d.real))
+    local_dev = np.maximum(coeff_dev, inv_dev)
     record_max(
-        "local invariance of schmidt coefficients", np.maximum(coeff_dev, inv_dev), LOCAL_TOL
+        "local invariance of schmidt coefficients", local_dev, DEFAULT_TOL.local_invariance_tol
     )
 
     # Schmidt numbers in {1, 2, 4}

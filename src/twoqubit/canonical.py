@@ -33,7 +33,7 @@ from .invariants import (
     invariants_from_bell_array,
     invariants_from_point_array,
 )
-from .linops import as_triple, kron
+from .linops import DEFAULT_TOL, as_triple, kron
 from .schmidt import schmidt_numbers_array, z_from_point
 
 __all__ = [
@@ -59,12 +59,6 @@ __all__ = [
     "schmidt_number_line",
     "canonical_gate",
 ]
-
-# Mirror rule engages only within floating fuzz of the c3 = 0 base, where
-# [c1, c2, 0] and [pi - c1, c2, 0] are the same class. Must stay well below
-# any genuine c3 > 0 and small enough to keep invariants unchanged to 1e-12.
-_BASE_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class CanonicalPoint:
@@ -141,7 +135,7 @@ def weyl_reduce_array(c: np.ndarray) -> np.ndarray:
         )
         c = np.where(over[..., None], flipped, c)
         c = np.flip(np.sort(c, axis=-1), axis=-1)
-    mirror = (c[..., 2] <= _BASE_TOL) & (c[..., 0] > np.pi / 2)
+    mirror = (c[..., 2] <= DEFAULT_TOL.base_mirror_tol) & (c[..., 0] > np.pi / 2)
     if np.any(mirror):
         mirrored = np.stack([np.pi - c[..., 0], c[..., 1], c[..., 2]], axis=-1)
         c = np.where(mirror[..., None], mirrored, c)
@@ -157,12 +151,13 @@ def weyl_reduce(c) -> CanonicalPoint:
     return _point(weyl_reduce_array(as_triple(c)))
 
 
-def in_weyl_chamber(c, tol: float = 1e-12) -> bool:
+def in_weyl_chamber(c) -> bool:
     """True iff the triple satisfies the fundamental-domain inequalities."""
     c1, c2, c3 = as_triple(c)
+    tol = DEFAULT_TOL.chamber_tol
     ordered = c3 >= -tol and c2 >= c3 - tol and c1 >= c2 - tol
     closed = c1 + c2 <= np.pi + tol
-    base = c3 > _BASE_TOL or c1 <= np.pi / 2 + tol
+    base = c3 > DEFAULT_TOL.base_mirror_tol or c1 <= np.pi / 2 + tol
     return bool(ordered and closed and base)
 
 
@@ -172,24 +167,22 @@ def in_weyl_chamber(c, tol: float = 1e-12) -> bool:
 _MIX = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _eigenphases(m: np.ndarray, tol: float) -> np.ndarray:
+def _eigenphases(m: np.ndarray) -> np.ndarray:
     """Eigenphases of stacked symmetric unitaries m (..., 4, 4): the commuting
     Re m and Im m share the eigenbasis P of Re m + x Im m; rows whose P^T m P
-    keeps an off-diagonal entry above ``tol`` fall back to ``eigvals``."""
+    keeps an off-diagonal entry above ``eigh_offdiag_tol`` use ``eigvals``."""
     p = np.linalg.eigh(m.real + _MIX * m.imag)[1]
     d = np.swapaxes(p, -1, -2) @ m @ p
     diag = np.diagonal(d, axis1=-2, axis2=-1)
     phases = np.angle(diag)
     off = np.max(np.abs(d - diag[..., None] * np.eye(4)), axis=(-2, -1))
-    fallback = off > tol
+    fallback = off > DEFAULT_TOL.eigh_offdiag_tol
     if np.any(fallback):
         phases[fallback] = np.angle(np.linalg.eigvals(m[fallback]))
     return phases
 
 
-def canonical_points_array(
-    u: np.ndarray, tol: float = 1e-8, return_invariants: bool = False
-):
+def canonical_points_array(u: np.ndarray, return_invariants: bool = False):
     """Chamber-reduced canonical coordinates for a stack of unitaries.
 
     ``u`` has shape (..., 4, 4); the result has shape (..., 3). With
@@ -206,16 +199,17 @@ def canonical_points_array(
     against (G1, G2) computed from M.
 
     Raises:
-        ExtractionError: if a point misses (G1, G2) by more than ``tol``;
-            the message names the rows, the worst residual and ``tol``.
+        ExtractionError: if a point misses (G1, G2) by more than ``invariant_tol``;
+            the message names the rows, the worst residual and the tolerance.
     """
     u = np.asarray(u, dtype=complex)
     det, m = bell_matrix_array(u)
     g1_ref, g2_ref = invariants_from_bell_array(det, m)
-    lam = np.sort(_eigenphases(m * np.exp(-0.5j * np.angle(det))[..., None, None], tol))
+    lam = np.sort(_eigenphases(m * np.exp(-0.5j * np.angle(det))[..., None, None]))
     points = weyl_reduce_array(0.5 * (lam[..., [0, 0, 1]] + lam[..., [1, 2, 2]]))
     g1, g2 = invariants_from_point_array(points)
     residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref.real))
+    tol = DEFAULT_TOL.invariant_tol
     if not np.all(residual <= tol):
         rows = np.flatnonzero(~(residual <= tol))
         raise ExtractionError(
@@ -226,12 +220,12 @@ def canonical_points_array(
     return (points, g1_ref, g2_ref) if return_invariants else points
 
 
-def canonical_point(g: Gate, tol: float = 1e-8) -> CanonicalPoint:
+def canonical_point(g: Gate) -> CanonicalPoint:
     """Extract the chamber-reduced canonical coordinates of a gate."""
-    return _point(canonical_points_array(g.matrix, tol=tol))
+    return _point(canonical_points_array(g.matrix))
 
 
-def is_perfect_entangler(c, boundary_tol: float = 1e-10) -> bool:
+def is_perfect_entangler(c) -> bool:
     """True iff the class can map some product state to a maximally
     entangled state.
 
@@ -239,25 +233,23 @@ def is_perfect_entangler(c, boundary_tol: float = 1e-10) -> bool:
     tested against its supporting half-spaces after chamber reduction.
     Boundary points (CNOT, DCNOT, ...) count as inside.
     """
-    reduced = weyl_reduce_array(as_triple(c))
-    a, b = PE_HALFSPACES
-    return bool(np.all(reduced @ a.T <= b + boundary_tol))
+    return bool(is_perfect_entangler_array(weyl_reduce_array(as_triple(c))))
 
 
-def is_perfect_entangler_array(c: np.ndarray, boundary_tol: float = 1e-10) -> np.ndarray:
+def is_perfect_entangler_array(c: np.ndarray) -> np.ndarray:
     """Vectorized perfect-entangler test for chamber-reduced triples (..., 3)."""
     a, b = PE_HALFSPACES
-    return np.all(np.asarray(c) @ a.T <= b + boundary_tol, axis=-1)
+    return np.all(np.asarray(c) @ a.T <= b + DEFAULT_TOL.pe_boundary_tol, axis=-1)
 
 
-def schmidt_number_line(c, zero_tol: float = 1e-8) -> bool:
+def schmidt_number_line(c) -> bool:
     """True iff the class lies on the controlled-unitary line [theta, 0, 0].
 
     These are exactly the classes with Schmidt number at most 2, so the
     test counts the Schmidt coefficients |z(c)| the way ``analyze`` counts
     its Schmidt number.
     """
-    return bool(schmidt_numbers_array(np.abs(z_from_point(c)), zero_tol) <= 2)
+    return bool(schmidt_numbers_array(np.abs(z_from_point(c))) <= 2)
 
 
 _XX = kron(SIGMA_X, SIGMA_X)

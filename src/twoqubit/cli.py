@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .audit import run_audit
-from .canonical import canonical_point, is_perfect_entangler
+from .canonical import canonical_points_array, is_perfect_entangler_array
 from .edges import edge, edge_svg, sweep, sweep_csv, verify_tables
 from .errors import NumericalError, ParseError, ValidationError
 from .gates import (
@@ -28,7 +28,7 @@ from .gates import (
     gate_from_json_data,
     gate_to_json_data,
 )
-from .invariants import invariants_from_unitary
+from .invariants import checked_invariants
 from .schmidt import schmidt_decompose
 
 EXIT_OK = 0
@@ -56,18 +56,18 @@ class AnalysisReport:
 
 
 def analyze_gate(g: Gate, source: str) -> AnalysisReport:
-    point = canonical_point(g)
-    inv = invariants_from_unitary(g)
+    point, g1, g2 = canonical_points_array(g.matrix, return_invariants=True)
+    inv = checked_invariants(g1, g2)
     data = schmidt_decompose(g)
     return AnalysisReport(
         source=source,
-        point=(point.c1, point.c2, point.c3),
+        point=tuple(float(v) for v in point),
         g1=inv.g1,
         g2=inv.g2,
         coefficients=tuple(float(v) for v in data.coefficients),
         schmidt_number=data.schmidt_number,
         strength=data.strength,
-        perfect_entangler=is_perfect_entangler(point),
+        perfect_entangler=bool(is_perfect_entangler_array(point)),
         # Schmidt number at most 2 is exactly the controlled-unitary line
         controlled_unitary=data.schmidt_number <= 2,
     )
@@ -217,12 +217,9 @@ def _cmd_audit(args) -> int:
 
 def _cmd_list_gates(args) -> int:
     for name in catalog_names():
-        g = catalog(name)
-        point = canonical_point(g)
-        pe = "PE" if is_perfect_entangler(point) else "--"
-        print(
-            f"{name:11s} [{point.c1:.6f}, {point.c2:.6f}, {point.c3:.6f}]  {pe}"
-        )
+        point = canonical_points_array(catalog(name).matrix)
+        pe = "PE" if is_perfect_entangler_array(point) else "--"
+        print(f"{name:11s} [{point[0]:.6f}, {point[1]:.6f}, {point[2]:.6f}]  {pe}")
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .canonical import is_perfect_entangler_array, weyl_reduce_array
 from .errors import ValidationError
+from .linops import DEFAULT_TOL
 from .invariants import invariants_from_point_array
 from .schmidt import schmidt_strength_array, z_from_point_array
 from .svgplot import line_plot
@@ -334,7 +335,7 @@ class TableReport:
         return max(c.max_deviation for c in self.checks)
 
 
-def verify_tables(n_points: int, tolerance: float = 1e-10) -> TableReport:
+def verify_tables(n_points: int) -> TableReport:
     """Compare engine coefficients against every closed form on a grid.
 
     For each edge and grid parameter the sorted engine coefficients are
@@ -356,7 +357,7 @@ def verify_tables(n_points: int, tolerance: float = 1e-10) -> TableReport:
                 worst_param=float(params[worst]),
             )
         )
-    return TableReport(checks=tuple(checks), tolerance=tolerance)
+    return TableReport(checks=tuple(checks), tolerance=DEFAULT_TOL.table_tol)
 
 
 # Figure ids -> the curves they carry, in caption order. Each curve is

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linops import DEFAULT_TOL, Tolerance, as_cmat, unitarity_defect
+from .linops import DEFAULT_TOL, as_cmat, unitarity_defect
 
 __all__ = [
     "IDENTITY2",
@@ -61,17 +61,17 @@ class Gate:
         self.matrix.setflags(write=False)
 
 
-def make_gate(matrix, name: str | None = None, tol: Tolerance = DEFAULT_TOL) -> Gate:
+def make_gate(matrix, name: str | None = None) -> Gate:
     """Validate ``matrix`` as a two-qubit unitary and wrap it in a Gate.
 
     Raises:
         ValidationError: if the matrix is not 4x4, not finite, or not
-            unitary within ``tol.unitarity_tol`` (the message carries
+            unitary within ``DEFAULT_TOL.unitarity_tol`` (the message carries
             ||U^dag U - I||_F).
     """
     a = as_cmat(matrix, 4)
     defect = unitarity_defect(a)
-    if defect > tol.unitarity_tol:
+    if defect > DEFAULT_TOL.unitarity_tol:
         raise ValidationError(
             f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}"
         )
@@ -146,7 +146,7 @@ def catalog(name: str) -> Gate:
     return Gate(matrix=matrix.copy(), name=name)
 
 
-def gate_from_json_data(data, name: str | None = None, tol: Tolerance = DEFAULT_TOL) -> Gate:
+def gate_from_json_data(data, name: str | None = None) -> Gate:
     """Build a Gate from the JSON wire format.
 
     The format is a plain array of 4 rows of 4 entries, each entry a
@@ -170,7 +170,7 @@ def gate_from_json_data(data, name: str | None = None, tol: Tolerance = DEFAULT_
             ):
                 raise ParseError(f"entry [{i}][{j}] must be a [re, im] number pair")
             matrix[i, j] = complex(entry[0], entry[1])
-    return make_gate(matrix, name=name, tol=tol)
+    return make_gate(matrix, name=name)
 
 
 def gate_to_json_data(g: Gate) -> list:

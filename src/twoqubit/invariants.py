@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gates import Gate, Q_MAGIC
-from .linops import DEFAULT_TOL, Tolerance, as_triple
+from .linops import DEFAULT_TOL, as_triple
 
 __all__ = [
     "LocalInvariants",
@@ -28,11 +28,6 @@ __all__ = [
     "locally_equivalent",
 ]
 
-# G2 is real for unitary input; larger imaginary residue signals a numerical
-# problem upstream.
-_IMAG_RESIDUE_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class LocalInvariants:
     """The invariant pair: g1 complex, g2 real."""
@@ -41,11 +36,12 @@ class LocalInvariants:
     g2: float
 
 
-def _checked(g1: complex, g2: complex) -> LocalInvariants:
-    if abs(g2.imag) > _IMAG_RESIDUE_TOL:
-        raise NumericalError(
-            f"G2 imaginary residue {abs(g2.imag):.3e} exceeds {_IMAG_RESIDUE_TOL:g}"
-        )
+def checked_invariants(g1: complex, g2: complex) -> LocalInvariants:
+    """The pair as LocalInvariants; G2 is real for unitary input, so an
+    imaginary residue above ``DEFAULT_TOL.imag_residue_tol`` is an error."""
+    tol = DEFAULT_TOL.imag_residue_tol
+    if abs(g2.imag) > tol:
+        raise NumericalError(f"G2 imaginary residue {abs(g2.imag):.3e} exceeds {tol:g}")
     return LocalInvariants(g1=complex(g1), g2=float(g2.real))
 
 
@@ -80,7 +76,7 @@ def invariants_from_unitary(g: Gate) -> LocalInvariants:
     global phase of the input; no prior normalization is required.
     """
     g1, g2 = invariants_from_unitary_array(g.matrix)
-    return _checked(g1, g2)
+    return checked_invariants(g1, g2)
 
 
 def invariants_from_point_array(c: np.ndarray):
@@ -110,7 +106,7 @@ def invariants_from_z_array(z: np.ndarray):
     return g1, g2
 
 
-def invariants_from_z(z, tol: Tolerance = DEFAULT_TOL) -> LocalInvariants:
+def invariants_from_z(z) -> LocalInvariants:
     """Invariants from the coefficients of U = sum_l z_l (P_l x P_l).
 
     ``z`` holds the four complex coefficients in the basis order
@@ -118,23 +114,24 @@ def invariants_from_z(z, tol: Tolerance = DEFAULT_TOL) -> LocalInvariants:
 
     Raises:
         ValidationError: if sum |z_l|^2 differs from 1 by more than
-            ``tol.zero_tol``.
+            ``DEFAULT_TOL.norm_tol``.
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (4,):
         raise ValidationError("expected four complex coefficients")
     norm = float(np.sum(np.abs(z) ** 2))
-    if abs(norm - 1.0) > tol.zero_tol:
+    if abs(norm - 1.0) > DEFAULT_TOL.norm_tol:
         raise ValidationError(f"coefficients not normalized: sum |z|^2 = {norm!r}")
     g1, g2 = invariants_from_z_array(z)
-    return _checked(g1, g2)
+    return checked_invariants(g1, g2)
 
 
-def locally_equivalent(a: Gate, b: Gate, tol: float = 1e-8) -> bool:
+def locally_equivalent(a: Gate, b: Gate) -> bool:
     """True iff a and b differ only by single-qubit operations.
 
-    Decided by comparing (G1, G2) within ``tol``.
+    Decided by comparing (G1, G2) within ``DEFAULT_TOL.invariant_tol``.
     """
+    tol = DEFAULT_TOL.invariant_tol
     inv_a = invariants_from_unitary(a)
     inv_b = invariants_from_unitary(b)
     return abs(inv_a.g1 - inv_b.g1) <= tol and abs(inv_a.g2 - inv_b.g2) <= tol

@@ -26,15 +26,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical tolerances shared by validation and spectral routines."""
+    """Every threshold of the package, one field per meaning, read by each
+    function from ``DEFAULT_TOL`` when it is called."""
 
-    unitarity_tol: float = 1e-10
-    zero_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("unitarity_tol", "zero_tol"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be strictly positive")
+    unitarity_tol: float = 1e-10  # make_gate: largest accepted ||U^dag U - I||_F
+    zero_tol: float = 1e-8  # Schmidt count: coefficients above this are nonzero
+    norm_tol: float = 1e-10  # allowed |sum |z|^2 - 1| and |sum s^2 - 1|
+    negative_tol: float = 1e-12  # Schmidt coefficients below -this are rejected
+    imag_residue_tol: float = 1e-9  # largest |Im G2| taken as rounding noise
+    invariant_tol: float = 1e-8  # two (G1, G2) evaluations of one class agree
+    eigh_offdiag_tol: float = 1e-8  # extraction: larger off-diagonal -> eigvals
+    local_invariance_tol: float = 1e-9  # audit: allowed change under local dressing
+    chamber_tol: float = 1e-12  # in_weyl_chamber: slack on each inequality
+    # base mirror c1 -> pi - c1 when c3 <= this; a c3 within extraction noise of
+    # it may reduce to either mirror image, and both have the same invariants
+    base_mirror_tol: float = 1e-13
+    pe_boundary_tol: float = 1e-10  # PE test: slack on each polyhedron facet
+    table_tol: float = 1e-10  # verify_tables: closed form vs engine deviation
 
 
 DEFAULT_TOL = Tolerance()

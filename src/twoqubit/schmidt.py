@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SchmidtNumberError, ValidationError
 from .gates import Gate, IDENTITY2, SIGMA_X, make_gate
-from .linops import DEFAULT_TOL, Tolerance, as_triple, kron, svd4
+from .linops import DEFAULT_TOL, as_triple, kron, svd4
 
 __all__ = [
     "SchmidtData",
@@ -102,20 +102,20 @@ def schmidt_coefficients_array(u: np.ndarray) -> np.ndarray:
     return np.linalg.svd(r, compute_uv=False) / 2.0
 
 
-def schmidt_strength(s, tol: Tolerance = DEFAULT_TOL) -> float:
+def schmidt_strength(s) -> float:
     """Shannon entropy (bits) of the distribution s_l^2.
 
     Uses the 0 log 0 = 0 convention; terms below 1e-300 contribute nothing.
 
     Raises:
-        ValidationError: if the coefficients are negative or sum s_l^2
-            differs from 1 by more than 1e-10.
+        ValidationError: if a coefficient is below -``DEFAULT_TOL.negative_tol``
+            or sum s_l^2 differs from 1 by more than ``DEFAULT_TOL.norm_tol``.
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < -1e-12):
+    if np.any(s < -DEFAULT_TOL.negative_tol):
         raise ValidationError("Schmidt coefficients must be nonnegative")
     norm = float(np.sum(s**2))
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > DEFAULT_TOL.norm_tol:
         raise ValidationError(f"coefficients not normalized: sum s^2 = {norm!r}")
     return float(schmidt_strength_array(s[np.newaxis, :])[0])
 
@@ -128,7 +128,7 @@ def schmidt_strength_array(s: np.ndarray) -> np.ndarray:
     return -np.sum(terms, axis=-1) + 0.0
 
 
-def schmidt_numbers_array(s: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
+def schmidt_numbers_array(s: np.ndarray) -> np.ndarray:
     """Count the coefficients above ``zero_tol`` in each row of s (..., 4).
 
     A count of 3 is impossible for two-qubit gates, so rows that count 3
@@ -136,6 +136,7 @@ def schmidt_numbers_array(s: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
     other than 3 wins. Rows that count 3 at all three tolerances keep 3.
     """
     s = np.asarray(s, dtype=float)
+    zero_tol = DEFAULT_TOL.zero_tol
     n = np.array(np.sum(s > zero_tol, axis=-1))
     for t in (10 * zero_tol, 0.1 * zero_tol):
         retry = n == 3
@@ -144,23 +145,23 @@ def schmidt_numbers_array(s: np.ndarray, zero_tol: float = 1e-8) -> np.ndarray:
     return n
 
 
-def schmidt_number_from_coefficients(s, zero_tol: float = 1e-8) -> int:
+def schmidt_number_from_coefficients(s) -> int:
     """Count the nonvanishing coefficients of one row, as
     ``schmidt_numbers_array`` does; the result is 1, 2 or 4.
 
     Raises:
         SchmidtNumberError: if the count is 3 at all three tolerances.
     """
-    n = int(schmidt_numbers_array(s, zero_tol))
+    n = int(schmidt_numbers_array(s))
     if n == 3:
         raise SchmidtNumberError(
-            f"coefficient count is 3 at tolerances around {zero_tol:g}: "
+            f"coefficient count is 3 at tolerances around {DEFAULT_TOL.zero_tol:g}: "
             f"s = {np.asarray(s, dtype=float).tolist()}"
         )
     return n
 
 
-def schmidt_decompose(g: Gate, tol: Tolerance = DEFAULT_TOL) -> SchmidtData:
+def schmidt_decompose(g: Gate) -> SchmidtData:
     """Operator-Schmidt decomposition via realignment and SVD.
 
     The left/right singular vectors of the realigned matrix, reshaped to
@@ -176,15 +177,14 @@ def schmidt_decompose(g: Gate, tol: Tolerance = DEFAULT_TOL) -> SchmidtData:
         coefficients=coefficients,
         factors_a=factors_a,
         factors_b=factors_b,
-        schmidt_number=schmidt_number_from_coefficients(coefficients, tol.zero_tol),
-        strength=schmidt_strength(coefficients, tol),
+        schmidt_number=schmidt_number_from_coefficients(coefficients),
+        strength=schmidt_strength(coefficients),
     )
 
 
-def schmidt_number_of(g: Gate, tol: Tolerance = DEFAULT_TOL) -> int:
+def schmidt_number_of(g: Gate) -> int:
     """Schmidt number of a gate: 1 (local), 2 (controlled unitary) or 4."""
-    s = schmidt_coefficients_array(g.matrix)
-    return schmidt_number_from_coefficients(s, tol.zero_tol)
+    return schmidt_number_from_coefficients(schmidt_coefficients_array(g.matrix))
 
 
 def controlled_unitary_gate(p: float) -> Gate:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import twoqubit.canonical as canonical_mod
 from twoqubit import (
     ExtractionError,
     canonical_gate,
@@ -211,10 +214,12 @@ def test_canonical_gate_matches_pauli_expansion(rng):
     assert np.allclose(canonical_gate(c).matrix, rebuilt, atol=1e-13)
 
 
-def test_extraction_failure_reports_residual():
+def test_extraction_failure_reports_residual(monkeypatch):
+    # absurdly tight tolerance forces the failure path
+    tight = dataclasses.replace(canonical_mod.DEFAULT_TOL, invariant_tol=1e-18)
+    monkeypatch.setattr(canonical_mod, "DEFAULT_TOL", tight)
     with pytest.raises(ExtractionError, match="residual"):
-        # absurdly tight tolerance forces the failure path
-        canonical_points_array(haar_unitary(np.random.default_rng(3), 4), tol=1e-18)
+        canonical_points_array(haar_unitary(np.random.default_rng(3), 4))
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,12 @@ import pytest
 from twoqubit import canonical_gate, gate_to_json_data, make_gate
 from twoqubit.cli import analyze_gate, main
 from twoqubit.sampling import haar_gate, random_local_unitary
+
+
+def _fail_route_check(monkeypatch, audit_mod):
+    # a zero invariant tolerance fails the three-route check on any sample
+    zero = dataclasses.replace(audit_mod.DEFAULT_TOL, invariant_tol=0.0)
+    monkeypatch.setattr(audit_mod, "DEFAULT_TOL", zero)
 
 
 def run(capsys, *argv):
@@ -93,10 +100,10 @@ def test_analyze_numerical_failure_exit_3(capsys, monkeypatch):
     import twoqubit.cli as cli_mod
     from twoqubit.errors import NumericalError
 
-    def boom(matrices, tol=1e-8):
+    def boom(matrices, return_invariants=False):
         raise NumericalError("synthetic failure")
 
-    monkeypatch.setattr(cli_mod, "canonical_point", lambda g: boom(g))
+    monkeypatch.setattr(cli_mod, "canonical_points_array", boom)
     code, _, err = run(capsys, "analyze", "cnot")
     assert code == 3
     assert "synthetic failure" in err
@@ -230,7 +237,7 @@ def test_audit_counterexample_round_trip(tmp_path, capsys, rng, monkeypatch):
     # force a failure so the counterexample path runs, then re-analyze it
     import twoqubit.audit as audit_mod
 
-    monkeypatch.setattr(audit_mod, "ROUTE_TOL", 0.0)
+    _fail_route_check(monkeypatch, audit_mod)
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "audit", "--samples", "5", "--seed", "1")
     assert code == 6
@@ -245,7 +252,7 @@ def test_audit_counterexample_round_trip(tmp_path, capsys, rng, monkeypatch):
 def test_audit_counterexample_unwritable_exit_4(tmp_path, capsys, monkeypatch):
     import twoqubit.audit as audit_mod
 
-    monkeypatch.setattr(audit_mod, "ROUTE_TOL", 0.0)
+    _fail_route_check(monkeypatch, audit_mod)
     target = tmp_path / "no_such_dir" / "counterexample.json"
     code, out, err = run(
         capsys, "audit", "--samples", "5", "--seed", "1", "--dump", str(target)

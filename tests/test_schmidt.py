@@ -199,7 +199,7 @@ def test_schmidt_number_tri_tolerance_escape():
     # the coarser tolerance, where the count is an admissible 2
     s = np.array([np.sqrt(1 - 2e-8), 1e-4, 2e-8, 0.0])
     s = s / np.linalg.norm(s)
-    assert schmidt_number_from_coefficients(s, zero_tol=1e-8) == 2
+    assert schmidt_number_from_coefficients(s) == 2
 
 
 def test_schmidt_number_error_is_raisable():
@@ -207,7 +207,7 @@ def test_schmidt_number_error_is_raisable():
     s = np.array([0.8, 0.4, 0.4, 1e-20])
     s = s / np.linalg.norm(s)
     with pytest.raises(SchmidtNumberError):
-        schmidt_number_from_coefficients(s, zero_tol=1e-8)
+        schmidt_number_from_coefficients(s)
 
 
 def _count_one_row(s, zero_tol):

@@ -1,0 +1,220 @@
+"""The tolerance policy: every threshold lives in ``DEFAULT_TOL``, and the
+report fields those thresholds decide are probed on both sides of them.
+
+The threshold cases use derandomized Hypothesis and local dressing with a
+global phase, so each example checks that the decision does not depend on
+which representative of the class the extraction sees.
+"""
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import twoqubit
+from twoqubit import DEFAULT_TOL, ValidationError, canonical_gate, make_gate
+from twoqubit.canonical import (
+    PE_HALFSPACES,
+    POLYHEDRON_VERTICES,
+    TETRAHEDRON_VERTICES,
+    is_perfect_entangler,
+    schmidt_number_line,
+    weyl_reduce_array,
+)
+from twoqubit.cli import analyze_gate
+from twoqubit.invariants import invariants_from_point
+from twoqubit.sampling import haar_unitary, random_local_unitary
+from twoqubit.schmidt import schmidt_numbers_array, z_from_point
+
+PI = np.pi
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+seeds = st.integers(0, 2**32 - 1)
+
+# Extraction noise on a dressed gate stays near 1e-14; cases are kept at
+# least this far from every threshold they probe, so that noise cannot
+# decide them.
+BAND = 1e-13
+
+MODULES = [
+    importlib.import_module(f"twoqubit.{m.name}")
+    for m in pkgutil.iter_modules(twoqubit.__path__)
+    if m.name != "__main__"
+]
+
+
+def test_no_public_function_takes_a_tolerance():
+    offenders = [
+        f"{module.__name__}.{name}({param})"
+        for module in MODULES
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        for param in inspect.signature(obj).parameters
+        if "tol" in param.lower()
+    ]
+    assert offenders == []
+
+
+def test_only_linops_assigns_tolerance_names():
+    # read assignments from the source, so the imported DEFAULT_TOL is no hit
+    offenders = []
+    for module in MODULES:
+        if module.__name__ == "twoqubit.linops":
+            continue
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            offenders += [
+                f"{module.__name__}:{n.lineno} {n.id}"
+                for target in targets
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and n.id.endswith("_TOL")
+            ]
+    assert offenders == []
+
+
+def _dressed_reports(point, seed: int, count: int):
+    """analyze reports for canonical_gate(point), undressed and under
+    ``count`` random local dressings, each with a global phase."""
+    rng = np.random.default_rng(seed)
+    core = canonical_gate(point).matrix
+    matrices = [core] + [
+        np.exp(1j * rng.uniform(0, 2 * PI))
+        * random_local_unitary(rng) @ core @ random_local_unitary(rng)
+        for _ in range(count)
+    ]
+    return [analyze_gate(make_gate(u), source="dressed") for u in matrices]
+
+
+def _clear_of_count_thresholds(point) -> bool:
+    """True iff no Schmidt coefficient of the point lies within BAND of a
+    threshold of the count (zero_tol and its 10x and 0.1x retries)."""
+    s = np.abs(z_from_point(point))
+    t = DEFAULT_TOL.zero_tol
+    return bool(np.all(np.abs(s[:, None] - np.array([t, 10 * t, 0.1 * t])) >= BAND))
+
+
+def test_base_mirror_threshold_gives_one_of_two_images():
+    # c3 sits at base_mirror_tol, so extraction noise decides whether the
+    # base mirror c1 -> pi - c1 applies; either image is the same class
+    images = np.array([[1.0, 1.0, 0.0], [PI - 1.0, 1.0, 0.0]])
+    reference = invariants_from_point(images[0])
+    reports = _dressed_reports([PI - 1.0, 1.0, 1e-13], seed=7, count=40)[1:]
+    assert len(reports) == 40
+    for report in reports:
+        point = np.array(report.point)
+        point[2] = round(point[2], 12)
+        assert np.any(np.all(np.abs(images - point) <= 1e-9, axis=1)), point
+        for inv in (report, invariants_from_point(point)):
+            assert abs(inv.g1 - reference.g1) <= DEFAULT_TOL.invariant_tol
+            assert abs(inv.g2 - reference.g2) <= DEFAULT_TOL.invariant_tol
+    assert len({(r.perfect_entangler, r.schmidt_number) for r in reports}) == 1
+
+
+# c2 a small multiple of a count threshold: the two small coefficients,
+# sin(c2/2) |cos(theta/2)| and sin(c2/2) |sin(theta/2)|, straddle it
+near_line_c2 = st.builds(
+    lambda t, m: t * m,
+    st.sampled_from([0.1, 1.0, 10.0]).map(lambda k: k * DEFAULT_TOL.zero_tol),
+    st.floats(0.3, 6.0),
+)
+
+
+@SETTINGS
+@given(st.floats(0.05, PI - 0.05), near_line_c2, seeds)
+def test_near_line_schmidt_number_matches_line_test(theta, c2, seed):
+    point = [theta, c2, 0.0]
+    assume(_clear_of_count_thresholds(point))
+    on_line = schmidt_number_line(point)
+    for report in _dressed_reports(point, seed, count=3):
+        assert (report.schmidt_number <= 2) == on_line
+        assert report.controlled_unitary == on_line
+        assert schmidt_number_line(report.point) == on_line
+
+
+def _surfaces():
+    """(a, b, vertices) for the seven PE facets a . c <= b, then for the
+    chamber face c1 + c2 = pi (triangle A1 A2 A3)."""
+    a_rows, b_vals = PE_HALFSPACES
+    pe_vertices = np.array([p.as_array() for p in POLYHEDRON_VERTICES.values()])
+    out = [
+        (a, b, pe_vertices[np.abs(pe_vertices @ a - b) < 1e-12])
+        for a, b in zip(a_rows, b_vals)
+    ]
+    face = np.array([TETRAHEDRON_VERTICES[n].as_array() for n in ("A1", "A2", "A3")])
+    out.append((np.array([1.0, 1.0, 0.0]), PI, face))
+    return out
+
+
+SURFACES = _surfaces()
+
+# signed offsets a . c - b: generic sizes on both sides, and offsets that
+# straddle the facet tolerance by BAND to 100 BAND
+offsets = st.one_of(
+    st.builds(lambda s, x: s * 10.0**x, st.sampled_from([-1.0, 1.0]), st.floats(-14, -6)),
+    st.builds(
+        lambda s, x: DEFAULT_TOL.pe_boundary_tol + s * 10.0**x,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-13, -11),
+    ),
+)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(range(len(SURFACES))),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+    offsets,
+    seeds,
+)
+def test_pe_flag_and_schmidt_number_stable_at_facets(surface, weights, offset, seed):
+    a, b, vertices = SURFACES[surface]
+    w = np.array(weights[: len(vertices)])
+    assume(w.sum() > 0.1)
+    point = (w / w.sum()) @ vertices + offset * a / (a @ a)
+    facet_values = PE_HALFSPACES[0] @ weyl_reduce_array(point) - PE_HALFSPACES[1]
+    assume(np.all(np.abs(facet_values - DEFAULT_TOL.pe_boundary_tol) >= BAND))
+    assume(_clear_of_count_thresholds(point))
+    pe = is_perfect_entangler(point)
+    count = int(schmidt_numbers_array(np.abs(z_from_point(point))))
+    for report in _dressed_reports(point, seed, count=3):
+        assert report.perfect_entangler == pe
+        assert report.schmidt_number == count
+
+
+@pytest.mark.parametrize("facet", [3, 4, 6])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_pe_facet_decided_at_boundary_tol(facet, side):
+    # the facets inside the chamber, at their centroids: BAND inside the
+    # tolerance is PE, BAND outside is not, for every dressing
+    a, b, vertices = SURFACES[facet]
+    offset = DEFAULT_TOL.pe_boundary_tol + side * BAND
+    point = vertices.mean(axis=0) + offset * a / (a @ a)
+    assert is_perfect_entangler(point) is (side < 0)
+    reports = _dressed_reports(point, seed=facet, count=10)
+    assert {r.perfect_entangler for r in reports} == {side < 0}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(seeds, st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_make_gate_unitarity_threshold(seed, weights):
+    # U V diag(sqrt(1 + d w)) V^dag has ||U'^dag U' - I||_F = d for a unit w >= 0
+    w = np.array(weights)
+    assume(np.linalg.norm(w) > 0.1)
+    w = w / np.linalg.norm(w)
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(rng, 4, 2)
+    tol = DEFAULT_TOL.unitarity_tol
+    accepted = make_gate(u @ v @ np.diag(np.sqrt(1 + 0.5 * tol * w)) @ v.conj().T)
+    analyze_gate(accepted, source="near-unitary")  # the later thresholds hold too
+    with pytest.raises(ValidationError, match="not unitary"):
+        make_gate(u @ v @ np.diag(np.sqrt(1 + 2 * tol * w)) @ v.conj().T)
