@@ -15,7 +15,7 @@ from .errors import (
     SchmidtNumberError,
     ValidationError,
 )
-from .linops import DEFAULT_TOL, Tolerance, kron, svd4
+from .linops import DEFAULT_TOL, Tolerance, kron
 from .gates import (
     Gate,
     PAULI_BASIS,
@@ -77,7 +77,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "kron",
-    "svd4",
     "Gate",
     "PAULI_BASIS",
     "Q_MAGIC",

@@ -216,9 +216,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_list_gates(args) -> int:
-    for name in catalog_names():
-        point = canonical_points_array(catalog(name).matrix)
-        pe = "PE" if is_perfect_entangler_array(point) else "--"
+    names = catalog_names()
+    points = canonical_points_array([catalog(name).matrix for name in names])
+    for name, point, is_pe in zip(names, points, is_perfect_entangler_array(points)):
+        pe = "PE" if is_pe else "--"
         print(f"{name:11s} [{point[0]:.6f}, {point[1]:.6f}, {point[2]:.6f}]  {pe}")
     return EXIT_OK
 

@@ -1,12 +1,14 @@
 """The fifteen named edges of the chamber tetrahedron and the
 perfect-entangler polyhedron.
 
-Each edge is a one-parameter family of canonical points together with
-closed-form Schmidt coefficients. :func:`sweep` evaluates an edge once,
-as columns (:class:`Sweep`), and :func:`sweep_csv` and :func:`edge_svg`
-render from that record. Sweeps always compute coefficients through the
-expansion-coefficient engine (z_from_point); the closed forms are kept
-only as an independent oracle, checked by :func:`verify_tables`.
+Each edge is the straight segment between two named vertices of
+:mod:`canonical` (O, A1, A2, A3 or L, M, N, P, Q, A2), traced linearly over
+a parameter range, together with closed-form Schmidt coefficients along
+it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`), and
+:func:`sweep_csv` and :func:`edge_svg` render from that record. Sweeps
+always compute coefficients through the expansion-coefficient engine
+(z_from_point); the closed forms are kept only as an independent oracle,
+checked by :func:`verify_tables`.
 """
 from __future__ import annotations
 
@@ -15,7 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .canonical import is_perfect_entangler_array, weyl_reduce_array
+from .canonical import (
+    POLYHEDRON_VERTICES,
+    TETRAHEDRON_VERTICES,
+    is_perfect_entangler_array,
+    weyl_reduce_array,
+)
 from .errors import ValidationError
 from .linops import DEFAULT_TOL
 from .invariants import invariants_from_point_array
@@ -41,17 +48,30 @@ _PI = np.pi
 _C8 = np.cos(_PI / 8)
 _S8 = np.sin(_PI / 8)
 
+_VERTICES = {**TETRAHEDRON_VERTICES, **POLYHEDRON_VERTICES}
+
 
 @dataclass(frozen=True)
 class EdgeSpec:
-    """One named edge: endpoints, parameterization and coefficient oracle."""
+    """One edge: the segment from vertex ``start`` to vertex ``end``, traced
+    linearly as the parameter runs over ``param_range``, and the closed-form
+    Schmidt coefficients along it."""
 
-    name: str
     start: str
     end: str
     param_range: tuple[float, float]
-    point_fn: Callable[[np.ndarray], np.ndarray]
     closed_form_s: Callable[[np.ndarray], np.ndarray]
+
+    @property
+    def name(self) -> str:
+        return self.start + self.end
+
+    def point_fn(self, t: np.ndarray) -> np.ndarray:
+        """Canonical points (..., 3) at parameters t (...)."""
+        a = _VERTICES[self.start].as_array()
+        b = _VERTICES[self.end].as_array()
+        lo, hi = self.param_range
+        return a + (np.asarray(t, dtype=float) - lo)[..., None] * ((b - a) / (hi - lo))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +103,11 @@ def _stack(*columns) -> np.ndarray:
 # polyhedron edges.
 _SPECS = (
     EdgeSpec(
-        "OA1", "O", "A1", (0.0, _PI),
-        lambda t: _stack(t, 0.0 * t, 0.0 * t),
+        "O", "A1", (0.0, _PI),
         lambda t: _stack(np.cos(t / 2), np.sin(t / 2), 0.0 * t, 0.0 * t),
     ),
     EdgeSpec(
-        "OA2", "O", "A2", (0.0, _PI / 2),
-        lambda t: _stack(t, t, 0.0 * t),
+        "O", "A2", (0.0, _PI / 2),
         lambda t: _stack(
             np.cos(t / 2) ** 2,
             np.sin(t) / 2,
@@ -98,8 +116,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "A2A1", "A2", "A1", (0.0, _PI / 2),
-        lambda t: _stack(_PI / 2 + t, _PI / 2 - t, 0.0 * t),
+        "A2", "A1", (0.0, _PI / 2),
         lambda t: _stack(
             np.cos(t) / 2,
             (1 + np.sin(t)) / 2,
@@ -108,15 +125,13 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "A2A3", "A2", "A3", (0.0, _PI / 2),
-        lambda t: _stack(_PI / 2 + 0.0 * t, _PI / 2 + 0.0 * t, t),
+        "A2", "A3", (0.0, _PI / 2),
         lambda t: _stack(
             0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t
         ),
     ),
     EdgeSpec(
-        "OA3", "O", "A3", (0.0, 1.0),
-        lambda t: _stack(_PI * t / 2, _PI * t / 2, _PI * t / 2),
+        "O", "A3", (0.0, 1.0),
         lambda t: _stack(
             np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
             np.sin(_PI * t / 2) / 2,
@@ -125,8 +140,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "A1A3", "A1", "A3", (0.0, 1.0),
-        lambda t: _stack(_PI - _PI * t / 2, _PI * t / 2, _PI * t / 2),
+        "A1", "A3", (0.0, 1.0),
         lambda t: _stack(
             np.sin(_PI * t / 2) / 2,
             np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
@@ -135,8 +149,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "LQ", "L", "Q", (0.0, _PI / 4),
-        lambda t: _stack(_PI / 2 - t, t, 0.0 * t),
+        "L", "Q", (0.0, _PI / 4),
         lambda t: _stack(
             (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
             (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
@@ -145,8 +158,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "LM", "L", "M", (0.0, _PI / 4),
-        lambda t: _stack(_PI / 2 + t, t, 0.0 * t),
+        "L", "M", (0.0, _PI / 4),
         lambda t: _stack(
             (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
             (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
@@ -155,8 +167,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "A2M", "A2", "M", (0.0, _PI / 4),
-        lambda t: _stack(_PI / 2 + t, _PI / 2 - t, 0.0 * t),
+        "A2", "M", (0.0, _PI / 4),
         lambda t: _stack(
             np.cos(t) / 2,
             (1 + np.sin(t)) / 2,
@@ -165,8 +176,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "A2Q", "A2", "Q", (0.0, _PI / 4),
-        lambda t: _stack(_PI / 2 - t, _PI / 2 - t, 0.0 * t),
+        "A2", "Q", (0.0, _PI / 4),
         lambda t: _stack(
             (1 + np.sin(t)) / 2,
             np.cos(t) / 2,
@@ -175,8 +185,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "QP", "Q", "P", (0.0, _PI / 4),
-        lambda t: _stack(_PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t, t),
+        "Q", "P", (0.0, _PI / 4),
         lambda t: _stack(
             np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
             1 / (2 * np.sqrt(2)) + 0.0 * t,
@@ -185,8 +194,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "MN", "M", "N", (0.0, _PI / 4),
-        lambda t: _stack(3 * _PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t, t),
+        "M", "N", (0.0, _PI / 4),
         lambda t: _stack(
             1 / (2 * np.sqrt(2)) + 0.0 * t,
             np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
@@ -195,8 +203,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "PN", "P", "N", (0.0, _PI / 2),
-        lambda t: _stack(_PI / 4 + t, _PI / 4 + 0.0 * t, _PI / 4 + 0.0 * t),
+        "P", "N", (0.0, _PI / 2),
         lambda t: _stack(
             np.sqrt(
                 _C8**4 * np.cos(_PI / 8 + t / 2) ** 2
@@ -211,8 +218,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "LN", "L", "N", (0.0, _PI / 4),
-        lambda t: _stack(_PI / 2 + t, t, t),
+        "L", "N", (0.0, _PI / 4),
         lambda t: _stack(
             np.sqrt(1 + np.cos(t) ** 2 - np.sin(2 * t)) / 2,
             np.sqrt(1 + np.cos(t) ** 2 + np.sin(2 * t)) / 2,
@@ -221,8 +227,7 @@ _SPECS = (
         ),
     ),
     EdgeSpec(
-        "A2P", "A2", "P", (0.0, _PI / 4),
-        lambda t: _stack(_PI / 2 - t, _PI / 2 - t, t),
+        "A2", "P", (0.0, _PI / 4),
         lambda t: _stack(
             np.sqrt(1 + np.sin(t) ** 2 + np.sin(2 * t)) / 2,
             np.cos(t) / 2,
@@ -266,11 +271,6 @@ def _descending(a: np.ndarray) -> np.ndarray:
     return np.flip(np.sort(a, axis=-1), axis=-1)
 
 
-def _engine_s(points: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients |z| of points (..., 3), descending."""
-    return _descending(np.abs(z_from_point_array(points)))
-
-
 def sweep(name: str, n_points: int) -> Sweep:
     """Evaluate an edge on an endpoint-inclusive uniform parameter grid.
 
@@ -281,7 +281,7 @@ def sweep(name: str, n_points: int) -> Sweep:
     spec = edge(name)
     params = _grid(spec.param_range, n_points)
     points = spec.point_fn(params)
-    s = _engine_s(points)
+    s = _descending(np.abs(z_from_point_array(points)))
     g1, g2 = invariants_from_point_array(points)
     return Sweep(
         name=name,
@@ -344,17 +344,15 @@ def verify_tables(n_points: int) -> TableReport:
     """
     checks = []
     for name in edge_names():
-        spec = edge(name)
-        params = _grid(spec.param_range, n_points)
-        engine = _engine_s(spec.point_fn(params))
-        table = _descending(spec.closed_form_s(params))
-        dev = np.max(np.abs(engine - table), axis=-1)
+        sw = sweep(name, n_points)
+        table = _descending(edge(name).closed_form_s(sw.param))
+        dev = np.max(np.abs(sw.s - table), axis=-1)
         worst = int(np.argmax(dev))
         checks.append(
             EdgeCheck(
                 name=name,
                 max_deviation=float(dev[worst]),
-                worst_param=float(params[worst]),
+                worst_param=float(sw.param[worst]),
             )
         )
     return TableReport(checks=tuple(checks), tolerance=DEFAULT_TOL.table_tol)

@@ -120,7 +120,7 @@ def invariants_from_z(z) -> LocalInvariants:
     if z.shape != (4,):
         raise ValidationError("expected four complex coefficients")
     norm = float(np.sum(np.abs(z) ** 2))
-    if abs(norm - 1.0) > DEFAULT_TOL.norm_tol:
+    if not abs(norm - 1.0) <= DEFAULT_TOL.norm_tol:
         raise ValidationError(f"coefficients not normalized: sum |z|^2 = {norm!r}")
     g1, g2 = invariants_from_z_array(z)
     return checked_invariants(g1, g2)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "Tolerance",
@@ -20,7 +20,6 @@ __all__ = [
     "dagger",
     "unitarity_defect",
     "kron",
-    "svd4",
 ]
 
 
@@ -59,7 +58,7 @@ def as_cmat(m, size: int) -> np.ndarray:
 
 
 def as_triple(c) -> np.ndarray:
-    """Validate ``c`` as a real coordinate triple [c1, c2, c3]; return a copy.
+    """Validate ``c`` as a real, finite triple [c1, c2, c3]; return a copy.
 
     ``c`` may be a CanonicalPoint (or any iterable of three numbers), a
     sequence, or a shape-(3,) array.
@@ -71,7 +70,7 @@ def as_triple(c) -> np.ndarray:
         a = np.array(c if isinstance(c, np.ndarray) else tuple(c), dtype=float)
     except (TypeError, ValueError):
         a = None
-    if a is None or a.shape != (3,):
+    if a is None or a.shape != (3,) or not np.all(np.isfinite(a)):
         raise ValidationError(f"expected a coordinate triple [c1, c2, c3], got {c!r}")
     return a
 
@@ -96,19 +95,3 @@ def kron(a, b) -> np.ndarray:
     """
     return np.kron(as_cmat(a, 2), as_cmat(b, 2))
 
-
-def svd4(m):
-    """Singular value decomposition of a 4x4 complex matrix.
-
-    Returns ``(s, left, right)`` with ``m = left @ diag(s) @ right.conj().T``
-    and ``s`` real, nonnegative, sorted descending.
-
-    Raises:
-        NumericalError: if the underlying LAPACK iteration fails to converge.
-    """
-    a = as_cmat(m, 4)
-    try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"4x4 SVD did not converge: {exc}") from None
-    return s, u, dagger(vh)

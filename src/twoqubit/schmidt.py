@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchmidtNumberError, ValidationError
+from .errors import NumericalError, SchmidtNumberError, ValidationError
 from .gates import Gate, IDENTITY2, SIGMA_X, make_gate
-from .linops import DEFAULT_TOL, as_triple, kron, svd4
+from .linops import DEFAULT_TOL, as_cmat, as_triple, kron
 
 __all__ = [
     "SchmidtData",
@@ -115,7 +115,7 @@ def schmidt_strength(s) -> float:
     if np.any(s < -DEFAULT_TOL.negative_tol):
         raise ValidationError("Schmidt coefficients must be nonnegative")
     norm = float(np.sum(s**2))
-    if abs(norm - 1.0) > DEFAULT_TOL.norm_tol:
+    if not abs(norm - 1.0) <= DEFAULT_TOL.norm_tol:
         raise ValidationError(f"coefficients not normalized: sum s^2 = {norm!r}")
     return float(schmidt_strength_array(s[np.newaxis, :])[0])
 
@@ -150,13 +150,17 @@ def schmidt_number_from_coefficients(s) -> int:
     ``schmidt_numbers_array`` does; the result is 1, 2 or 4.
 
     Raises:
+        ValidationError: if a coefficient is not finite.
         SchmidtNumberError: if the count is 3 at all three tolerances.
     """
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ValidationError(f"Schmidt coefficients must be finite: s = {s.tolist()}")
     n = int(schmidt_numbers_array(s))
     if n == 3:
         raise SchmidtNumberError(
             f"coefficient count is 3 at tolerances around {DEFAULT_TOL.zero_tol:g}: "
-            f"s = {np.asarray(s, dtype=float).tolist()}"
+            f"s = {s.tolist()}"
         )
     return n
 
@@ -168,11 +172,18 @@ def schmidt_decompose(g: Gate) -> SchmidtData:
     2x2, are the factor operators; they come out Hilbert-Schmidt
     orthonormal, so the singular values carry a factor 2 relative to the
     normalized coefficients.
+
+    Raises:
+        ValidationError: if the matrix is not a finite 4x4 matrix.
+        NumericalError: if the SVD does not converge.
     """
-    sigma, left, right = svd4(_realign(g.matrix))
+    try:
+        left, sigma, vh = np.linalg.svd(_realign(as_cmat(g.matrix, 4)))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"4x4 SVD did not converge: {exc}") from None
     coefficients = sigma / 2.0
     factors_a = np.ascontiguousarray(left.T.reshape(4, 2, 2))
-    factors_b = np.ascontiguousarray(right.conj().T.reshape(4, 2, 2))
+    factors_b = vh.reshape(4, 2, 2)
     return SchmidtData(
         coefficients=coefficients,
         factors_a=factors_a,

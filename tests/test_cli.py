@@ -275,6 +275,22 @@ def test_parser_built_once(capsys, monkeypatch):
     assert cli_mod._parser.cache_info().misses == 1
 
 
+def test_list_gates_extracts_catalog_once(capsys, monkeypatch):
+    import twoqubit.cli as cli_mod
+
+    true_extract = cli_mod.canonical_points_array
+    calls = []
+
+    def counted(u, return_invariants=False):
+        calls.append(np.shape(u))
+        return true_extract(u, return_invariants)
+
+    monkeypatch.setattr(cli_mod, "canonical_points_array", counted)
+    code, _, _ = run(capsys, "list-gates")
+    assert code == 0
+    assert calls == [(8, 4, 4)]
+
+
 def test_list_gates(capsys):
     code, out, _ = run(capsys, "list-gates")
     assert code == 0

@@ -86,6 +86,8 @@ def test_invariants_from_z_swap_class():
 def test_invariants_from_z_rejects_unnormalized():
     with pytest.raises(ValidationError):
         invariants_from_z(np.array([1.0, 1.0, 0.0, 0.0]))
+    with pytest.raises(ValidationError):
+        invariants_from_z(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_invariants_from_z_flags_imaginary_g2():

@@ -11,7 +11,6 @@ from twoqubit import (
     invariants_from_point,
     is_perfect_entangler,
     kron,
-    svd4,
     weyl_reduce,
     z_from_point,
 )
@@ -65,47 +64,13 @@ def test_kron_bilinear(rng):
     assert np.allclose(kron(a, 2 * b + c), 2 * kron(a, b) + kron(a, c), atol=1e-14)
 
 
-def test_svd4_identity():
-    s, left, right = svd4(np.eye(4))
-    assert np.allclose(s, 1.0, atol=1e-15)
-
-
-def test_svd4_diagonal():
-    s, left, right = svd4(np.diag([3.0, 2.0, 1.0, 0.0]))
-    assert np.allclose(s, [3, 2, 1, 0], atol=1e-15)
-
-
-def test_svd4_unitary_singular_values(rng):
-    # unitarity forces unit singular values; check the precondition first
-    for _ in range(50):
-        u = haar_unitary(rng, 4)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(4)) < 1e-13
-        s, _, _ = svd4(u)
-        assert np.max(np.abs(s - 1.0)) <= 1e-12
-
-
-def test_svd4_reconstruction(rng):
-    for _ in range(50):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        s, left, right = svd4(m)
-        rebuilt = left @ np.diag(s) @ right.conj().T
-        bound = 1e-12 * max(1.0, np.linalg.norm(m))
-        assert np.linalg.norm(rebuilt - m) <= bound
-        assert np.all(np.diff(s) <= 0)
-
-
-def test_svd4_rejects_nonfinite():
-    m = np.eye(4, dtype=complex)
-    m[0, 0] = np.nan
-    with pytest.raises(ValidationError):
-        svd4(m)
-
-
 @pytest.mark.parametrize(
     "entry",
     [invariants_from_point, z_from_point, weyl_reduce, is_perfect_entangler, canonical_gate],
 )
-@pytest.mark.parametrize("bad", [5.0, [1, 2], "abc", [[1, 2, 3]]], ids=repr)
+@pytest.mark.parametrize(
+    "bad", [5.0, [1, 2], "abc", [[1, 2, 3]], [np.nan, 0, 0], [np.inf, 0, 0]], ids=repr
+)
 def test_malformed_triple_raises_validation_error(entry, bad):
     with pytest.raises(ValidationError, match="coordinate triple"):
         entry(bad)

@@ -17,6 +17,7 @@ from twoqubit import (
     z_from_point,
 )
 from twoqubit.errors import SchmidtNumberError
+from twoqubit.gates import Gate
 from twoqubit.linops import kron
 from twoqubit.sampling import haar_gate, random_local_unitary
 from twoqubit.schmidt import (
@@ -84,6 +85,13 @@ def test_schmidt_decompose_reconstruction(rng):
         assert np.all(np.diff(data.coefficients) <= 1e-15)
 
 
+def test_schmidt_decompose_rejects_nonfinite():
+    m = np.eye(4, dtype=complex)
+    m[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        schmidt_decompose(Gate(matrix=m))
+
+
 def test_schmidt_factors_orthonormal(rng):
     g = haar_gate(rng)
     data = schmidt_decompose(g)
@@ -140,6 +148,8 @@ def test_schmidt_strength_rejects_unnormalized():
         schmidt_strength((1.0, 1.0, 0.0, 0.0))
     with pytest.raises(ValidationError):
         schmidt_strength((-0.5, 0.5, 0.5, 0.5))
+    with pytest.raises(ValidationError):
+        schmidt_strength((np.nan, 0.0, 0.0, 0.0))
 
 
 def test_schmidt_strength_bounds(rng):
@@ -208,6 +218,11 @@ def test_schmidt_number_error_is_raisable():
     s = s / np.linalg.norm(s)
     with pytest.raises(SchmidtNumberError):
         schmidt_number_from_coefficients(s)
+
+
+def test_schmidt_number_rejects_nonfinite():
+    with pytest.raises(ValidationError, match="finite"):
+        schmidt_number_from_coefficients([np.nan] * 4)
 
 
 def _count_one_row(s, zero_tol):
