@@ -36,7 +36,6 @@ from .invariants import (
     locally_equivalent,
 )
 from .canonical import (
-    CanonicalPoint,
     POLYHEDRON_VERTICES,
     TETRAHEDRON_VERTICES,
     canonical_gate,
@@ -94,7 +93,6 @@ __all__ = [
     "invariants_from_point",
     "invariants_from_z",
     "locally_equivalent",
-    "CanonicalPoint",
     "TETRAHEDRON_VERTICES",
     "POLYHEDRON_VERTICES",
     "weyl_reduce",

@@ -86,6 +86,8 @@ def run_audit(samples: int, seed: int) -> AuditResult:
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
+    if seed < 0:
+        raise ValidationError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     gates = haar_unitary(rng, 4, samples)
     k_left = random_local_unitary(rng, samples)

@@ -16,8 +16,6 @@ midpoints of the tetrahedron edges plus A2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ExtractionError
@@ -37,7 +35,6 @@ from .linops import DEFAULT_TOL, as_triple, kron
 from .schmidt import schmidt_numbers_array, z_from_point
 
 __all__ = [
-    "CanonicalPoint",
     "O",
     "A1",
     "A2",
@@ -60,40 +57,23 @@ __all__ = [
     "canonical_gate",
 ]
 
-@dataclass(frozen=True)
-class CanonicalPoint:
-    """Coordinates [c1, c2, c3] of a local equivalence class, in radians."""
 
-    c1: float
-    c2: float
-    c3: float
-
-    def __iter__(self):
-        return iter((self.c1, self.c2, self.c3))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c1, self.c2, self.c3], dtype=float)
-
-    @property
-    def is_chamber_reduced(self) -> bool:
-        return in_weyl_chamber(self)
+def _vertex(c1: float, c2: float, c3: float) -> np.ndarray:
+    v = np.array([c1, c2, c3], dtype=float)
+    v.flags.writeable = False
+    return v
 
 
-def _point(c) -> CanonicalPoint:
-    c1, c2, c3 = (float(v) for v in c)
-    return CanonicalPoint(c1, c2, c3)
-
-
-O = CanonicalPoint(0.0, 0.0, 0.0)
-A1 = CanonicalPoint(np.pi, 0.0, 0.0)
-A2 = CanonicalPoint(np.pi / 2, np.pi / 2, 0.0)
-A3 = CanonicalPoint(np.pi / 2, np.pi / 2, np.pi / 2)
+O = _vertex(0.0, 0.0, 0.0)
+A1 = _vertex(np.pi, 0.0, 0.0)
+A2 = _vertex(np.pi / 2, np.pi / 2, 0.0)
+A3 = _vertex(np.pi / 2, np.pi / 2, np.pi / 2)
 # midpoints of tetrahedron edges OA1, A2A1, A1A3, OA3, OA2
-L = CanonicalPoint(np.pi / 2, 0.0, 0.0)
-M = CanonicalPoint(3 * np.pi / 4, np.pi / 4, 0.0)
-N = CanonicalPoint(3 * np.pi / 4, np.pi / 4, np.pi / 4)
-P = CanonicalPoint(np.pi / 4, np.pi / 4, np.pi / 4)
-Q = CanonicalPoint(np.pi / 4, np.pi / 4, 0.0)
+L = _vertex(np.pi / 2, 0.0, 0.0)
+M = _vertex(3 * np.pi / 4, np.pi / 4, 0.0)
+N = _vertex(3 * np.pi / 4, np.pi / 4, np.pi / 4)
+P = _vertex(np.pi / 4, np.pi / 4, np.pi / 4)
+Q = _vertex(np.pi / 4, np.pi / 4, 0.0)
 
 TETRAHEDRON_VERTICES = {"O": O, "A1": A1, "A2": A2, "A3": A3}
 POLYHEDRON_VERTICES = {"L": L, "M": M, "N": N, "P": P, "Q": Q, "A2": A2}
@@ -143,12 +123,13 @@ def weyl_reduce_array(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def weyl_reduce(c) -> CanonicalPoint:
+def weyl_reduce(c) -> np.ndarray:
     """Reduce an arbitrary coordinate triple into the fundamental chamber.
 
+    Returns the reduced [c1, c2, c3] as a float array of shape (3,).
     Idempotent, and preserves the local invariants to better than 1e-12.
     """
-    return _point(weyl_reduce_array(as_triple(c)))
+    return weyl_reduce_array(as_triple(c))
 
 
 def in_weyl_chamber(c) -> bool:
@@ -220,9 +201,10 @@ def canonical_points_array(u: np.ndarray, return_invariants: bool = False):
     return (points, g1_ref, g2_ref) if return_invariants else points
 
 
-def canonical_point(g: Gate) -> CanonicalPoint:
-    """Extract the chamber-reduced canonical coordinates of a gate."""
-    return _point(canonical_points_array(g.matrix))
+def canonical_point(g: Gate) -> np.ndarray:
+    """Extract the chamber-reduced canonical coordinates of a gate, as a
+    float array [c1, c2, c3] of shape (3,)."""
+    return canonical_points_array(g.matrix)
 
 
 def is_perfect_entangler(c) -> bool:

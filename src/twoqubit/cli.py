@@ -74,7 +74,8 @@ def analyze_gate(g: Gate, source: str) -> AnalysisReport:
 
 
 def _round15(x: float) -> float:
-    return float(f"{x:.15g}")
+    # -0.0 + 0.0 = 0.0, as in _disp
+    return float(f"{x:.15g}") + 0.0
 
 
 def report_json(report: AnalysisReport) -> str:
@@ -130,6 +131,8 @@ def _load_gate(source: str) -> Gate:
             f"{source!r} is neither a catalog name ({', '.join(catalog_names())}) "
             f"nor a readable file: {exc}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid JSON in {source}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

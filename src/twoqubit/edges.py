@@ -9,6 +9,16 @@ it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`), and
 always compute coefficients through the expansion-coefficient engine
 (z_from_point); the closed forms are kept only as an independent oracle,
 checked by :func:`verify_tables`.
+
+The oracle compares sorted coefficients, so edges whose points are mirror
+images under a symmetry that keeps |z| share one closed form (Zhang et
+al., PRA 67, 042313 (2003)):
+
+* A2M and A2Q use A2A1's. A2M is the first half of A2A1, and the base
+  mirror c1 -> pi - c1 maps A2A1 at parameter t onto A2Q at t.
+* LM uses LQ's: the base mirror maps LM onto LQ.
+* A1A3 uses OA3's and MN uses QP's: each is the c3 -> -c3 mirror image
+  of the other edge at the same parameter, with the same |z|.
 """
 from __future__ import annotations
 
@@ -68,8 +78,8 @@ class EdgeSpec:
 
     def point_fn(self, t: np.ndarray) -> np.ndarray:
         """Canonical points (..., 3) at parameters t (...)."""
-        a = _VERTICES[self.start].as_array()
-        b = _VERTICES[self.end].as_array()
+        a = _VERTICES[self.start]
+        b = _VERTICES[self.end]
         lo, hi = self.param_range
         return a + (np.asarray(t, dtype=float) - lo)[..., None] * ((b - a) / (hi - lo))
 
@@ -99,6 +109,42 @@ def _stack(*columns) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
+def _a2a1_s(t: np.ndarray) -> np.ndarray:
+    return _stack(
+        np.cos(t) / 2,
+        (1 + np.sin(t)) / 2,
+        (1 - np.sin(t)) / 2,
+        np.cos(t) / 2,
+    )
+
+
+def _oa3_s(t: np.ndarray) -> np.ndarray:
+    return _stack(
+        np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
+        np.sin(_PI * t / 2) / 2,
+        np.sin(_PI * t / 2) / 2,
+        np.sin(_PI * t / 2) / 2,
+    )
+
+
+def _lq_s(t: np.ndarray) -> np.ndarray:
+    return _stack(
+        (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
+        (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
+        (np.sin(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
+        (np.sin(t) / 2 - np.sin(t / 2) ** 2) / np.sqrt(2),
+    )
+
+
+def _qp_s(t: np.ndarray) -> np.ndarray:
+    return _stack(
+        np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
+        1 / (2 * np.sqrt(2)) + 0.0 * t,
+        1 / (2 * np.sqrt(2)) + 0.0 * t,
+        np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
+    )
+
+
 # The fifteen edges, built once: the six tetrahedron edges, then the nine
 # polyhedron edges.
 _SPECS = (
@@ -115,93 +161,21 @@ _SPECS = (
             np.sin(t / 2) ** 2,
         ),
     ),
-    EdgeSpec(
-        "A2", "A1", (0.0, _PI / 2),
-        lambda t: _stack(
-            np.cos(t) / 2,
-            (1 + np.sin(t)) / 2,
-            (1 - np.sin(t)) / 2,
-            np.cos(t) / 2,
-        ),
-    ),
+    EdgeSpec("A2", "A1", (0.0, _PI / 2), _a2a1_s),
     EdgeSpec(
         "A2", "A3", (0.0, _PI / 2),
         lambda t: _stack(
             0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t
         ),
     ),
-    EdgeSpec(
-        "O", "A3", (0.0, 1.0),
-        lambda t: _stack(
-            np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
-            np.sin(_PI * t / 2) / 2,
-            np.sin(_PI * t / 2) / 2,
-            np.sin(_PI * t / 2) / 2,
-        ),
-    ),
-    EdgeSpec(
-        "A1", "A3", (0.0, 1.0),
-        lambda t: _stack(
-            np.sin(_PI * t / 2) / 2,
-            np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
-            np.sin(_PI * t / 2) / 2,
-            np.sin(_PI * t / 2) / 2,
-        ),
-    ),
-    EdgeSpec(
-        "L", "Q", (0.0, _PI / 4),
-        lambda t: _stack(
-            (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-            (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
-            (np.sin(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-            (np.sin(t) / 2 - np.sin(t / 2) ** 2) / np.sqrt(2),
-        ),
-    ),
-    EdgeSpec(
-        "L", "M", (0.0, _PI / 4),
-        lambda t: _stack(
-            (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
-            (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-            (np.sin(t) / 2 - np.sin(t / 2) ** 2) / np.sqrt(2),
-            (np.sin(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-        ),
-    ),
-    EdgeSpec(
-        "A2", "M", (0.0, _PI / 4),
-        lambda t: _stack(
-            np.cos(t) / 2,
-            (1 + np.sin(t)) / 2,
-            (1 - np.sin(t)) / 2,
-            np.cos(t) / 2,
-        ),
-    ),
-    EdgeSpec(
-        "A2", "Q", (0.0, _PI / 4),
-        lambda t: _stack(
-            (1 + np.sin(t)) / 2,
-            np.cos(t) / 2,
-            np.cos(t) / 2,
-            (1 - np.sin(t)) / 2,
-        ),
-    ),
-    EdgeSpec(
-        "Q", "P", (0.0, _PI / 4),
-        lambda t: _stack(
-            np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
-            1 / (2 * np.sqrt(2)) + 0.0 * t,
-            1 / (2 * np.sqrt(2)) + 0.0 * t,
-            np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
-        ),
-    ),
-    EdgeSpec(
-        "M", "N", (0.0, _PI / 4),
-        lambda t: _stack(
-            1 / (2 * np.sqrt(2)) + 0.0 * t,
-            np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
-            np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
-            1 / (2 * np.sqrt(2)) + 0.0 * t,
-        ),
-    ),
+    EdgeSpec("O", "A3", (0.0, 1.0), _oa3_s),
+    EdgeSpec("A1", "A3", (0.0, 1.0), _oa3_s),
+    EdgeSpec("L", "Q", (0.0, _PI / 4), _lq_s),
+    EdgeSpec("L", "M", (0.0, _PI / 4), _lq_s),
+    EdgeSpec("A2", "M", (0.0, _PI / 4), _a2a1_s),
+    EdgeSpec("A2", "Q", (0.0, _PI / 4), _a2a1_s),
+    EdgeSpec("Q", "P", (0.0, _PI / 4), _qp_s),
+    EdgeSpec("M", "N", (0.0, _PI / 4), _qp_s),
     EdgeSpec(
         "P", "N", (0.0, _PI / 2),
         lambda t: _stack(

@@ -154,7 +154,8 @@ def gate_from_json_data(data, name: str | None = None) -> Gate:
 
     Raises:
         ParseError: if the structure is not 4 x 4 x [re, im] of numbers.
-        ValidationError: if the parsed matrix is not unitary.
+        ValidationError: if an entry is not finite or the matrix is not
+            unitary.
     """
     if not isinstance(data, list) or len(data) != 4:
         raise ParseError("gate JSON must be an array of 4 rows")
@@ -166,10 +167,16 @@ def gate_from_json_data(data, name: str | None = None) -> Gate:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in entry
+                )
             ):
                 raise ParseError(f"entry [{i}][{j}] must be a [re, im] number pair")
-            matrix[i, j] = complex(entry[0], entry[1])
+            try:
+                matrix[i, j] = complex(entry[0], entry[1])
+            except OverflowError:  # an integer beyond the float range
+                raise ValidationError("matrix entries must be finite") from None
     return make_gate(matrix, name=name)
 
 

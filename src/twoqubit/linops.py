@@ -60,8 +60,8 @@ def as_cmat(m, size: int) -> np.ndarray:
 def as_triple(c) -> np.ndarray:
     """Validate ``c`` as a real, finite triple [c1, c2, c3]; return a copy.
 
-    ``c`` may be a CanonicalPoint (or any iterable of three numbers), a
-    sequence, or a shape-(3,) array.
+    ``c`` may be any iterable of three numbers, such as a sequence or a
+    shape-(3,) array.
 
     Raises:
         ValidationError: for any other input.

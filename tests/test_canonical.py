@@ -29,7 +29,6 @@ from twoqubit.canonical import (
     PE_HALFSPACES,
     POLYHEDRON_VERTICES,
     Q,
-    CanonicalPoint,
     canonical_points_array,
     weyl_reduce_array,
 )
@@ -48,15 +47,15 @@ def test_vertices_are_edge_midpoints():
         "Q": (O, A2),
     }
     for name, (a, b) in pairs.items():
-        mid = (a.as_array() + b.as_array()) / 2
-        assert np.allclose(POLYHEDRON_VERTICES[name].as_array(), mid, atol=1e-15)
+        mid = (a + b) / 2
+        assert np.allclose(POLYHEDRON_VERTICES[name], mid, atol=1e-15)
 
 
 def test_halfspace_derivation():
     # every vertex satisfies every half-space; incidence counts match the
     # 7-facet hull (base quad has 4 vertices, the six triangles 3 each)
     a, b = PE_HALFSPACES
-    vertices = np.array([v.as_array() for v in POLYHEDRON_VERTICES.values()])
+    vertices = np.array(list(POLYHEDRON_VERTICES.values()))
     values = vertices @ a.T - b
     assert np.all(values <= 1e-12)
     on_facet = np.abs(values) <= 1e-12
@@ -70,7 +69,7 @@ def _in_hull_by_tetrahedra(point):
     # coordinates in each
     tets = [(L, M, N, A2), (L, N, P, A2), (L, P, Q, A2)]
     for tet in tets:
-        vs = np.array([v.as_array() for v in tet])
+        vs = np.array(tet)
         mat = np.vstack([vs.T, np.ones(4)])
         rhs = np.append(np.asarray(point, dtype=float), 1.0)
         coords = np.linalg.solve(mat, rhs)
@@ -187,7 +186,7 @@ def test_canonical_point_local_invariance(rng):
             random_local_unitary(rng) @ g.matrix @ random_local_unitary(rng)
         )
         c2 = canonical_point(dressed)
-        assert np.max(np.abs(c.as_array() - c2.as_array())) <= 1e-7
+        assert np.max(np.abs(c - c2)) <= 1e-7
 
 
 def test_canonical_gate_round_trip(rng):
@@ -195,7 +194,7 @@ def test_canonical_gate_round_trip(rng):
         c = weyl_reduce(rng.uniform(0, PI, 3))
         g = canonical_gate(c)
         back = canonical_point(g)
-        assert np.max(np.abs(back.as_array() - c.as_array())) <= 1e-7
+        assert np.max(np.abs(back - c)) <= 1e-7
 
 
 def test_canonical_gate_matches_pauli_expansion(rng):
@@ -267,9 +266,11 @@ def test_mirror_line_equivalence():
     assert locally_equivalent(a, b)
 
 
-def test_canonical_point_dataclass():
-    c = CanonicalPoint(0.1, 0.05, 0.0)
-    c1, c2, c3 = c
-    assert (c1, c2, c3) == (0.1, 0.05, 0.0)
-    assert c.is_chamber_reduced
-    assert not CanonicalPoint(3.0, 2.9, 0.0).is_chamber_reduced
+def test_canonical_points_are_float_arrays():
+    for c in (canonical_point(catalog("cnot")), weyl_reduce((0.1, 0.05, 0.0))):
+        assert isinstance(c, np.ndarray)
+        assert c.dtype == float and c.shape == (3,)
+    assert np.array_equal(weyl_reduce((0.1, 0.05, 0.0)), [0.1, 0.05, 0.0])
+    for vertex in (O, A1, A2, A3, L, M, N, P, Q):
+        with pytest.raises(ValueError):
+            vertex[0] = 1.0

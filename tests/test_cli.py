@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +79,31 @@ def test_analyze_bad_json_exit_1(tmp_path, capsys):
     path.write_text("{nope")
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
+
+
+def test_analyze_non_utf8_file_exit_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"[\xff]")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid JSON in") and err.count("\n") == 1
+
+
+def test_analyze_integer_beyond_float_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    data = [[[10**400 if i == j else 0, 0] for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err == "error: matrix entries must be finite\n"
+
+
+def test_analyze_json_has_no_signed_zero(capsys):
+    code, out, _ = run(capsys, "analyze", "cnot", "--format", "json")
+    payload = json.loads(out)
+    values = [*payload["canonical_point"], *payload["g1"], payload["g2"]]
+    assert code == 0 and 0.0 in values
+    assert all(math.copysign(1.0, v) > 0 for v in values if v == 0.0)
 
 
 def test_analyze_wrong_structure_exit_1(tmp_path, capsys):
@@ -231,6 +257,12 @@ def test_audit_pass_and_determinism(capsys):
 def test_audit_single_sample(capsys):
     code, out, _ = run(capsys, "audit", "--samples", "1", "--seed", "7")
     assert code == 0
+
+
+def test_audit_negative_seed_exit_2(capsys):
+    code, out, err = run(capsys, "audit", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be non-negative\n"
 
 
 def test_audit_counterexample_round_trip(tmp_path, capsys, rng, monkeypatch):

@@ -28,8 +28,8 @@ def test_edge_endpoints_hit_vertices():
         lo, hi = spec.param_range
         start = spec.point_fn(np.array(lo))
         end = spec.point_fn(np.array(hi))
-        assert np.allclose(start, vertices[spec.start].as_array(), atol=1e-12), name
-        assert np.allclose(end, vertices[spec.end].as_array(), atol=1e-12), name
+        assert np.allclose(start, vertices[spec.start], atol=1e-12), name
+        assert np.allclose(end, vertices[spec.end], atol=1e-12), name
 
 
 def test_edge_point_examples():

@@ -27,9 +27,9 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 # vertices, edge midpoints and quarter points: every one has a repeated
 # eigenphase or a phase at 0 or pi
-SPECIAL_POINTS = [p.as_array() for p in TETRAHEDRON_VERTICES.values()] + [
-    p.as_array() for p in POLYHEDRON_VERTICES.values()
-] + [row for name in edge_names() for row in sweep(name, 5).points]
+SPECIAL_POINTS = [*TETRAHEDRON_VERTICES.values(), *POLYHEDRON_VERTICES.values()] + [
+    row for name in edge_names() for row in sweep(name, 5).points
+]
 
 seeds = st.integers(0, 2**32 - 1)
 angles = st.floats(-2 * PI, 2 * PI, allow_nan=False)

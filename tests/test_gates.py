@@ -138,6 +138,10 @@ def test_gate_json_rejects_bad_shapes():
         gate_from_json_data([[[1, 0]] * 4] * 3)
     with pytest.raises(ParseError):
         gate_from_json_data([[["x", 0]] * 4] * 4)
+    # JSON true/false are not numbers, though the identity written with them
+    # would otherwise parse
+    with pytest.raises(ParseError):
+        gate_from_json_data([[[i == j, False] for j in range(4)] for i in range(4)])
 
 
 def test_gate_json_rejects_nonunitary():

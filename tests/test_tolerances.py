@@ -145,12 +145,12 @@ def _surfaces():
     """(a, b, vertices) for the seven PE facets a . c <= b, then for the
     chamber face c1 + c2 = pi (triangle A1 A2 A3)."""
     a_rows, b_vals = PE_HALFSPACES
-    pe_vertices = np.array([p.as_array() for p in POLYHEDRON_VERTICES.values()])
+    pe_vertices = np.array(list(POLYHEDRON_VERTICES.values()))
     out = [
         (a, b, pe_vertices[np.abs(pe_vertices @ a - b) < 1e-12])
         for a, b in zip(a_rows, b_vals)
     ]
-    face = np.array([TETRAHEDRON_VERTICES[n].as_array() for n in ("A1", "A2", "A3")])
+    face = np.array([TETRAHEDRON_VERTICES[n] for n in ("A1", "A2", "A3")])
     out.append((np.array([1.0, 1.0, 0.0]), PI, face))
     return out
 
