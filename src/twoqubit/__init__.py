@@ -36,6 +36,7 @@ from .invariants import (
     locally_equivalent,
 )
 from .canonical import (
+    ClassData,
     POLYHEDRON_VERTICES,
     TETRAHEDRON_VERTICES,
     canonical_gate,
@@ -99,6 +100,7 @@ __all__ = [
     "in_weyl_chamber",
     "canonical_point",
     "canonical_gate",
+    "ClassData",
     "is_perfect_entangler",
     "schmidt_number_line",
     "SchmidtData",

@@ -10,9 +10,9 @@ Checks, over ``samples`` Haar-random gates:
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.
 
-Every check is evaluated on whole arrays. det(U) and M(U) are formed once
-for the plain gates, where they feed both the coordinate extraction and the
-matrix-route invariants, and once for the dressed gates.
+Every check is evaluated on whole arrays. The plain gates are evaluated
+once, as one ``ClassData`` whose single det(U) and M(U) pass feeds the
+coordinates and the matrix-route invariants; the dressed gates take one more.
 
 Everything is driven by one seeded generator, so a (samples, seed) pair
 fixes the outcome bit for bit.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import canonical_points_array, is_perfect_entangler_array
+from .canonical import ClassData
 from .errors import ValidationError
 from .gates import Gate
 from .linops import DEFAULT_TOL
@@ -33,11 +33,7 @@ from .invariants import (
     invariants_from_z_array,
 )
 from .sampling import haar_unitary, random_local_unitary
-from .schmidt import (
-    schmidt_coefficients_array,
-    schmidt_numbers_array,
-    z_from_point_array,
-)
+from .schmidt import schmidt_coefficients_array, z_from_point_array
 
 __all__ = ["AuditCheck", "AuditResult", "run_audit"]
 
@@ -110,20 +106,18 @@ def run_audit(samples: int, seed: int) -> AuditResult:
         record(name, dev <= tol, f"max deviation {dev:.3e} (tol {tol:g})", worst)
 
     # three-route invariant consistency
-    points, g1_u, g2_u = canonical_points_array(gates, return_invariants=True)
-    g2_u = g2_u.real
-    g1_c, g2_c = invariants_from_point_array(points)
-    g1_z, g2_z = invariants_from_z_array(z_from_point_array(points))
-    g2_z = g2_z.real
+    plain = ClassData.from_unitaries(gates)
+    g1_u, g2_u = plain.g1, plain.g2
+    g1_c, g2_c = invariants_from_point_array(plain.points)
+    g1_z, g2_z = invariants_from_z_array(z_from_point_array(plain.points))
     pairs = ((g1_u, g1_c), (g1_u, g1_z), (g1_c, g1_z),
-             (g2_u, g2_c), (g2_u, g2_z), (g2_c, g2_z))
+             (g2_u, g2_c), (g2_u, g2_z.real), (g2_c, g2_z.real))
     route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
     record_max("three-route invariant consistency", route_dev, DEFAULT_TOL.invariant_tol)
 
     # invariance of coefficients and invariants under local operations
     dressed = k_left @ gates @ k_right
-    s_plain = schmidt_coefficients_array(gates)
-    coeff_dev = np.max(np.abs(s_plain - schmidt_coefficients_array(dressed)), axis=-1)
+    coeff_dev = np.max(np.abs(plain.s - schmidt_coefficients_array(dressed)), axis=-1)
     g1_d, g2_d = invariants_from_unitary_array(dressed)
     inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - g2_d.real))
     local_dev = np.maximum(coeff_dev, inv_dev)
@@ -132,21 +126,20 @@ def run_audit(samples: int, seed: int) -> AuditResult:
     )
 
     # Schmidt numbers in {1, 2, 4}
-    numbers = schmidt_numbers_array(s_plain)
+    numbers = plain.schmidt_number
     bad = np.flatnonzero(~np.isin(numbers, (1, 2, 4)))
     first_bad = int(bad[0]) if bad.size else None
     histogram = dict(zip(*(a.tolist() for a in np.unique(numbers, return_counts=True))))
     record("schmidt number in {1, 2, 4}", first_bad is None, f"histogram {histogram}", first_bad)
 
     # perfect-entangler fraction
-    pe_flags = is_perfect_entangler_array(points)
-    fraction = float(np.mean(pe_flags))
+    fraction = float(np.mean(plain.is_pe))
     band = pe_fraction_tolerance(samples)
     record(
         "perfect-entangler fraction",
         abs(fraction - HAAR_PE_FRACTION) <= band,
         f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})",
-        int(np.argmin(pe_flags)),
+        int(np.argmin(plain.is_pe)),
     )
 
     return AuditResult(

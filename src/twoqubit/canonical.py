@@ -16,23 +16,18 @@ midpoints of the tetrahedron edges plus A2.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import ExtractionError
-from .gates import (
-    Gate,
-    IDENTITY2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-)
-from .invariants import (
-    bell_matrix_array,
-    invariants_from_bell_array,
-    invariants_from_point_array,
-)
+from .errors import ExtractionError, NumericalError
+from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, Gate
+from .invariants import bell_matrix_array, invariants_from_bell_array, invariants_from_point_array
 from .linops import DEFAULT_TOL, as_triple, kron
-from .schmidt import schmidt_numbers_array, z_from_point
+from .schmidt import (
+    schmidt_coefficients_array, schmidt_numbers_array, schmidt_strength_array, z_from_point,
+    z_from_point_array,
+)
 
 __all__ = [
     "O",
@@ -52,6 +47,7 @@ __all__ = [
     "in_weyl_chamber",
     "canonical_point",
     "canonical_points_array",
+    "ClassData",
     "is_perfect_entangler",
     "schmidt_number_line",
     "canonical_gate",
@@ -163,13 +159,18 @@ def _eigenphases(m: np.ndarray) -> np.ndarray:
     return phases
 
 
-def canonical_points_array(u: np.ndarray, return_invariants: bool = False):
-    """Chamber-reduced canonical coordinates for a stack of unitaries.
+def _refuse_rows(error: type, what: str, residual: np.ndarray, tol: float) -> None:
+    """Raise ``error`` naming the rows whose residual is not within tol."""
+    rows = np.flatnonzero(~(residual <= tol))
+    if rows.size:
+        raise error(f"{what} at rows {rows[:10].tolist()}{' ...' if rows.size > 10 else ''} "
+                    f"({rows.size} in all); worst residual {float(np.max(residual)):.3e} "
+                    f"exceeds tol {tol:g}")
 
-    ``u`` has shape (..., 4, 4); the result has shape (..., 3). With
-    ``return_invariants`` the result is ``(points, g1, g2)``, where (G1, G2)
-    come from the same det(U) and M(U) as ``invariants_from_unitary_array``
-    and are bit-identical to it (G2 complex).
+
+def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
+    """Chamber-reduced canonical coordinates (..., 3) from the det(U) and M(U)
+    of ``bell_matrix_array`` and their (G1, G2) from ``invariants_from_bell_array``.
 
     The eigenphases of M(U) = U_B^T U_B for the determinant-normalized gate
     are {c1+c2-c3, c1-c2+c3, -c1+c2+c3, -(c1+c2+c3)} modulo 2pi. Any three
@@ -177,28 +178,82 @@ def canonical_points_array(u: np.ndarray, return_invariants: bool = False):
     [c1, c2, c3] up to sign flips of coordinate pairs, permutations and
     multiples of pi (a 2pi shift of one phase moves two coordinates by pi).
     One Weyl reduction removes all of these. The point is then checked
-    against (G1, G2) computed from M.
+    against (G1, G2).
 
     Raises:
         ExtractionError: if a point misses (G1, G2) by more than ``invariant_tol``;
             the message names the rows, the worst residual and the tolerance.
     """
-    u = np.asarray(u, dtype=complex)
-    det, m = bell_matrix_array(u)
-    g1_ref, g2_ref = invariants_from_bell_array(det, m)
     lam = np.sort(_eigenphases(m * np.exp(-0.5j * np.angle(det))[..., None, None]))
     points = weyl_reduce_array(0.5 * (lam[..., [0, 0, 1]] + lam[..., [1, 2, 2]]))
     g1, g2 = invariants_from_point_array(points)
     residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref.real))
-    tol = DEFAULT_TOL.invariant_tol
-    if not np.all(residual <= tol):
-        rows = np.flatnonzero(~(residual <= tol))
-        raise ExtractionError(
-            f"canonical point misses the local invariants at rows {rows[:10].tolist()}"
-            f"{' ...' if rows.size > 10 else ''} ({rows.size} in all); worst residual "
-            f"{float(np.max(residual)):.3e} exceeds tol {tol:g}"
-        )
-    return (points, g1_ref, g2_ref) if return_invariants else points
+    _refuse_rows(ExtractionError, "canonical point misses the local invariants",
+                 residual, DEFAULT_TOL.invariant_tol)
+    return points
+
+
+def canonical_points_array(u: np.ndarray) -> np.ndarray:
+    """Chamber-reduced canonical coordinates (..., 3) for a stack of unitaries
+    (..., 4, 4): one det(U) and M(U) pass, then ``points_from_bell_array``,
+    whose ``ExtractionError`` it raises."""
+    det, m = bell_matrix_array(np.asarray(u, dtype=complex))
+    return points_from_bell_array(det, m, *invariants_from_bell_array(det, m))
+
+
+@dataclass(frozen=True, eq=False)
+class ClassData:
+    """The local class of each input row, as columns.
+
+    The canonical decomposition gives the chamber ``points`` (..., 3),
+    complex ``g1``, real ``g2`` and the perfect-entangler flag ``is_pe``;
+    the operator-Schmidt decomposition gives the coefficients ``s``
+    (..., 4), descending, their ``strength`` and the ``schmidt_number``.
+    """
+
+    points: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    s: np.ndarray
+    strength: np.ndarray
+    schmidt_number: np.ndarray
+    is_pe: np.ndarray
+
+    @classmethod
+    def from_unitaries(cls, u) -> ClassData:
+        """Class data of unitaries (..., 4, 4): the points and (G1, G2) of
+        one det(U) and M(U) pass, as in ``canonical_points_array``, and ``s``
+        as half the singular values of the realigned matrices.
+
+        Raises:
+            ExtractionError: as ``canonical_points_array``.
+            NumericalError: if an eigensolver or the SVD fails, or if G2
+                keeps an imaginary part above ``imag_residue_tol``.
+        """
+        u = np.asarray(u, dtype=complex)
+        try:
+            det, m = bell_matrix_array(u)
+            g1, g2 = invariants_from_bell_array(det, m)
+            points = points_from_bell_array(det, m, g1, g2)
+            s = schmidt_coefficients_array(u)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"4x4 eigensolver or SVD did not converge: {exc}") from None
+        _refuse_rows(NumericalError, "G2 keeps an imaginary residue", np.abs(g2.imag),
+                     DEFAULT_TOL.imag_residue_tol)
+        return cls._with_tail(points, g1, g2.real, s, points)
+
+    @classmethod
+    def from_points(cls, c) -> ClassData:
+        """Class data of coordinate triples (..., 3), kept as given: ``s`` is
+        the sorted |z(c)| and the flag is taken on the reduced points."""
+        c = np.asarray(c, dtype=float)
+        s = np.flip(np.sort(np.abs(z_from_point_array(c)), axis=-1), axis=-1)
+        return cls._with_tail(c, *invariants_from_point_array(c), s, weyl_reduce_array(c))
+
+    @classmethod
+    def _with_tail(cls, points, g1, g2, s, reduced) -> ClassData:
+        return cls(points, g1, g2, s, schmidt_strength_array(s), schmidt_numbers_array(s),
+                   is_perfect_entangler_array(reduced))
 
 
 def canonical_point(g: Gate) -> np.ndarray:

@@ -13,23 +13,15 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .audit import run_audit
-from .canonical import canonical_points_array, is_perfect_entangler_array
+from .canonical import ClassData
 from .edges import edge, edge_svg, sweep, sweep_csv, verify_tables
 from .errors import NumericalError, ParseError, ValidationError
-from .gates import (
-    Gate,
-    catalog,
-    catalog_names,
-    gate_from_json_data,
-    gate_to_json_data,
-)
-from .invariants import checked_invariants
-from .schmidt import schmidt_decompose
+from .gates import Gate, catalog, catalog_names, gate_from_json_data, gate_to_json_data
+from .schmidt import schmidt_number_from_coefficients
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -40,37 +32,12 @@ EXIT_TABLES = 5
 EXIT_AUDIT = 6
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything the analyze command reports about one gate."""
-
-    source: str
-    point: tuple[float, float, float]
-    g1: complex
-    g2: float
-    coefficients: tuple[float, float, float, float]
-    schmidt_number: int
-    strength: float
-    perfect_entangler: bool
-    controlled_unitary: bool
-
-
-def analyze_gate(g: Gate, source: str) -> AnalysisReport:
-    point, g1, g2 = canonical_points_array(g.matrix, return_invariants=True)
-    inv = checked_invariants(g1, g2)
-    data = schmidt_decompose(g)
-    return AnalysisReport(
-        source=source,
-        point=tuple(float(v) for v in point),
-        g1=inv.g1,
-        g2=inv.g2,
-        coefficients=tuple(float(v) for v in data.coefficients),
-        schmidt_number=data.schmidt_number,
-        strength=data.strength,
-        perfect_entangler=bool(is_perfect_entangler_array(point)),
-        # Schmidt number at most 2 is exactly the controlled-unitary line
-        controlled_unitary=data.schmidt_number <= 2,
-    )
+def analyze_gate(g: Gate) -> ClassData:
+    """The class data of one gate; refused if its Schmidt coefficients are
+    not finite or count 3."""
+    data = ClassData.from_unitaries(g.matrix)
+    schmidt_number_from_coefficients(data.s)
+    return data
 
 
 def _round15(x: float) -> float:
@@ -78,44 +45,40 @@ def _round15(x: float) -> float:
     return float(f"{x:.15g}") + 0.0
 
 
-def report_json(report: AnalysisReport) -> str:
+def report_json(data: ClassData, source: str) -> str:
     payload = {
-        "source": report.source,
-        "canonical_point": [_round15(v) for v in report.point],
-        "g1": [_round15(report.g1.real), _round15(report.g1.imag)],
-        "g2": _round15(report.g2),
-        "schmidt_coefficients": [_round15(v) for v in report.coefficients],
-        "schmidt_number": report.schmidt_number,
-        "schmidt_strength": _round15(report.strength),
-        "perfect_entangler": report.perfect_entangler,
-        "controlled_unitary": report.controlled_unitary,
+        "source": source,
+        "canonical_point": [_round15(v) for v in data.points],
+        "g1": [_round15(data.g1.real), _round15(data.g1.imag)],
+        "g2": _round15(data.g2),
+        "schmidt_coefficients": [_round15(v) for v in data.s],
+        "schmidt_number": int(data.schmidt_number),
+        "schmidt_strength": _round15(data.strength),
+        "perfect_entangler": bool(data.is_pe),
+        # Schmidt number at most 2 is exactly the controlled-unitary line
+        "controlled_unitary": bool(data.schmidt_number <= 2),
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def _disp(x: float) -> float:
     # flush display noise below the printed precision; -0.0 + 0.0 = 0.0
-    return round(x, 12) + 0.0
+    return round(float(x), 12) + 0.0
 
 
-def report_text(report: AnalysisReport, degrees: bool = False) -> str:
-    if degrees:
-        point = tuple(_disp(math.degrees(v)) for v in report.point)
-        unit = "deg"
-    else:
-        point = tuple(_disp(v) for v in report.point)
-        unit = "rad"
-    coeffs = ", ".join(f"{_disp(v):.6f}" for v in report.coefficients)
+def report_text(data: ClassData, source: str, degrees: bool = False) -> str:
+    point = ", ".join(f"{_disp(math.degrees(v) if degrees else v):.6f}" for v in data.points)
+    coeffs = ", ".join(f"{_disp(v):.6f}" for v in data.s)
     lines = [
-        f"gate: {report.source}",
-        f"canonical point [{unit}]: [{point[0]:.6f}, {point[1]:.6f}, {point[2]:.6f}]",
-        f"G1: {_disp(report.g1.real):.6f} {_disp(report.g1.imag):+.6f}i",
-        f"G2: {_disp(report.g2):.6f}",
+        f"gate: {source}",
+        f"canonical point [{'deg' if degrees else 'rad'}]: [{point}]",
+        f"G1: {_disp(data.g1.real):.6f} {_disp(data.g1.imag):+.6f}i",
+        f"G2: {_disp(data.g2):.6f}",
         f"schmidt coefficients: [{coeffs}]",
-        f"schmidt number: {report.schmidt_number}",
-        f"schmidt strength: {_disp(report.strength):.6f}",
-        f"perfect entangler: {'yes' if report.perfect_entangler else 'no'}",
-        f"controlled unitary: {'yes' if report.controlled_unitary else 'no'}",
+        f"schmidt number: {int(data.schmidt_number)}",
+        f"schmidt strength: {_disp(data.strength):.6f}",
+        f"perfect entangler: {'yes' if data.is_pe else 'no'}",
+        f"controlled unitary: {'yes' if data.schmidt_number <= 2 else 'no'}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -141,12 +104,11 @@ def _load_gate(source: str) -> Gate:
 
 
 def _cmd_analyze(args) -> int:
-    g = _load_gate(args.source)
-    report = analyze_gate(g, source=args.source)
+    data = analyze_gate(_load_gate(args.source))
     if args.format == "json":
-        sys.stdout.write(report_json(report))
+        sys.stdout.write(report_json(data, args.source))
     else:
-        sys.stdout.write(report_text(report, degrees=args.degrees))
+        sys.stdout.write(report_text(data, args.source, degrees=args.degrees))
     return EXIT_OK
 
 
@@ -220,8 +182,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_list_gates(args) -> int:
     names = catalog_names()
-    points = canonical_points_array([catalog(name).matrix for name in names])
-    for name, point, is_pe in zip(names, points, is_perfect_entangler_array(points)):
+    data = ClassData.from_unitaries([catalog(name).matrix for name in names])
+    for name, point, is_pe in zip(names, data.points, data.is_pe):
         pe = "PE" if is_pe else "--"
         print(f"{name:11s} [{point[0]:.6f}, {point[1]:.6f}, {point[2]:.6f}]  {pe}")
     return EXIT_OK

@@ -27,15 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .canonical import (
-    POLYHEDRON_VERTICES,
-    TETRAHEDRON_VERTICES,
-    is_perfect_entangler_array,
-    weyl_reduce_array,
-)
+from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
 from .errors import ValidationError
 from .linops import DEFAULT_TOL
-from .invariants import invariants_from_point_array
 from .schmidt import schmidt_strength_array, z_from_point_array
 from .svgplot import line_plot
 
@@ -85,22 +79,12 @@ class EdgeSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class Sweep:
-    """One edge evaluated on a parameter grid, as columns.
-
-    Row i of every array belongs to ``param[i]``: ``points`` (n, 3),
-    ``s`` (n, 4) with the Schmidt coefficients descending, and
-    ``strength``, complex ``g1``, ``g2`` and boolean ``is_pe``, each (n,).
-    """
+class Sweep(ClassData):
+    """One edge evaluated on a parameter grid: the :class:`ClassData`
+    columns of its points, row i belonging to ``param[i]``."""
 
     name: str
     param: np.ndarray
-    points: np.ndarray
-    s: np.ndarray
-    strength: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    is_pe: np.ndarray
 
 
 def _stack(*columns) -> np.ndarray:
@@ -241,32 +225,15 @@ def _grid(param_range: tuple[float, float], n_points: int) -> np.ndarray:
     return np.linspace(*param_range, n_points)
 
 
-def _descending(a: np.ndarray) -> np.ndarray:
-    return np.flip(np.sort(a, axis=-1), axis=-1)
-
-
 def sweep(name: str, n_points: int) -> Sweep:
     """Evaluate an edge on an endpoint-inclusive uniform parameter grid.
 
     Coefficients come from the expansion-coefficient engine, not from the
-    closed-form table; the columns hold points, sorted coefficients,
-    strength, invariants and the perfect-entangler flag.
+    closed-form table.
     """
     spec = edge(name)
     params = _grid(spec.param_range, n_points)
-    points = spec.point_fn(params)
-    s = _descending(np.abs(z_from_point_array(points)))
-    g1, g2 = invariants_from_point_array(points)
-    return Sweep(
-        name=name,
-        param=params,
-        points=points,
-        s=s,
-        strength=schmidt_strength_array(s),
-        g1=g1,
-        g2=g2,
-        is_pe=is_perfect_entangler_array(weyl_reduce_array(points)),
-    )
+    return Sweep(**vars(ClassData.from_points(spec.point_fn(params))), name=name, param=params)
 
 
 def _fmt(x: float) -> str:
@@ -319,7 +286,7 @@ def verify_tables(n_points: int) -> TableReport:
     checks = []
     for name in edge_names():
         sw = sweep(name, n_points)
-        table = _descending(edge(name).closed_form_s(sw.param))
+        table = np.flip(np.sort(edge(name).closed_form_s(sw.param), axis=-1), axis=-1)
         dev = np.max(np.abs(sw.s - table), axis=-1)
         worst = int(np.argmax(dev))
         checks.append(

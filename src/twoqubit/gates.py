@@ -71,7 +71,7 @@ def make_gate(matrix, name: str | None = None) -> Gate:
     """
     a = as_cmat(matrix, 4)
     defect = unitarity_defect(a)
-    if defect > DEFAULT_TOL.unitarity_tol:
+    if not defect <= DEFAULT_TOL.unitarity_tol:  # NaN, from an overflow, fails too
         raise ValidationError(
             f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}"
         )

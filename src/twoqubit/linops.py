@@ -81,9 +81,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of m^dag m - I."""
+    """Frobenius norm of m^dag m - I; inf or NaN, with no warning, on overflow."""
     m = np.asarray(m)
-    return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1])))
 
 
 def kron(a, b) -> np.ndarray:

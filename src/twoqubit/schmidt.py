@@ -133,7 +133,7 @@ def schmidt_numbers_array(s: np.ndarray) -> np.ndarray:
 
     A count of 3 is impossible for two-qubit gates, so rows that count 3
     are recounted at 10x and then 0.1x the tolerance, and the first count
-    other than 3 wins. Rows that count 3 at all three tolerances keep 3.
+    other than 3 wins; rows that count 3 at all three keep 3. One row gives a scalar.
     """
     s = np.asarray(s, dtype=float)
     zero_tol = DEFAULT_TOL.zero_tol
@@ -142,7 +142,7 @@ def schmidt_numbers_array(s: np.ndarray) -> np.ndarray:
         retry = n == 3
         if np.any(retry):
             n[retry] = np.sum(s[retry] > t, axis=-1)
-    return n
+    return n[()]
 
 
 def schmidt_number_from_coefficients(s) -> int:

@@ -48,6 +48,7 @@ def test_schmidt_count_of_three_fails_with_first_row(monkeypatch):
         return s
 
     monkeypatch.setattr(audit_mod, "schmidt_coefficients_array", planted)
+    monkeypatch.setattr(canonical_mod, "schmidt_coefficients_array", planted)
     result = run_audit(20, 5)
     check = result.checks[2]
     assert not check.passed

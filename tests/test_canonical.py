@@ -6,6 +6,7 @@ import pytest
 import twoqubit.canonical as canonical_mod
 from twoqubit import (
     ExtractionError,
+    NumericalError,
     canonical_gate,
     canonical_point,
     catalog,
@@ -29,10 +30,13 @@ from twoqubit.canonical import (
     PE_HALFSPACES,
     POLYHEDRON_VERTICES,
     Q,
+    ClassData,
     canonical_points_array,
+    is_perfect_entangler_array,
     weyl_reduce_array,
 )
 from twoqubit.invariants import invariants_from_point_array
+from twoqubit.schmidt import schmidt_coefficients_array
 from twoqubit.sampling import haar_gate, haar_unitary, random_local_unitary
 
 PI = np.pi
@@ -274,3 +278,52 @@ def test_canonical_points_are_float_arrays():
     for vertex in (O, A1, A2, A3, L, M, N, P, Q):
         with pytest.raises(ValueError):
             vertex[0] = 1.0
+
+
+def test_class_data_of_a_stack_equals_the_per_gate_records():
+    rng = np.random.default_rng(31)
+    u = np.concatenate(
+        [haar_unitary(rng, 4, 20), [catalog(n).matrix for n in ("cnot", "swap", "identity")]]
+    )
+    stack = ClassData.from_unitaries(u)
+    for i, row in enumerate(u):
+        single = ClassData.from_unitaries(row)
+        for column in ("points", "s", "strength", "schmidt_number", "is_pe"):
+            assert np.array_equal(getattr(stack, column)[i], getattr(single, column)), (i, column)
+        # a batched det(U) and M(U) may differ from a single one in the last ulp
+        assert abs(stack.g1[i] - single.g1) <= 1e-14 and abs(stack.g2[i] - single.g2) <= 1e-14
+
+
+def test_class_data_from_unitaries_columns():
+    u = haar_unitary(np.random.default_rng(32), 4, 30)
+    data = ClassData.from_unitaries(u)
+    assert np.array_equal(data.points, canonical_points_array(u))
+    assert np.array_equal(data.s, schmidt_coefficients_array(u))
+    assert np.array_equal(data.is_pe, is_perfect_entangler_array(data.points))
+    assert data.g2.dtype == float and data.schmidt_number.shape == data.is_pe.shape == (30,)
+
+
+def test_class_data_from_points_agrees_with_from_unitaries():
+    rng = np.random.default_rng(33)
+    points = weyl_reduce_array(rng.uniform(0, PI, (25, 3)))
+    from_points = ClassData.from_points(points)
+    from_gates = ClassData.from_unitaries([canonical_gate(c).matrix for c in points])
+    assert np.allclose(from_points.points, from_gates.points, atol=1e-9)
+    assert np.allclose(from_points.s, from_gates.s, atol=1e-12)
+    assert np.allclose(from_points.g1, from_gates.g1, atol=1e-12)
+    assert np.allclose(from_points.g2, from_gates.g2, atol=1e-12)
+    assert np.array_equal(from_points.schmidt_number, from_gates.schmidt_number)
+    assert np.allclose(from_points.strength, from_gates.strength, atol=1e-9)
+
+
+def test_class_data_refuses_imaginary_g2_residue(monkeypatch):
+    true_bell = canonical_mod.invariants_from_bell_array
+
+    def residue(det, m):
+        g1, g2 = true_bell(det, m)
+        return g1, g2 + 1e-6j * (np.arange(g2.size).reshape(g2.shape) == 2)
+
+    monkeypatch.setattr(canonical_mod, "invariants_from_bell_array", residue)
+    u = haar_unitary(np.random.default_rng(34), 4, 5)
+    with pytest.raises(NumericalError, match=r"imaginary residue at rows \[2\].*tol 1e-09"):
+        ClassData.from_unitaries(u)

@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from twoqubit import canonical_gate, gate_to_json_data, make_gate
-from twoqubit.cli import analyze_gate, main
+from twoqubit import canonical_gate, catalog, catalog_names, gate_to_json_data, make_gate
+from twoqubit.cli import analyze_gate, main, report_text
 from twoqubit.sampling import haar_gate, random_local_unitary
 
 
@@ -122,14 +123,50 @@ def test_analyze_nonunitary_exit_2(tmp_path, capsys):
     assert "unitary" in err
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_analyze_overflowing_matrix_exit_2(tmp_path, capsys, scale):
+    # U^dag U overflows to NaN, which must fail the unitarity test
+    path = tmp_path / "big.json"
+    data = [[[scale if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: matrix is not unitary") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("solver", ["svd", "eigh"])
+def test_analyze_maps_linalg_error_to_exit_3(capsys, monkeypatch, solver):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, no_convergence)
+    code, out, err = run(capsys, "analyze", "cnot")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "did not converge" in err
+
+
+def test_analyze_coefficients_are_the_realignment_singular_values(rng, capsys):
+    from twoqubit.cli import _round15, report_json
+    from twoqubit.schmidt import schmidt_coefficients_array
+
+    gates = [catalog(name) for name in catalog_names()] + [haar_gate(rng) for _ in range(10)]
+    for g in gates:
+        s = schmidt_coefficients_array(g.matrix)
+        data = analyze_gate(g)
+        assert np.array_equal(data.s, s)
+        payload = json.loads(report_json(data, "g"))
+        assert payload["schmidt_coefficients"] == [_round15(v) for v in s]
+
+
 def test_analyze_numerical_failure_exit_3(capsys, monkeypatch):
-    import twoqubit.cli as cli_mod
+    import twoqubit.canonical as canonical_mod
     from twoqubit.errors import NumericalError
 
-    def boom(matrices, return_invariants=False):
+    def boom(matrices):
         raise NumericalError("synthetic failure")
 
-    monkeypatch.setattr(cli_mod, "canonical_points_array", boom)
+    monkeypatch.setattr(canonical_mod, "bell_matrix_array", boom)
     code, _, err = run(capsys, "analyze", "cnot")
     assert code == 3
     assert "synthetic failure" in err
@@ -144,13 +181,15 @@ def test_near_line_controlled_unitary_agrees_with_schmidt_number(c2):
         random_local_unitary(rng) @ core @ random_local_unitary(rng) for _ in range(20)
     ]
     for matrix in gates:
-        report = analyze_gate(make_gate(matrix), source="near-line")
-        assert (report.schmidt_number <= 2) == report.controlled_unitary
+        text = report_text(analyze_gate(make_gate(matrix)), "near-line")
+        number = int(re.search(r"schmidt number: (\d)", text)[1])
+        assert (number <= 2) == ("controlled unitary: yes" in text)
 
 
 def test_controlled_unitary_flag_on_and_off_the_line():
-    assert analyze_gate(canonical_gate([1.0, 0.0, 0.0]), "on").controlled_unitary
-    assert not analyze_gate(canonical_gate([1.0, 0.1, 0.0]), "off").controlled_unitary
+    on = report_text(analyze_gate(canonical_gate([1.0, 0.0, 0.0])), "on")
+    off = report_text(analyze_gate(canonical_gate([1.0, 0.1, 0.0])), "off")
+    assert "controlled unitary: yes" in on and "controlled unitary: no" in off
 
 
 def test_sweep_writes_csv_and_svg(tmp_path, capsys):
@@ -231,16 +270,16 @@ def test_verify_tables_endpoints(capsys):
 
 
 def test_verify_tables_fault_exit_5(capsys, monkeypatch):
-    import twoqubit.edges as edges_mod
+    import twoqubit.canonical as canonical_mod
 
-    true_fn = edges_mod.z_from_point_array
+    true_fn = canonical_mod.z_from_point_array
 
     def faulted(c):
         z = true_fn(c).copy()
         z[..., 3] = -z[..., 3] * 1.01
         return z
 
-    monkeypatch.setattr(edges_mod, "z_from_point_array", faulted)
+    monkeypatch.setattr(canonical_mod, "z_from_point_array", faulted)
     code, out, err = run(capsys, "verify-tables", "--n", "9")
     assert code == 5
     assert "FAIL" in err
@@ -308,16 +347,16 @@ def test_parser_built_once(capsys, monkeypatch):
 
 
 def test_list_gates_extracts_catalog_once(capsys, monkeypatch):
-    import twoqubit.cli as cli_mod
+    import twoqubit.canonical as canonical_mod
 
-    true_extract = cli_mod.canonical_points_array
+    true_bell = canonical_mod.bell_matrix_array
     calls = []
 
-    def counted(u, return_invariants=False):
+    def counted(u):
         calls.append(np.shape(u))
-        return true_extract(u, return_invariants)
+        return true_bell(u)
 
-    monkeypatch.setattr(cli_mod, "canonical_points_array", counted)
+    monkeypatch.setattr(canonical_mod, "bell_matrix_array", counted)
     code, _, _ = run(capsys, "list-gates")
     assert code == 0
     assert calls == [(8, 4, 4)]

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import twoqubit.edges as edges_mod
 from twoqubit import ValidationError, edge, edge_names, emit_figure_data, figure_svg, sweep, verify_tables
-from twoqubit.canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES
+from twoqubit.canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
 from twoqubit.edges import FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, sweep_csv
 from twoqubit.schmidt import schmidt_strength
 
@@ -60,9 +59,9 @@ def test_verify_tables_endpoints_only():
 
 
 def test_verify_tables_catches_injected_fault(monkeypatch):
-    import twoqubit.schmidt as schmidt_mod
+    import twoqubit.canonical as canonical_mod
 
-    true_fn = schmidt_mod.z_from_point_array
+    true_fn = canonical_mod.z_from_point_array
 
     def flipped(c):
         z = true_fn(c)
@@ -70,7 +69,7 @@ def test_verify_tables_catches_injected_fault(monkeypatch):
         z[..., 1] = np.conj(z[..., 1])  # corrupt the relative phase
         return 0.9 * z  # and the normalization
 
-    monkeypatch.setattr(edges_mod, "z_from_point_array", flipped)
+    monkeypatch.setattr(canonical_mod, "z_from_point_array", flipped)
     report = verify_tables(9)
     assert not report.passed
 
@@ -80,17 +79,25 @@ def test_a2m_matches_a2a1_restriction():
     a2m = edge("A2M")
     a2a1 = edge("A2A1")
     assert np.allclose(a2m.point_fn(t), a2a1.point_fn(t), atol=1e-15)
-    assert np.allclose(a2m.closed_form_s(t), a2a1.closed_form_s(t), atol=1e-15)
+    # the engine, not the shared closed form: A2M is the first half of A2A1
+    first_half = sweep("A2A1", 99)
+    assert np.allclose(sweep("A2M", 50).s, first_half.s[:50], atol=1e-15)
 
 
 @pytest.mark.parametrize("pair", [("OA3", "A1A3"), ("LQ", "LM"), ("A2M", "A2Q"), ("QP", "MN")])
 def test_shared_coefficient_pairs(pair):
-    a, b = (edge(name) for name in pair)
-    assert a.param_range == b.param_range
-    t = np.linspace(*a.param_range, 64)
-    sa = np.sort(a.closed_form_s(t), axis=-1)
-    sb = np.sort(b.closed_form_s(t), axis=-1)
-    assert np.max(np.abs(sa - sb)) <= 1e-12
+    a, b = pair
+    assert edge(a).param_range == edge(b).param_range
+    # mirror images with the same |z|, compared through the engine
+    assert np.max(np.abs(sweep(a, 64).s - sweep(b, 64).s)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", edge_names())
+def test_sweep_columns_are_class_data_of_its_points(name):
+    sw = sweep(name, 33)
+    data = ClassData.from_points(edge(name).point_fn(sw.param))
+    for column in ("points", "g1", "g2", "s", "strength", "schmidt_number", "is_pe"):
+        assert np.array_equal(getattr(sw, column), getattr(data, column)), column
 
 
 def test_sweep_rows_consistent():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import twoqubit.canonical as canonical_mod
 from twoqubit import ExtractionError, canonical_gate
 from twoqubit.canonical import (
+    ClassData,
     POLYHEDRON_VERTICES,
     TETRAHEDRON_VERTICES,
     canonical_points_array,
@@ -115,10 +116,10 @@ def test_no_fallback_on_special_points(monkeypatch):
 
 def test_returned_invariants_are_the_matrix_route():
     u = haar_unitary(np.random.default_rng(5), 4, 50)
-    points, g1, g2 = canonical_points_array(u, return_invariants=True)
+    data = ClassData.from_unitaries(u)
     g1_ref, g2_ref = invariants_from_unitary_array(u)
-    assert np.array_equal(points, canonical_points_array(u))
-    assert np.array_equal(g1, g1_ref) and np.array_equal(g2, g2_ref)
+    assert np.array_equal(data.points, canonical_points_array(u))
+    assert np.array_equal(data.g1, g1_ref) and np.array_equal(data.g2, g2_ref.real)
 
 
 def test_extraction_error_names_rows_and_tolerance():

@@ -38,6 +38,14 @@ def test_make_gate_rejects_nonunitary():
         make_gate(np.diag([1, 1, 1, 2]))
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_make_gate_rejects_overflowing_matrix(scale):
+    # U^dag U overflows to inf and NaN; NaN must not pass the unitarity test
+    for matrix in (scale * np.eye(4), scale * catalog("cnot").matrix, np.full((4, 4), scale)):
+        with pytest.raises(ValidationError, match="not unitary"):
+            make_gate(matrix)
+
+
 def test_make_gate_rejects_wrong_shape():
     with pytest.raises(ValidationError):
         make_gate(np.eye(3))

@@ -25,7 +25,7 @@ from twoqubit.canonical import (
     schmidt_number_line,
     weyl_reduce_array,
 )
-from twoqubit.cli import analyze_gate
+from twoqubit.cli import analyze_gate, report_text
 from twoqubit.invariants import invariants_from_point
 from twoqubit.sampling import haar_unitary, random_local_unitary
 from twoqubit.schmidt import schmidt_numbers_array, z_from_point
@@ -92,7 +92,7 @@ def _dressed_reports(point, seed: int, count: int):
         * random_local_unitary(rng) @ core @ random_local_unitary(rng)
         for _ in range(count)
     ]
-    return [analyze_gate(make_gate(u), source="dressed") for u in matrices]
+    return [analyze_gate(make_gate(u)) for u in matrices]
 
 
 def _clear_of_count_thresholds(point) -> bool:
@@ -111,13 +111,13 @@ def test_base_mirror_threshold_gives_one_of_two_images():
     reports = _dressed_reports([PI - 1.0, 1.0, 1e-13], seed=7, count=40)[1:]
     assert len(reports) == 40
     for report in reports:
-        point = np.array(report.point)
+        point = np.array(report.points)
         point[2] = round(point[2], 12)
         assert np.any(np.all(np.abs(images - point) <= 1e-9, axis=1)), point
         for inv in (report, invariants_from_point(point)):
             assert abs(inv.g1 - reference.g1) <= DEFAULT_TOL.invariant_tol
             assert abs(inv.g2 - reference.g2) <= DEFAULT_TOL.invariant_tol
-    assert len({(r.perfect_entangler, r.schmidt_number) for r in reports}) == 1
+    assert len({(r.is_pe, r.schmidt_number) for r in reports}) == 1
 
 
 # c2 a small multiple of a count threshold: the two small coefficients,
@@ -137,8 +137,8 @@ def test_near_line_schmidt_number_matches_line_test(theta, c2, seed):
     on_line = schmidt_number_line(point)
     for report in _dressed_reports(point, seed, count=3):
         assert (report.schmidt_number <= 2) == on_line
-        assert report.controlled_unitary == on_line
-        assert schmidt_number_line(report.point) == on_line
+        assert ("controlled unitary: yes" in report_text(report, "dressed")) == on_line
+        assert schmidt_number_line(report.points) == on_line
 
 
 def _surfaces():
@@ -187,7 +187,7 @@ def test_pe_flag_and_schmidt_number_stable_at_facets(surface, weights, offset, s
     pe = is_perfect_entangler(point)
     count = int(schmidt_numbers_array(np.abs(z_from_point(point))))
     for report in _dressed_reports(point, seed, count=3):
-        assert report.perfect_entangler == pe
+        assert report.is_pe == pe
         assert report.schmidt_number == count
 
 
@@ -201,7 +201,7 @@ def test_pe_facet_decided_at_boundary_tol(facet, side):
     point = vertices.mean(axis=0) + offset * a / (a @ a)
     assert is_perfect_entangler(point) is (side < 0)
     reports = _dressed_reports(point, seed=facet, count=10)
-    assert {r.perfect_entangler for r in reports} == {side < 0}
+    assert {r.is_pe for r in reports} == {side < 0}
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -215,6 +215,6 @@ def test_make_gate_unitarity_threshold(seed, weights):
     u, v = haar_unitary(rng, 4, 2)
     tol = DEFAULT_TOL.unitarity_tol
     accepted = make_gate(u @ v @ np.diag(np.sqrt(1 + 0.5 * tol * w)) @ v.conj().T)
-    analyze_gate(accepted, source="near-unitary")  # the later thresholds hold too
+    analyze_gate(accepted)  # the later thresholds hold too
     with pytest.raises(ValidationError, match="not unitary"):
         make_gate(u @ v @ np.diag(np.sqrt(1 + 2 * tol * w)) @ v.conj().T)
