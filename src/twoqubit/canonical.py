@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionError, NumericalError
+from .errors import ExtractionError
 from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, Gate
-from .invariants import bell_matrix_array, invariants_from_bell_array, invariants_from_point_array
-from .linops import DEFAULT_TOL, as_triple, kron
+from .invariants import (
+    bell_matrix_array, invariants_from_bell_array, invariants_from_point_array, real_g2,
+)
+from .linops import DEFAULT_TOL, as_triple, kron, refuse_rows
 from .schmidt import (
     schmidt_coefficients_array, schmidt_numbers_array, schmidt_strength_array, z_from_point,
     z_from_point_array,
@@ -159,15 +161,6 @@ def _eigenphases(m: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _refuse_rows(error: type, what: str, residual: np.ndarray, tol: float) -> None:
-    """Raise ``error`` naming the rows whose residual is not within tol."""
-    rows = np.flatnonzero(~(residual <= tol))
-    if rows.size:
-        raise error(f"{what} at rows {rows[:10].tolist()}{' ...' if rows.size > 10 else ''} "
-                    f"({rows.size} in all); worst residual {float(np.max(residual)):.3e} "
-                    f"exceeds tol {tol:g}")
-
-
 def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
     """Chamber-reduced canonical coordinates (..., 3) from the det(U) and M(U)
     of ``bell_matrix_array`` and their (G1, G2) from ``invariants_from_bell_array``.
@@ -181,15 +174,14 @@ def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
     against (G1, G2).
 
     Raises:
-        ExtractionError: if a point misses (G1, G2) by more than ``invariant_tol``;
-            the message names the rows, the worst residual and the tolerance.
+        ExtractionError: if a point misses (G1, G2) by more than ``invariant_tol``.
     """
     lam = np.sort(_eigenphases(m * np.exp(-0.5j * np.angle(det))[..., None, None]))
     points = weyl_reduce_array(0.5 * (lam[..., [0, 0, 1]] + lam[..., [1, 2, 2]]))
     g1, g2 = invariants_from_point_array(points)
     residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref.real))
-    _refuse_rows(ExtractionError, "canonical point misses the local invariants",
-                 residual, DEFAULT_TOL.invariant_tol)
+    refuse_rows(ExtractionError, "canonical point misses the local invariants", residual,
+                "invariant_tol")
     return points
 
 
@@ -227,20 +219,13 @@ class ClassData:
 
         Raises:
             ExtractionError: as ``canonical_points_array``.
-            NumericalError: if an eigensolver or the SVD fails, or if G2
-                keeps an imaginary part above ``imag_residue_tol``.
+            NumericalError: as ``real_g2``; a failed eigensolver or SVD raises numpy's error.
         """
         u = np.asarray(u, dtype=complex)
-        try:
-            det, m = bell_matrix_array(u)
-            g1, g2 = invariants_from_bell_array(det, m)
-            points = points_from_bell_array(det, m, g1, g2)
-            s = schmidt_coefficients_array(u)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"4x4 eigensolver or SVD did not converge: {exc}") from None
-        _refuse_rows(NumericalError, "G2 keeps an imaginary residue", np.abs(g2.imag),
-                     DEFAULT_TOL.imag_residue_tol)
-        return cls._with_tail(points, g1, g2.real, s, points)
+        det, m = bell_matrix_array(u)
+        g1, g2 = invariants_from_bell_array(det, m)
+        points = points_from_bell_array(det, m, g1, g2)
+        return cls._with_tail(points, g1, real_g2(g2), schmidt_coefficients_array(u), points)
 
     @classmethod
     def from_points(cls, c) -> ClassData:

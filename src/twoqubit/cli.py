@@ -3,8 +3,8 @@
 Subcommands: analyze, sweep, verify-tables, audit, list-gates.
 
 Exit codes: 0 success, 1 parse error, 2 validation error, 3 numerical
-error, 4 I/O failure, 5 table verification failure, 6 audit property
-violation.
+error (``NumericalError`` or numpy's ``LinAlgError``), 4 I/O failure,
+5 table verification failure, 6 audit property violation.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .audit import run_audit
@@ -249,7 +251,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -12,13 +12,14 @@ class ValidationError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to meet its accuracy contract
-    (CLI exit 3)."""
+    """A result broke its accuracy contract (CLI exit 3); a residual refused
+    names its rows, the worst residual, the tolerance and its ``Tolerance`` field.
+    numpy's linear-algebra errors propagate; the CLI maps them to exit 3 too."""
 
 
 class ExtractionError(NumericalError):
-    """Extracted canonical coordinates missed the gate's local invariants;
-    the message names the rows, the worst residual and the tolerance."""
+    """Extracted canonical coordinates missed the gate's local invariants
+    by more than ``invariant_tol``."""
 
 
 class SchmidtNumberError(NumericalError):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gates import Gate, Q_MAGIC
-from .linops import DEFAULT_TOL, as_triple
+from .linops import DEFAULT_TOL, as_triple, refuse_rows
 
 __all__ = [
     "LocalInvariants",
@@ -26,6 +26,7 @@ __all__ = [
     "invariants_from_point",
     "invariants_from_z",
     "locally_equivalent",
+    "real_g2",
 ]
 
 @dataclass(frozen=True)
@@ -36,13 +37,11 @@ class LocalInvariants:
     g2: float
 
 
-def checked_invariants(g1: complex, g2: complex) -> LocalInvariants:
-    """The pair as LocalInvariants; G2 is real for unitary input, so an
-    imaginary residue above ``DEFAULT_TOL.imag_residue_tol`` is an error."""
-    tol = DEFAULT_TOL.imag_residue_tol
-    if abs(g2.imag) > tol:
-        raise NumericalError(f"G2 imaginary residue {abs(g2.imag):.3e} exceeds {tol:g}")
-    return LocalInvariants(g1=complex(g1), g2=float(g2.real))
+def real_g2(g2: np.ndarray) -> np.ndarray:
+    """The real part of complex G2 values (...,); G2 is real for unitary input,
+    so rows whose imaginary residue exceeds ``imag_residue_tol`` raise NumericalError."""
+    refuse_rows(NumericalError, "G2 imaginary residue", np.abs(g2.imag), "imag_residue_tol")
+    return g2.real
 
 
 def bell_matrix_array(u: np.ndarray):
@@ -64,7 +63,7 @@ def invariants_from_bell_array(det: np.ndarray, m: np.ndarray):
 def invariants_from_unitary_array(u: np.ndarray):
     """(G1, G2) for a stack of unitaries, shape (..., 4, 4).
 
-    G2 is returned complex; callers check the imaginary residue.
+    G2 is returned complex; callers take it real through ``real_g2``.
     """
     return invariants_from_bell_array(*bell_matrix_array(u))
 
@@ -76,7 +75,7 @@ def invariants_from_unitary(g: Gate) -> LocalInvariants:
     global phase of the input; no prior normalization is required.
     """
     g1, g2 = invariants_from_unitary_array(g.matrix)
-    return checked_invariants(g1, g2)
+    return LocalInvariants(g1=complex(g1), g2=float(real_g2(g2)))
 
 
 def invariants_from_point_array(c: np.ndarray):
@@ -98,7 +97,7 @@ def invariants_from_point(c) -> LocalInvariants:
 def invariants_from_z_array(z: np.ndarray):
     """(G1, G2) from two-sided Pauli coefficients, shape (..., 4).
 
-    G2 is returned complex; callers check the imaginary residue.
+    G2 is returned complex; callers take it real through ``real_g2``.
     """
     z = np.asarray(z, dtype=complex)
     g1 = np.sum(z**2, axis=-1) ** 2
@@ -115,15 +114,14 @@ def invariants_from_z(z) -> LocalInvariants:
     Raises:
         ValidationError: if sum |z_l|^2 differs from 1 by more than
             ``DEFAULT_TOL.norm_tol``.
+        NumericalError: as ``real_g2``.
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (4,):
         raise ValidationError("expected four complex coefficients")
-    norm = float(np.sum(np.abs(z) ** 2))
-    if not abs(norm - 1.0) <= DEFAULT_TOL.norm_tol:
-        raise ValidationError(f"coefficients not normalized: sum |z|^2 = {norm!r}")
+    refuse_rows(ValidationError, "z not normalized", abs(np.sum(np.abs(z) ** 2) - 1), "norm_tol")
     g1, g2 = invariants_from_z_array(z)
-    return checked_invariants(g1, g2)
+    return LocalInvariants(g1=complex(g1), g2=float(real_g2(g2)))
 
 
 def locally_equivalent(a: Gate, b: Gate) -> bool:

@@ -17,7 +17,7 @@ __all__ = [
     "DEFAULT_TOL",
     "as_cmat",
     "as_triple",
-    "dagger",
+    "refuse_rows",
     "unitarity_defect",
     "kron",
 ]
@@ -75,16 +75,22 @@ def as_triple(c) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose, acting on the last two axes."""
-    return np.conj(np.swapaxes(m, -1, -2))
+def refuse_rows(error: type, what: str, residual: np.ndarray, field: str) -> None:
+    """Raise ``error`` naming the rows whose residual is not within the
+    ``DEFAULT_TOL`` field named ``field``; a NaN residual is refused."""
+    tol = getattr(DEFAULT_TOL, field)
+    rows = np.flatnonzero(~(residual <= tol))
+    if rows.size:
+        raise error(f"{what} at rows {rows[:10].tolist()}{' ...' if rows.size > 10 else ''} "
+                    f"({rows.size} in all); worst residual {float(np.max(residual)):.3e} "
+                    f"exceeds tol {tol:g} ({field})")
 
 
 def unitarity_defect(m: np.ndarray) -> float:
     """Frobenius norm of m^dag m - I; inf or NaN, with no warning, on overflow."""
     m = np.asarray(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[-1])))
+        return float(np.linalg.norm(np.swapaxes(m, -1, -2).conj() @ m - np.eye(m.shape[-1])))
 
 
 def kron(a, b) -> np.ndarray:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, SchmidtNumberError, ValidationError
+from .errors import SchmidtNumberError, ValidationError
 from .gates import Gate, IDENTITY2, SIGMA_X, make_gate
-from .linops import DEFAULT_TOL, as_cmat, as_triple, kron
+from .linops import DEFAULT_TOL, as_cmat, as_triple, kron, refuse_rows
 
 __all__ = [
     "SchmidtData",
@@ -109,14 +109,11 @@ def schmidt_strength(s) -> float:
 
     Raises:
         ValidationError: if a coefficient is below -``DEFAULT_TOL.negative_tol``
-            or sum s_l^2 differs from 1 by more than ``DEFAULT_TOL.norm_tol``.
+            or NaN, or if sum s_l^2 differs from 1 by more than ``DEFAULT_TOL.norm_tol``.
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < -DEFAULT_TOL.negative_tol):
-        raise ValidationError("Schmidt coefficients must be nonnegative")
-    norm = float(np.sum(s**2))
-    if not abs(norm - 1.0) <= DEFAULT_TOL.norm_tol:
-        raise ValidationError(f"coefficients not normalized: sum s^2 = {norm!r}")
+    refuse_rows(ValidationError, "negative Schmidt coefficient", np.max(-s), "negative_tol")
+    refuse_rows(ValidationError, "s not normalized", abs(np.sum(s**2) - 1), "norm_tol")
     return float(schmidt_strength_array(s[np.newaxis, :])[0])
 
 
@@ -174,13 +171,10 @@ def schmidt_decompose(g: Gate) -> SchmidtData:
     normalized coefficients.
 
     Raises:
-        ValidationError: if the matrix is not a finite 4x4 matrix.
-        NumericalError: if the SVD does not converge.
+        ValidationError: if the matrix is not a finite 4x4 matrix; an SVD
+            that does not converge raises numpy's own error.
     """
-    try:
-        left, sigma, vh = np.linalg.svd(_realign(as_cmat(g.matrix, 4)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"4x4 SVD did not converge: {exc}") from None
+    left, sigma, vh = np.linalg.svd(_realign(as_cmat(g.matrix, 4)))
     coefficients = sigma / 2.0
     factors_a = np.ascontiguousarray(left.T.reshape(4, 2, 2))
     factors_b = vh.reshape(4, 2, 2)

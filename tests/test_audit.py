@@ -55,3 +55,35 @@ def test_schmidt_count_of_three_fails_with_first_row(monkeypatch):
     assert check.detail == "histogram {3: 2, 4: 18}"
     assert result.checks[1].passed
     assert result.counterexample.name == "sample_7"
+
+
+def _density_integral(tets, n: int) -> float:
+    """Integral of the Haar chamber density over tetrahedra (4, 3), by an
+    n^3 Gauss-Legendre rule on the unit cube, Duffy-mapped to each one."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = (x + 1) / 2, w / 2
+    u, v, t = np.meshgrid(x, x, x, indexing="ij")
+    weight = (w[:, None, None] * w[None, :, None] * w[None, None, :]) * u**2 * v
+    bary = np.stack([u * (1 - v), u * v * (1 - t), u * v * t], axis=-1)
+    total = 0.0
+    for tet in tets:
+        edges = tet[1:] - tet[0]
+        c1, c2, c3 = np.moveaxis(tet[0] + bary @ edges, -1, 0)
+        density = np.abs(np.sin(c2 - c3) * np.sin(c1 - c2) * np.sin(c1 + c3)
+                         * np.sin(c1 - c3) * np.sin(c1 + c2) * np.sin(c2 + c3))
+        total += abs(np.linalg.det(edges)) * np.sum(weight * density)
+    return total
+
+
+def test_haar_pe_fraction_is_the_density_integral():
+    from twoqubit.canonical import A1, A2, A3, L, M, N, O, P, Q
+
+    chamber = [np.array([O, A1, A2, A3])]
+    pe_tets = [np.array(t) for t in ((L, M, N, A2), (L, N, P, A2), (L, P, Q, A2))]
+
+    def volume(tets):
+        return sum(abs(np.linalg.det(t[1:] - t[0])) / 6 for t in tets)
+
+    assert abs(volume(pe_tets) / volume(chamber) - 0.5) <= 1e-12
+    ratio = _density_integral(pe_tets, 16) / _density_integral(chamber, 16)
+    assert abs(ratio - HAAR_PE_FRACTION) <= 1e-9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import twoqubit.canonical as canonical_mod
+import twoqubit.linops as linops
 from twoqubit import (
     ExtractionError,
     NumericalError,
@@ -219,8 +220,8 @@ def test_canonical_gate_matches_pauli_expansion(rng):
 
 def test_extraction_failure_reports_residual(monkeypatch):
     # absurdly tight tolerance forces the failure path
-    tight = dataclasses.replace(canonical_mod.DEFAULT_TOL, invariant_tol=1e-18)
-    monkeypatch.setattr(canonical_mod, "DEFAULT_TOL", tight)
+    tight = dataclasses.replace(linops.DEFAULT_TOL, invariant_tol=1e-18)
+    monkeypatch.setattr(linops, "DEFAULT_TOL", tight)
     with pytest.raises(ExtractionError, match="residual"):
         canonical_points_array(haar_unitary(np.random.default_rng(3), 4))
 

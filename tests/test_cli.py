@@ -369,3 +369,30 @@ def test_list_gates(capsys):
     assert len(lines) == 8
     assert any(line.startswith("cnot") and line.rstrip().endswith("PE") for line in lines)
     assert any(line.startswith("swap") and line.rstrip().endswith("--") for line in lines)
+
+
+def test_audit_maps_dressed_svd_failure_to_exit_3(capsys, monkeypatch):
+    # the first SVD is the plain set's, the second the dressed set's
+    true_svd = np.linalg.svd
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return true_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", second_fails)
+    code, out, err = run(capsys, "audit", "--samples", "20", "--seed", "1")
+    assert code == 3 and out == "" and len(calls) == 2
+    assert err == "error: SVD did not converge\n"
+
+
+def test_analyze_schmidt_count_of_three_exit_3(capsys, monkeypatch):
+    import twoqubit.canonical as canonical_mod
+
+    monkeypatch.setattr(canonical_mod, "schmidt_coefficients_array",
+                        lambda u: np.array([3**-0.5] * 3 + [0.0]))
+    code, out, err = run(capsys, "analyze", "cnot")
+    assert code == 3 and out == ""
+    assert err.startswith("error: coefficient count is 3") and err.count("\n") == 1

@@ -9,6 +9,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twoqubit
+import twoqubit.audit as audit_mod
+import twoqubit.canonical as canonical_mod
 from twoqubit import DEFAULT_TOL, ValidationError, canonical_gate, make_gate
 from twoqubit.canonical import (
     PE_HALFSPACES,
@@ -218,3 +221,78 @@ def test_make_gate_unitarity_threshold(seed, weights):
     analyze_gate(accepted)  # the later thresholds hold too
     with pytest.raises(ValidationError, match="not unitary"):
         make_gate(u @ v @ np.diag(np.sqrt(1 + 2 * tol * w)) @ v.conj().T)
+
+
+def _plant_imag(monkeypatch, module, name, row):
+    """Patch ``module.name``, a (G1, G2) kernel, to add 1e-6j to G2 at ``row``."""
+    true = getattr(module, name)
+
+    def planted(*args):
+        g1, g2 = true(*args)
+        return g1, g2 + 1e-6j * (np.arange(g2.size).reshape(g2.shape) == row)
+
+    monkeypatch.setattr(module, name, planted)
+
+
+def _extraction(monkeypatch):
+    u = haar_unitary(np.random.default_rng(9), 4, 6)
+    u[3] = np.random.default_rng(10).standard_normal((4, 4))
+    canonical_mod.canonical_points_array(u)
+
+
+def _class_data_g2(monkeypatch):
+    _plant_imag(monkeypatch, canonical_mod, "invariants_from_bell_array", 2)
+    twoqubit.ClassData.from_unitaries(haar_unitary(np.random.default_rng(34), 4, 5))
+
+
+def _matrix_route_g2(monkeypatch):
+    u = np.random.default_rng(11).standard_normal((4, 4)) + 1j
+    twoqubit.invariants_from_unitary(twoqubit.Gate(matrix=u))
+
+
+def _z_route_g2(monkeypatch):
+    z = np.array([0.9, 0.3j, 0.3, 0.1 + 0.1j])
+    twoqubit.invariants_from_z(z / np.linalg.norm(z))
+
+
+def _audit_z_route_g2(monkeypatch):
+    _plant_imag(monkeypatch, audit_mod, "invariants_from_z_array", 4)
+    twoqubit.run_audit(10, 1)
+
+
+def _audit_dressed_g2(monkeypatch):
+    _plant_imag(monkeypatch, audit_mod, "invariants_from_unitary_array", 1)
+    twoqubit.run_audit(10, 1)
+
+
+@pytest.mark.parametrize(
+    "site,error,field,rows",
+    [
+        (_extraction, twoqubit.ExtractionError, "invariant_tol", "[3]"),
+        (_class_data_g2, twoqubit.NumericalError, "imag_residue_tol", "[2]"),
+        (_matrix_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[0]"),
+        (_z_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[0]"),
+        (_audit_z_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[4]"),
+        (_audit_dressed_g2, twoqubit.NumericalError, "imag_residue_tol", "[1]"),
+        (lambda mp: twoqubit.invariants_from_z([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
+        (lambda mp: twoqubit.schmidt_strength([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
+        (lambda mp: twoqubit.schmidt_strength([-0.5, 0.5, 0.5, 0.5]), ValidationError,
+         "negative_tol", "[0]"),
+        (lambda mp: twoqubit.schmidt_strength([np.nan, 0, 0, 0]), ValidationError,
+         "negative_tol", "[0]"),
+    ],
+    ids=["extraction", "class-data-g2", "matrix-route-g2", "z-route-g2", "audit-z-route-g2",
+         "audit-dressed-g2", "z-norm", "s-norm", "s-negative", "s-nan"],
+)
+def test_refusal_names_rows_residual_tolerance_and_field(monkeypatch, site, error, field, rows):
+    tol = getattr(DEFAULT_TOL, field)
+    with pytest.raises(error) as info:
+        site(monkeypatch)
+    match = re.fullmatch(
+        rf".+ at rows {re.escape(rows)} \(1 in all\); worst residual (\S+) "
+        rf"exceeds tol {re.escape(f'{tol:g}')} \({field}\)",
+        str(info.value),
+    )
+    assert match, str(info.value)
+    worst = float(match.group(1))
+    assert np.isnan(worst) or worst > tol
