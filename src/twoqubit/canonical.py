@@ -27,8 +27,7 @@ from .invariants import (
 )
 from .linops import DEFAULT_TOL, as_triple, kron, refuse_rows
 from .schmidt import (
-    schmidt_coefficients_array, schmidt_numbers_array, schmidt_strength_array, z_from_point,
-    z_from_point_array,
+    schmidt_coefficients_array, schmidt_numbers_array, schmidt_strength_array, z_from_point_array,
 )
 
 __all__ = [
@@ -268,10 +267,10 @@ def schmidt_number_line(c) -> bool:
     """True iff the class lies on the controlled-unitary line [theta, 0, 0].
 
     These are exactly the classes with Schmidt number at most 2, so the
-    test counts the Schmidt coefficients |z(c)| the way ``analyze`` counts
-    its Schmidt number.
+    test reads the Schmidt number of ``ClassData.from_points``, counted the
+    way ``analyze`` counts its own.
     """
-    return bool(schmidt_numbers_array(np.abs(z_from_point(c))) <= 2)
+    return bool(ClassData.from_points(as_triple(c)).schmidt_number <= 2)
 
 
 _XX = kron(SIGMA_X, SIGMA_X)

@@ -23,7 +23,7 @@ from .canonical import ClassData
 from .edges import edge, edge_svg, sweep, sweep_csv, verify_tables
 from .errors import NumericalError, ParseError, ValidationError
 from .gates import Gate, catalog, catalog_names, gate_from_json_data, gate_to_json_data
-from .schmidt import schmidt_number_from_coefficients
+from .schmidt import refuse_count_three
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -35,10 +35,10 @@ EXIT_AUDIT = 6
 
 
 def analyze_gate(g: Gate) -> ClassData:
-    """The class data of one gate; refused if its Schmidt coefficients are
-    not finite or count 3."""
+    """The class data of one gate; refused, as ``refuse_count_three``, if its
+    Schmidt coefficients count 3."""
     data = ClassData.from_unitaries(g.matrix)
-    schmidt_number_from_coefficients(data.s)
+    refuse_count_three(data.schmidt_number, data.s)
     return data
 
 

@@ -10,15 +10,22 @@ always compute coefficients through the expansion-coefficient engine
 (z_from_point); the closed forms are kept only as an independent oracle,
 checked by :func:`verify_tables`.
 
-The oracle compares sorted coefficients, so edges whose points are mirror
-images under a symmetry that keeps |z| share one closed form (Zhang et
-al., PRA 67, 042313 (2003)):
+The oracle compares sorted coefficients, and a chamber symmetry keeps
+them (Zhang et al., PRA 67, 042313 (2003)). So the fifteen edges have
+seven coefficient profiles, those of OA1, A2A3, A2A1, OA3, LQ, QP and
+A2P; each other edge reuses one of them, maybe at a shifted or reflected
+parameter:
 
 * A2M and A2Q use A2A1's. A2M is the first half of A2A1, and the base
-  mirror c1 -> pi - c1 maps A2A1 at parameter t onto A2Q at t.
+  mirror c1 -> pi - c1 maps A2A1 at parameter t onto A2Q at t. OA2 uses
+  A2A1's at pi/2 - t, its base-mirror image.
 * LM uses LQ's: the base mirror maps LM onto LQ.
 * A1A3 uses OA3's and MN uses QP's: each is the c3 -> -c3 mirror image
   of the other edge at the same parameter, with the same |z|.
+* PN uses QP's at pi/4 + t: up to a permutation of the coordinates it
+  continues QP's line c1 = c2 = pi/4.
+* LN uses A2P's at pi/2 - t, the c3 -> -c3 mirror image of A2P's line
+  continued past P.
 """
 from __future__ import annotations
 
@@ -30,7 +37,6 @@ import numpy as np
 from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
 from .errors import ValidationError
 from .linops import DEFAULT_TOL
-from .schmidt import schmidt_strength_array, z_from_point_array
 from .svgplot import line_plot
 
 __all__ = [
@@ -88,7 +94,7 @@ class Sweep(ClassData):
 
 
 def _stack(*columns) -> np.ndarray:
-    """Stack per-parameter expressions (scalars or arrays) into (..., k)."""
+    """Stack per-parameter expressions into (..., k); scalars broadcast."""
     columns = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in columns])
     return np.stack(columns, axis=-1)
 
@@ -123,35 +129,28 @@ def _lq_s(t: np.ndarray) -> np.ndarray:
 def _qp_s(t: np.ndarray) -> np.ndarray:
     return _stack(
         np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
-        1 / (2 * np.sqrt(2)) + 0.0 * t,
-        1 / (2 * np.sqrt(2)) + 0.0 * t,
+        1 / (2 * np.sqrt(2)),
+        1 / (2 * np.sqrt(2)),
         np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
+    )
+
+
+def _a2p_s(t: np.ndarray) -> np.ndarray:
+    return _stack(
+        np.sqrt(1 + np.sin(t) ** 2 + np.sin(2 * t)) / 2,
+        np.cos(t) / 2,
+        np.cos(t) / 2,
+        np.sqrt(1 + np.sin(t) ** 2 - np.sin(2 * t)) / 2,
     )
 
 
 # The fifteen edges, built once: the six tetrahedron edges, then the nine
 # polyhedron edges.
 _SPECS = (
-    EdgeSpec(
-        "O", "A1", (0.0, _PI),
-        lambda t: _stack(np.cos(t / 2), np.sin(t / 2), 0.0 * t, 0.0 * t),
-    ),
-    EdgeSpec(
-        "O", "A2", (0.0, _PI / 2),
-        lambda t: _stack(
-            np.cos(t / 2) ** 2,
-            np.sin(t) / 2,
-            np.sin(t) / 2,
-            np.sin(t / 2) ** 2,
-        ),
-    ),
+    EdgeSpec("O", "A1", (0.0, _PI), lambda t: _stack(np.cos(t / 2), np.sin(t / 2), 0.0, 0.0)),
+    EdgeSpec("O", "A2", (0.0, _PI / 2), lambda t: _a2a1_s(_PI / 2 - t)),
     EdgeSpec("A2", "A1", (0.0, _PI / 2), _a2a1_s),
-    EdgeSpec(
-        "A2", "A3", (0.0, _PI / 2),
-        lambda t: _stack(
-            0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t, 0.5 + 0.0 * t
-        ),
-    ),
+    EdgeSpec("A2", "A3", (0.0, _PI / 2), lambda t: np.full(np.shape(t) + (4,), 0.5)),
     EdgeSpec("O", "A3", (0.0, 1.0), _oa3_s),
     EdgeSpec("A1", "A3", (0.0, 1.0), _oa3_s),
     EdgeSpec("L", "Q", (0.0, _PI / 4), _lq_s),
@@ -160,39 +159,9 @@ _SPECS = (
     EdgeSpec("A2", "Q", (0.0, _PI / 4), _a2a1_s),
     EdgeSpec("Q", "P", (0.0, _PI / 4), _qp_s),
     EdgeSpec("M", "N", (0.0, _PI / 4), _qp_s),
-    EdgeSpec(
-        "P", "N", (0.0, _PI / 2),
-        lambda t: _stack(
-            np.sqrt(
-                _C8**4 * np.cos(_PI / 8 + t / 2) ** 2
-                + _S8**4 * np.sin(_PI / 8 + t / 2) ** 2
-            ),
-            np.sqrt(
-                _S8**4 * np.cos(_PI / 8 + t / 2) ** 2
-                + _C8**4 * np.sin(_PI / 8 + t / 2) ** 2
-            ),
-            1 / (2 * np.sqrt(2)) + 0.0 * t,
-            1 / (2 * np.sqrt(2)) + 0.0 * t,
-        ),
-    ),
-    EdgeSpec(
-        "L", "N", (0.0, _PI / 4),
-        lambda t: _stack(
-            np.sqrt(1 + np.cos(t) ** 2 - np.sin(2 * t)) / 2,
-            np.sqrt(1 + np.cos(t) ** 2 + np.sin(2 * t)) / 2,
-            np.sin(t) / 2,
-            np.sin(t) / 2,
-        ),
-    ),
-    EdgeSpec(
-        "A2", "P", (0.0, _PI / 4),
-        lambda t: _stack(
-            np.sqrt(1 + np.sin(t) ** 2 + np.sin(2 * t)) / 2,
-            np.cos(t) / 2,
-            np.cos(t) / 2,
-            np.sqrt(1 + np.sin(t) ** 2 - np.sin(2 * t)) / 2,
-        ),
-    ),
+    EdgeSpec("P", "N", (0.0, _PI / 2), lambda t: _qp_s(_PI / 4 + t)),
+    EdgeSpec("L", "N", (0.0, _PI / 4), lambda t: _a2p_s(_PI / 2 - t)),
+    EdgeSpec("A2", "P", (0.0, _PI / 4), _a2p_s),
 )
 
 TETRAHEDRON_EDGES = tuple(e.name for e in _SPECS[:6])
@@ -323,8 +292,7 @@ def _figure_series(figure: str, n_points: int):
     series = []
     for name, param_range in curves:
         params = _grid(param_range, n_points)
-        s = np.abs(z_from_point_array(edge(name).point_fn(params)))
-        series.append((name, params, schmidt_strength_array(s)))
+        series.append((name, params, ClassData.from_points(edge(name).point_fn(params)).strength))
     return params, series
 
 

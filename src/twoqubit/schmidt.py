@@ -142,24 +142,30 @@ def schmidt_numbers_array(s: np.ndarray) -> np.ndarray:
     return n[()]
 
 
+def refuse_count_three(n, s) -> None:
+    """Raise ``SchmidtNumberError``, through ``refuse_rows``, for the rows of
+    s (..., 4) whose count n is 3; the residual is the row's third-largest
+    coefficient, which such a count puts above ``zero_tol``."""
+    three = n == 3
+    if np.any(three):
+        third = np.where(three, np.sort(s, axis=-1)[..., 1], 0.0)
+        refuse_rows(SchmidtNumberError, "coefficient count is 3", third, "zero_tol")
+
+
 def schmidt_number_from_coefficients(s) -> int:
     """Count the nonvanishing coefficients of one row, as
     ``schmidt_numbers_array`` does; the result is 1, 2 or 4.
 
     Raises:
         ValidationError: if a coefficient is not finite.
-        SchmidtNumberError: if the count is 3 at all three tolerances.
+        SchmidtNumberError: as ``refuse_count_three``.
     """
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValidationError(f"Schmidt coefficients must be finite: s = {s.tolist()}")
-    n = int(schmidt_numbers_array(s))
-    if n == 3:
-        raise SchmidtNumberError(
-            f"coefficient count is 3 at tolerances around {DEFAULT_TOL.zero_tol:g}: "
-            f"s = {s.tolist()}"
-        )
-    return n
+    n = schmidt_numbers_array(s)
+    refuse_count_three(n, s)
+    return int(n)
 
 
 def schmidt_decompose(g: Gate) -> SchmidtData:

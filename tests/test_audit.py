@@ -4,6 +4,8 @@ import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
 from twoqubit.audit import HAAR_PE_FRACTION, pe_fraction_tolerance, run_audit
+from twoqubit.canonical import ClassData
+from twoqubit.sampling import haar_unitary
 
 
 def test_pe_band_is_four_binomial_sigma():
@@ -57,9 +59,10 @@ def test_schmidt_count_of_three_fails_with_first_row(monkeypatch):
     assert result.counterexample.name == "sample_7"
 
 
-def _density_integral(tets, n: int) -> float:
-    """Integral of the Haar chamber density over tetrahedra (4, 3), by an
-    n^3 Gauss-Legendre rule on the unit cube, Duffy-mapped to each one."""
+def _density_integral(tets, n: int, integrand=None) -> float:
+    """Integral of the Haar chamber density, times ``integrand`` of the
+    points (..., 3) if given, over tetrahedra (4, 3), by an n^3
+    Gauss-Legendre rule on the unit cube, Duffy-mapped to each one."""
     x, w = np.polynomial.legendre.leggauss(n)
     x, w = (x + 1) / 2, w / 2
     u, v, t = np.meshgrid(x, x, x, indexing="ij")
@@ -68,9 +71,12 @@ def _density_integral(tets, n: int) -> float:
     total = 0.0
     for tet in tets:
         edges = tet[1:] - tet[0]
-        c1, c2, c3 = np.moveaxis(tet[0] + bary @ edges, -1, 0)
+        points = tet[0] + bary @ edges
+        c1, c2, c3 = np.moveaxis(points, -1, 0)
         density = np.abs(np.sin(c2 - c3) * np.sin(c1 - c2) * np.sin(c1 + c3)
                          * np.sin(c1 - c3) * np.sin(c1 + c2) * np.sin(c2 + c3))
+        if integrand is not None:
+            density = density * integrand(points)
         total += abs(np.linalg.det(edges)) * np.sum(weight * density)
     return total
 
@@ -87,3 +93,28 @@ def test_haar_pe_fraction_is_the_density_integral():
     assert abs(volume(pe_tets) / volume(chamber) - 0.5) <= 1e-12
     ratio = _density_integral(pe_tets, 16) / _density_integral(chamber, 16)
     assert abs(ratio - HAAR_PE_FRACTION) <= 1e-9
+
+
+# Haar mean of the Schmidt strength: its integral against the chamber density,
+# over the density's integral; the n = 16, 24, 32 and 48 rules agree to 4e-13
+HAAR_MEAN_STRENGTH = 1.555169029059
+
+
+def _strength(points):
+    return ClassData.from_points(points).strength
+
+
+def test_haar_mean_strength_is_the_density_integral():
+    from twoqubit.canonical import A1, A2, A3, O
+
+    chamber = [np.array([O, A1, A2, A3])]
+    mean = _density_integral(chamber, 16, _strength) / _density_integral(chamber, 16)
+    assert abs(mean - HAAR_MEAN_STRENGTH) <= 1e-9
+
+
+def test_haar_sample_mean_strength_within_four_standard_errors():
+    # a sampler that skips the rephasing of R's diagonal in haar_unitary is
+    # not Haar, and lands about 8 standard errors low here
+    strength = ClassData.from_unitaries(haar_unitary(np.random.default_rng(5), 4, 50000)).strength
+    error = strength.std(ddof=1) / np.sqrt(strength.size)
+    assert abs(strength.mean() - HAAR_MEAN_STRENGTH) <= 4 * error

@@ -84,12 +84,29 @@ def test_a2m_matches_a2a1_restriction():
     assert np.allclose(sweep("A2M", 50).s, first_half.s[:50], atol=1e-15)
 
 
-@pytest.mark.parametrize("pair", [("OA3", "A1A3"), ("LQ", "LM"), ("A2M", "A2Q"), ("QP", "MN")])
+def _same(t):
+    return t
+
+
+# (edge a, edge b, the parameter of a's line that carries b's point at t)
+@pytest.mark.parametrize("pair", [
+    ("OA3", "A1A3", _same),
+    ("LQ", "LM", _same),
+    ("A2M", "A2Q", _same),
+    ("QP", "MN", _same),
+    ("QP", "PN", lambda t: PI / 4 + t),
+    ("A2P", "LN", lambda t: PI / 2 - t),
+    ("A2A1", "OA2", lambda t: PI / 2 - t),
+])
 def test_shared_coefficient_pairs(pair):
-    a, b = pair
-    assert edge(a).param_range == edge(b).param_range
-    # mirror images with the same |z|, compared through the engine
-    assert np.max(np.abs(sweep(a, 64).s - sweep(b, 64).s)) <= 1e-12
+    a, b, to_a = pair
+    sw = sweep(b, 64)
+    # images under a chamber symmetry with the same |z|, compared through the
+    # engine on a's line, extended past its end vertex where the map leaves it
+    shared = ClassData.from_points(edge(a).point_fn(to_a(sw.param)))
+    assert np.max(np.abs(shared.s - sw.s)) <= 1e-12
+    if to_a is _same:
+        assert edge(a).param_range == edge(b).param_range
 
 
 @pytest.mark.parametrize("name", edge_names())
@@ -201,6 +218,16 @@ def test_fig3a_endpoints():
     data = np.array([[float(v) for v in line.split(",")] for line in text.strip().split("\n")[1:]])
     assert abs(data[0, 1]) <= 1e-12
     assert abs(data[-1, 1] - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_figure_columns_equal_the_sweeps(figure):
+    n = 1001
+    rows = [line.split(",") for line in emit_figure_data(figure, n).splitlines()]
+    for k, (name, param_range) in enumerate(FIGURES[figure], start=1):
+        if param_range == edge(name).param_range:
+            column = [row[k] for row in rows[1:]]
+            assert column == [f"{x:.15g}" for x in sweep(name, n).strength.tolist()], name
 
 
 def test_figure_unknown_id():

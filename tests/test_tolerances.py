@@ -31,7 +31,7 @@ from twoqubit.canonical import (
 from twoqubit.cli import analyze_gate, report_text
 from twoqubit.invariants import invariants_from_point
 from twoqubit.sampling import haar_unitary, random_local_unitary
-from twoqubit.schmidt import schmidt_numbers_array, z_from_point
+from twoqubit.schmidt import schmidt_number_from_coefficients, schmidt_numbers_array, z_from_point
 
 PI = np.pi
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -280,9 +280,12 @@ def _audit_dressed_g2(monkeypatch):
          "negative_tol", "[0]"),
         (lambda mp: twoqubit.schmidt_strength([np.nan, 0, 0, 0]), ValidationError,
          "negative_tol", "[0]"),
+        # unsorted, so the residual must be the third-largest coefficient, not s[2]
+        (lambda mp: schmidt_number_from_coefficients([0.4, 0.8, 1e-20, 0.4]),
+         twoqubit.SchmidtNumberError, "zero_tol", "[0]"),
     ],
     ids=["extraction", "class-data-g2", "matrix-route-g2", "z-route-g2", "audit-z-route-g2",
-         "audit-dressed-g2", "z-norm", "s-norm", "s-negative", "s-nan"],
+         "audit-dressed-g2", "z-norm", "s-norm", "s-negative", "s-nan", "schmidt-count-3"],
 )
 def test_refusal_names_rows_residual_tolerance_and_field(monkeypatch, site, error, field, rows):
     tol = getattr(DEFAULT_TOL, field)
