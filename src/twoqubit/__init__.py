@@ -20,16 +20,14 @@ from .gates import (
     Gate,
     PAULI_BASIS,
     Q_MAGIC,
-    bell_transform,
     catalog,
     catalog_names,
     gate_from_json_data,
     gate_to_json_data,
     make_gate,
 )
-from .sampling import haar_gate, haar_unitary, random_local_unitary
+from .sampling import haar_unitary, random_local_unitary
 from .invariants import (
-    LocalInvariants,
     invariants_from_point,
     invariants_from_unitary,
     invariants_from_z,
@@ -43,14 +41,12 @@ from .canonical import (
     canonical_point,
     in_weyl_chamber,
     is_perfect_entangler,
-    schmidt_number_line,
     weyl_reduce,
 )
 from .schmidt import (
     SchmidtData,
     controlled_unitary_gate,
     schmidt_decompose,
-    schmidt_number_of,
     schmidt_strength,
     z_from_point,
 )
@@ -81,15 +77,12 @@ __all__ = [
     "PAULI_BASIS",
     "Q_MAGIC",
     "make_gate",
-    "bell_transform",
     "catalog",
     "catalog_names",
     "gate_from_json_data",
     "gate_to_json_data",
     "haar_unitary",
-    "haar_gate",
     "random_local_unitary",
-    "LocalInvariants",
     "invariants_from_unitary",
     "invariants_from_point",
     "invariants_from_z",
@@ -102,12 +95,10 @@ __all__ = [
     "canonical_gate",
     "ClassData",
     "is_perfect_entangler",
-    "schmidt_number_line",
     "SchmidtData",
     "z_from_point",
     "schmidt_decompose",
     "schmidt_strength",
-    "schmidt_number_of",
     "controlled_unitary_gate",
     "EdgeSpec",
     "Sweep",

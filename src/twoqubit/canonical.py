@@ -50,7 +50,6 @@ __all__ = [
     "canonical_points_array",
     "ClassData",
     "is_perfect_entangler",
-    "schmidt_number_line",
     "canonical_gate",
 ]
 
@@ -210,6 +209,12 @@ class ClassData:
     schmidt_number: np.ndarray
     is_pe: np.ndarray
 
+    @property
+    def controlled_unitary(self) -> np.ndarray:
+        """True where the class is a controlled unitary, on the line [theta, 0, 0]:
+        exactly the classes with Schmidt number at most 2."""
+        return self.schmidt_number <= 2
+
     @classmethod
     def from_unitaries(cls, u) -> ClassData:
         """Class data of unitaries (..., 4, 4): the points and (G1, G2) of
@@ -261,16 +266,6 @@ def is_perfect_entangler_array(c: np.ndarray) -> np.ndarray:
     """Vectorized perfect-entangler test for chamber-reduced triples (..., 3)."""
     a, b = PE_HALFSPACES
     return np.all(np.asarray(c) @ a.T <= b + DEFAULT_TOL.pe_boundary_tol, axis=-1)
-
-
-def schmidt_number_line(c) -> bool:
-    """True iff the class lies on the controlled-unitary line [theta, 0, 0].
-
-    These are exactly the classes with Schmidt number at most 2, so the
-    test reads the Schmidt number of ``ClassData.from_points``, counted the
-    way ``analyze`` counts its own.
-    """
-    return bool(ClassData.from_points(as_triple(c)).schmidt_number <= 2)
 
 
 _XX = kron(SIGMA_X, SIGMA_X)

@@ -57,8 +57,7 @@ def report_json(data: ClassData, source: str) -> str:
         "schmidt_number": int(data.schmidt_number),
         "schmidt_strength": _round15(data.strength),
         "perfect_entangler": bool(data.is_pe),
-        # Schmidt number at most 2 is exactly the controlled-unitary line
-        "controlled_unitary": bool(data.schmidt_number <= 2),
+        "controlled_unitary": bool(data.controlled_unitary),
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -80,7 +79,7 @@ def report_text(data: ClassData, source: str, degrees: bool = False) -> str:
         f"schmidt number: {int(data.schmidt_number)}",
         f"schmidt strength: {_disp(data.strength):.6f}",
         f"perfect entangler: {'yes' if data.is_pe else 'no'}",
-        f"controlled unitary: {'yes' if data.schmidt_number <= 2 else 'no'}",
+        f"controlled unitary: {'yes' if data.controlled_unitary else 'no'}",
     ]
     return "\n".join(lines) + "\n"
 

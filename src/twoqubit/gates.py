@@ -22,7 +22,6 @@ __all__ = [
     "Q_MAGIC",
     "Gate",
     "make_gate",
-    "bell_transform",
     "catalog",
     "catalog_names",
     "gate_from_json_data",
@@ -76,15 +75,6 @@ def make_gate(matrix, name: str | None = None) -> Gate:
             f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}"
         )
     return Gate(matrix=a, name=name)
-
-
-def bell_transform(g: Gate) -> np.ndarray:
-    """Return the gate matrix in the Bell basis: U_B = Q^T U Q.
-
-    Note the transpose (not the adjoint) of Q on the left. The inverse is
-    conj(Q) @ U_B @ Q.conj().T.
-    """
-    return Q_MAGIC.T @ g.matrix @ Q_MAGIC
 
 
 _SQRT2 = np.sqrt(2.0)

@@ -12,8 +12,6 @@ inputs and are used by the extraction and audit machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalError, ValidationError
@@ -21,20 +19,12 @@ from .gates import Gate, Q_MAGIC
 from .linops import DEFAULT_TOL, as_triple, refuse_rows
 
 __all__ = [
-    "LocalInvariants",
     "invariants_from_unitary",
     "invariants_from_point",
     "invariants_from_z",
     "locally_equivalent",
     "real_g2",
 ]
-
-@dataclass(frozen=True)
-class LocalInvariants:
-    """The invariant pair: g1 complex, g2 real."""
-
-    g1: complex
-    g2: float
 
 
 def real_g2(g2: np.ndarray) -> np.ndarray:
@@ -45,7 +35,8 @@ def real_g2(g2: np.ndarray) -> np.ndarray:
 
 
 def bell_matrix_array(u: np.ndarray):
-    """det(U) and M(U) = U_B^T U_B for a stack of unitaries, shape (..., 4, 4)."""
+    """det(U) and M(U) = U_B^T U_B for a stack of unitaries, shape (..., 4, 4),
+    where U_B = Q^T U Q (the transpose of Q, not its adjoint) is U in the Bell basis."""
     ub = Q_MAGIC.T @ u @ Q_MAGIC
     return np.linalg.det(u), np.swapaxes(ub, -1, -2) @ ub
 
@@ -68,14 +59,14 @@ def invariants_from_unitary_array(u: np.ndarray):
     return invariants_from_bell_array(*bell_matrix_array(u))
 
 
-def invariants_from_unitary(g: Gate) -> LocalInvariants:
-    """Invariants from the gate matrix via the Bell-basis construction.
+def invariants_from_unitary(g: Gate) -> tuple[complex, float]:
+    """(G1, G2), G1 complex and G2 real, from the gate matrix via the Bell basis.
 
     det(U) enters the formulas directly, so the result is insensitive to a
     global phase of the input; no prior normalization is required.
     """
     g1, g2 = invariants_from_unitary_array(g.matrix)
-    return LocalInvariants(g1=complex(g1), g2=float(real_g2(g2)))
+    return complex(g1), float(real_g2(g2))
 
 
 def invariants_from_point_array(c: np.ndarray):
@@ -88,10 +79,10 @@ def invariants_from_point_array(c: np.ndarray):
     return g1, g2
 
 
-def invariants_from_point(c) -> LocalInvariants:
-    """Invariants from canonical coordinates [c1, c2, c3] (any real triple)."""
+def invariants_from_point(c) -> tuple[complex, float]:
+    """(G1, G2) from canonical coordinates [c1, c2, c3] (any real triple)."""
     g1, g2 = invariants_from_point_array(as_triple(c))
-    return LocalInvariants(g1=complex(g1), g2=float(g2))
+    return complex(g1), float(g2)
 
 
 def invariants_from_z_array(z: np.ndarray):
@@ -105,8 +96,8 @@ def invariants_from_z_array(z: np.ndarray):
     return g1, g2
 
 
-def invariants_from_z(z) -> LocalInvariants:
-    """Invariants from the coefficients of U = sum_l z_l (P_l x P_l).
+def invariants_from_z(z) -> tuple[complex, float]:
+    """(G1, G2) from the coefficients of U = sum_l z_l (P_l x P_l).
 
     ``z`` holds the four complex coefficients in the basis order
     (I x I, sx x sx, sy x sy, sz x sz).
@@ -121,7 +112,7 @@ def invariants_from_z(z) -> LocalInvariants:
         raise ValidationError("expected four complex coefficients")
     refuse_rows(ValidationError, "z not normalized", abs(np.sum(np.abs(z) ** 2) - 1), "norm_tol")
     g1, g2 = invariants_from_z_array(z)
-    return LocalInvariants(g1=complex(g1), g2=float(real_g2(g2)))
+    return complex(g1), float(real_g2(g2))
 
 
 def locally_equivalent(a: Gate, b: Gate) -> bool:
@@ -130,6 +121,5 @@ def locally_equivalent(a: Gate, b: Gate) -> bool:
     Decided by comparing (G1, G2) within ``DEFAULT_TOL.invariant_tol``.
     """
     tol = DEFAULT_TOL.invariant_tol
-    inv_a = invariants_from_unitary(a)
-    inv_b = invariants_from_unitary(b)
-    return abs(inv_a.g1 - inv_b.g1) <= tol and abs(inv_a.g2 - inv_b.g2) <= tol
+    (g1_a, g2_a), (g1_b, g2_b) = invariants_from_unitary(a), invariants_from_unitary(b)
+    return abs(g1_a - g1_b) <= tol and abs(g2_a - g2_b) <= tol

@@ -68,7 +68,7 @@ def as_triple(c) -> np.ndarray:
     """
     try:
         a = np.array(c if isinstance(c, np.ndarray) else tuple(c), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         a = None
     if a is None or a.shape != (3,) or not np.all(np.isfinite(a)):
         raise ValidationError(f"expected a coordinate triple [c1, c2, c3], got {c!r}")

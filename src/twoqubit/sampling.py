@@ -3,9 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import Gate
-
-__all__ = ["haar_unitary", "random_local_unitary", "haar_gate"]
+__all__ = ["haar_unitary", "random_local_unitary"]
 
 
 def haar_unitary(rng: np.random.Generator, dim: int = 4, size: int | None = None) -> np.ndarray:
@@ -29,8 +27,3 @@ def random_local_unitary(rng: np.random.Generator, size: int | None = None) -> n
     v = haar_unitary(rng, 2, size)
     prod = np.einsum("...ab,...cd->...acbd", u, v)
     return prod.reshape(prod.shape[:-4] + (4, 4))
-
-
-def haar_gate(rng: np.random.Generator) -> Gate:
-    """A single Haar-random two-qubit Gate."""
-    return Gate(matrix=haar_unitary(rng, 4))

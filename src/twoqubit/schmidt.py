@@ -31,7 +31,6 @@ __all__ = [
     "schmidt_coefficients_array",
     "schmidt_strength",
     "schmidt_strength_array",
-    "schmidt_number_of",
     "schmidt_number_from_coefficients",
     "schmidt_numbers_array",
     "controlled_unitary_gate",
@@ -102,19 +101,28 @@ def schmidt_coefficients_array(u: np.ndarray) -> np.ndarray:
     return np.linalg.svd(r, compute_uv=False) / 2.0
 
 
+def _four(s) -> np.ndarray:
+    """``s`` as one row of four real coefficients; ValidationError for another shape."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (4,):
+        raise ValidationError(f"expected four Schmidt coefficients, got shape {s.shape}")
+    return s
+
+
 def schmidt_strength(s) -> float:
     """Shannon entropy (bits) of the distribution s_l^2.
 
     Uses the 0 log 0 = 0 convention; terms below 1e-300 contribute nothing.
 
     Raises:
-        ValidationError: if a coefficient is below -``DEFAULT_TOL.negative_tol``
-            or NaN, or if sum s_l^2 differs from 1 by more than ``DEFAULT_TOL.norm_tol``.
+        ValidationError: if ``s`` is not four coefficients, if a coefficient is
+            below -``DEFAULT_TOL.negative_tol`` or NaN, or if sum s_l^2 differs
+            from 1 by more than ``DEFAULT_TOL.norm_tol``.
     """
-    s = np.asarray(s, dtype=float)
+    s = _four(s)
     refuse_rows(ValidationError, "negative Schmidt coefficient", np.max(-s), "negative_tol")
     refuse_rows(ValidationError, "s not normalized", abs(np.sum(s**2) - 1), "norm_tol")
-    return float(schmidt_strength_array(s[np.newaxis, :])[0])
+    return float(schmidt_strength_array(s))
 
 
 def schmidt_strength_array(s: np.ndarray) -> np.ndarray:
@@ -153,14 +161,14 @@ def refuse_count_three(n, s) -> None:
 
 
 def schmidt_number_from_coefficients(s) -> int:
-    """Count the nonvanishing coefficients of one row, as
+    """Count the nonvanishing coefficients of one row of four, as
     ``schmidt_numbers_array`` does; the result is 1, 2 or 4.
 
     Raises:
-        ValidationError: if a coefficient is not finite.
+        ValidationError: if ``s`` is not four coefficients or one is not finite.
         SchmidtNumberError: as ``refuse_count_three``.
     """
-    s = np.asarray(s, dtype=float)
+    s = _four(s)
     if not np.all(np.isfinite(s)):
         raise ValidationError(f"Schmidt coefficients must be finite: s = {s.tolist()}")
     n = schmidt_numbers_array(s)
@@ -191,11 +199,6 @@ def schmidt_decompose(g: Gate) -> SchmidtData:
         schmidt_number=schmidt_number_from_coefficients(coefficients),
         strength=schmidt_strength(coefficients),
     )
-
-
-def schmidt_number_of(g: Gate) -> int:
-    """Schmidt number of a gate: 1 (local), 2 (controlled unitary) or 4."""
-    return schmidt_number_from_coefficients(schmidt_coefficients_array(g.matrix))
 
 
 def controlled_unitary_gate(p: float) -> Gate:

@@ -7,6 +7,7 @@ import twoqubit.canonical as canonical_mod
 import twoqubit.linops as linops
 from twoqubit import (
     ExtractionError,
+    Gate,
     NumericalError,
     canonical_gate,
     canonical_point,
@@ -16,7 +17,6 @@ from twoqubit import (
     invariants_from_unitary,
     is_perfect_entangler,
     make_gate,
-    schmidt_number_line,
     weyl_reduce,
 )
 from twoqubit.canonical import (
@@ -38,7 +38,7 @@ from twoqubit.canonical import (
 )
 from twoqubit.invariants import invariants_from_point_array
 from twoqubit.schmidt import schmidt_coefficients_array
-from twoqubit.sampling import haar_gate, haar_unitary, random_local_unitary
+from twoqubit.sampling import haar_unitary, random_local_unitary
 
 PI = np.pi
 
@@ -102,9 +102,9 @@ def test_weyl_reduce_mirror_identity():
     theta = 0.3
     reduced = weyl_reduce((theta, PI, 0.0))
     assert np.allclose(tuple(reduced), (theta, 0.0, 0.0), atol=1e-12)
-    a = invariants_from_point((theta, 0.0, 0.0))
-    b = invariants_from_point((PI - theta, 0.0, 0.0))
-    assert abs(a.g1 - b.g1) < 1e-12 and abs(a.g2 - b.g2) < 1e-12
+    a1, a2 = invariants_from_point((theta, 0.0, 0.0))
+    b1, b2 = invariants_from_point((PI - theta, 0.0, 0.0))
+    assert abs(a1 - b1) < 1e-12 and abs(a2 - b2) < 1e-12
 
 
 def test_weyl_reduce_permutation():
@@ -177,15 +177,15 @@ def test_canonical_point_round_trip(rng):
     points = canonical_points_array(u)
     g1u, g2u = invariants_from_point_array(points)
     for i in range(300):
-        inv = invariants_from_unitary(make_gate(u[i]))
-        assert abs(inv.g1 - g1u[i]) <= 1e-8
-        assert abs(inv.g2 - g2u[i]) <= 1e-8
+        g1, g2 = invariants_from_unitary(make_gate(u[i]))
+        assert abs(g1 - g1u[i]) <= 1e-8
+        assert abs(g2 - g2u[i]) <= 1e-8
         assert in_weyl_chamber(points[i])
 
 
 def test_canonical_point_local_invariance(rng):
     for _ in range(60):
-        g = haar_gate(rng)
+        g = Gate(haar_unitary(rng))
         c = canonical_point(g)
         dressed = make_gate(
             random_local_unitary(rng) @ g.matrix @ random_local_unitary(rng)
@@ -246,20 +246,18 @@ def test_is_perfect_entangler_reduces_first():
 
 
 def test_schmidt_number_line():
-    assert schmidt_number_line((PI / 3, 0.0, 0.0)) is True
-    assert schmidt_number_line((PI / 2, PI / 2, 0.0)) is False
-    assert schmidt_number_line((0.0, 0.0, 0.0)) is True
-    # mirror representative of the controlled line reduces onto it
-    assert schmidt_number_line((3 * PI / 4, 0.0, 0.0)) is True
+    # the mirror representative [3pi/4, 0, 0] of the controlled line counts too
+    points = [(PI / 3, 0.0, 0.0), (PI / 2, PI / 2, 0.0), (0.0, 0.0, 0.0), (3 * PI / 4, 0.0, 0.0)]
+    assert ClassData.from_points(points).controlled_unitary.tolist() == [True, False, True, True]
+    assert ClassData.from_points(points[0]).controlled_unitary == np.True_
 
 
 @pytest.mark.parametrize("c2", [3e-9, 1e-8, 3e-8])
 def test_schmidt_number_line_agrees_with_schmidt_number(c2):
-    from twoqubit import schmidt_number_of
-
     point = (1.0, c2, 0.0)
-    assert schmidt_number_of(canonical_gate(point)) == 2
-    assert schmidt_number_line(point) is True
+    from_gate = ClassData.from_unitaries(canonical_gate(point).matrix)
+    assert from_gate.schmidt_number == 2 and from_gate.controlled_unitary
+    assert ClassData.from_points(point).controlled_unitary
 
 
 def test_mirror_line_equivalence():

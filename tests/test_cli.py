@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from twoqubit import canonical_gate, catalog, catalog_names, gate_to_json_data, make_gate
+from twoqubit import Gate, canonical_gate, catalog, catalog_names, gate_to_json_data, make_gate
 from twoqubit.cli import analyze_gate, main, report_text
-from twoqubit.sampling import haar_gate, random_local_unitary
+from twoqubit.sampling import haar_unitary, random_local_unitary
 
 
 def _fail_route_check(monkeypatch, audit_mod):
@@ -60,7 +60,7 @@ def test_analyze_degrees(capsys):
 
 
 def test_analyze_json_file(tmp_path, capsys, rng):
-    g = haar_gate(rng)
+    g = Gate(haar_unitary(rng))
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(gate_to_json_data(g)))
     code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
@@ -150,7 +150,7 @@ def test_analyze_coefficients_are_the_realignment_singular_values(rng, capsys):
     from twoqubit.cli import _round15, report_json
     from twoqubit.schmidt import schmidt_coefficients_array
 
-    gates = [catalog(name) for name in catalog_names()] + [haar_gate(rng) for _ in range(10)]
+    gates = [catalog(name) for name in catalog_names()] + [Gate(haar_unitary(rng)) for _ in range(10)]
     for g in gates:
         s = schmidt_coefficients_array(g.matrix)
         data = analyze_gate(g)

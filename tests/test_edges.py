@@ -145,6 +145,12 @@ def test_sweep_a2a3_constant_two():
     assert np.allclose(sw.s, 0.5, atol=1e-12)
 
 
+def test_sweep_controlled_unitary_column():
+    # OA1 is the controlled-unitary line; A2A3 keeps all four coefficients 1/2
+    assert sweep("OA1", 9).controlled_unitary.all()
+    assert not sweep("A2A3", 9).controlled_unitary.any()
+
+
 def test_sweep_pn_symmetric_nonmonotonic():
     strengths = sweep("PN", 101).strength
     assert np.max(np.abs(strengths - strengths[::-1])) <= 1e-10

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from twoqubit import (
+    Gate,
     ParseError,
     ValidationError,
-    bell_transform,
     canonical_point,
     catalog,
     catalog_names,
@@ -14,7 +14,8 @@ from twoqubit import (
     make_gate,
 )
 from twoqubit.gates import PAULI_BASIS, Q_MAGIC
-from twoqubit.sampling import haar_gate
+from twoqubit.invariants import bell_matrix_array
+from twoqubit.sampling import haar_unitary
 
 
 def test_pauli_basis_orthonormal():
@@ -57,32 +58,46 @@ def test_gate_matrix_is_readonly():
         g.matrix[0, 0] = 5.0
 
 
+# The Bell transform U_B = Q^T U Q is formed only inside bell_matrix_array,
+# which returns det(U) and M(U) = U_B^T U_B; these tests hold it there.
+
+
 def test_bell_transform_of_identity_is_qtq():
-    ub = bell_transform(make_gate(np.eye(4)))
-    assert np.allclose(ub, Q_MAGIC.T @ Q_MAGIC, atol=1e-15)
-    assert not np.allclose(ub, np.eye(4))
+    det, m = bell_matrix_array(np.eye(4, dtype=complex))
+    qtq = Q_MAGIC.T @ Q_MAGIC  # U_B of the identity: the transpose, not the adjoint
+    assert not np.allclose(qtq, np.eye(4))
+    assert np.allclose(m, qtq.T @ qtq, atol=1e-15)
+    assert abs(det - 1.0) <= 1e-15
 
 
 def test_bell_transform_round_trip(rng):
-    g = haar_gate(rng)
-    ub = bell_transform(g)
-    assert np.allclose(Q_MAGIC.conj() @ ub @ Q_MAGIC.conj().T, g.matrix, atol=1e-12)
+    # M(U) is symmetric, which extraction's eigh relies on, and a stack
+    # gives each of its gates the det(U) and M(U) of that gate alone
+    u = haar_unitary(rng, 4, 25)
+    det, m = bell_matrix_array(u)
+    assert np.max(np.abs(m - np.swapaxes(m, -1, -2))) <= 1e-14
+    for i in range(25):
+        det_i, m_i = bell_matrix_array(u[i])
+        assert abs(det[i] - det_i) <= 1e-14 and np.allclose(m[i], m_i, atol=1e-14)
 
 
 def test_bell_transform_preserves_unitarity_and_norm(rng):
     for _ in range(25):
-        g = haar_gate(rng)
-        ub = bell_transform(g)
-        assert np.linalg.norm(ub.conj().T @ ub - np.eye(4)) < 1e-12
-        assert abs(np.linalg.norm(ub) - np.linalg.norm(g.matrix)) < 1e-12
+        g = Gate(haar_unitary(rng))
+        m = bell_matrix_array(g.matrix)[1]
+        assert np.linalg.norm(m.conj().T @ m - np.eye(4)) < 1e-12
+        assert abs(np.linalg.norm(m) - np.linalg.norm(g.matrix)) < 1e-12
 
 
 def test_bell_transform_determinant_constant(rng):
-    # det(U_B) = det(U) det(Q)^2 with det(Q) = -1, so the constant is 1
-    assert np.isclose(np.linalg.det(Q_MAGIC) ** 2, 1.0)
+    # det(U_B) = det(U) det(Q)^2 with det(Q) = -1, so det M(U) = det(U)^2;
+    # extraction normalises the phase of M by the det(U) returned beside it
+    assert abs(np.linalg.det(Q_MAGIC) + 1.0) <= 1e-15
     for _ in range(10):
-        g = haar_gate(rng)
-        assert abs(np.linalg.det(bell_transform(g)) - np.linalg.det(g.matrix)) <= 1e-12
+        g = Gate(haar_unitary(rng))
+        det, m = bell_matrix_array(g.matrix)
+        assert abs(det - np.linalg.det(g.matrix)) <= 1e-14
+        assert abs(np.linalg.det(m) - det**2) <= 1e-12
 
 
 def test_catalog_names_and_validation():
@@ -133,7 +148,7 @@ def test_sqrt_swap_squares_to_swap_and_adjoint_class():
 
 
 def test_gate_json_round_trip(rng):
-    g = haar_gate(rng)
+    g = Gate(haar_unitary(rng))
     data = gate_to_json_data(g)
     g2 = gate_from_json_data(data)
     assert np.allclose(g.matrix, g2.matrix, atol=1e-15)

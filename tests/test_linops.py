@@ -8,6 +8,7 @@ from twoqubit import (
     Tolerance,
     ValidationError,
     canonical_gate,
+    in_weyl_chamber,
     invariants_from_point,
     is_perfect_entangler,
     kron,
@@ -66,10 +67,28 @@ def test_kron_bilinear(rng):
 
 @pytest.mark.parametrize(
     "entry",
-    [invariants_from_point, z_from_point, weyl_reduce, is_perfect_entangler, canonical_gate],
+    [
+        invariants_from_point,
+        z_from_point,
+        weyl_reduce,
+        is_perfect_entangler,
+        canonical_gate,
+        in_weyl_chamber,
+    ],
 )
 @pytest.mark.parametrize(
-    "bad", [5.0, [1, 2], "abc", [[1, 2, 3]], [np.nan, 0, 0], [np.inf, 0, 0]], ids=repr
+    "bad",
+    [
+        5.0,
+        [1, 2],
+        "abc",
+        [[1, 2, 3]],
+        [np.nan, 0, 0],
+        [np.inf, 0, 0],
+        # an integer beyond the float range
+        pytest.param([10**400, 0, 0], id="[10**400, 0, 0]"),
+    ],
+    ids=repr,
 )
 def test_malformed_triple_raises_validation_error(entry, bad):
     with pytest.raises(ValidationError, match="coordinate triple"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,14 @@ from twoqubit import (
     invariants_from_unitary,
     locally_equivalent,
     schmidt_decompose,
-    schmidt_number_of,
     schmidt_strength,
     z_from_point,
 )
 from twoqubit.errors import SchmidtNumberError
 from twoqubit.gates import Gate
 from twoqubit.linops import kron
-from twoqubit.sampling import haar_gate, random_local_unitary
+from twoqubit.sampling import haar_unitary, random_local_unitary
+from twoqubit.canonical import ClassData
 from twoqubit.schmidt import (
     schmidt_coefficients_array,
     schmidt_number_from_coefficients,
@@ -74,7 +76,7 @@ def test_schmidt_decompose_named(name, coeffs, number):
 
 def test_schmidt_decompose_reconstruction(rng):
     for _ in range(25):
-        g = haar_gate(rng)
+        g = Gate(haar_unitary(rng))
         data = schmidt_decompose(g)
         rebuilt = sum(
             2 * data.coefficients[l] * kron(data.factors_a[l], data.factors_b[l])
@@ -93,7 +95,7 @@ def test_schmidt_decompose_rejects_nonfinite():
 
 
 def test_schmidt_factors_orthonormal(rng):
-    g = haar_gate(rng)
+    g = Gate(haar_unitary(rng))
     data = schmidt_decompose(g)
     for side in (data.factors_a, data.factors_b):
         gram = np.einsum("lij,kij->lk", side.conj(), side)
@@ -102,7 +104,7 @@ def test_schmidt_factors_orthonormal(rng):
 
 def test_schmidt_coefficients_local_invariance(rng):
     for _ in range(50):
-        g = haar_gate(rng)
+        g = Gate(haar_unitary(rng))
         dressed = random_local_unitary(rng) @ g.matrix @ random_local_unitary(rng)
         s1 = schmidt_coefficients_array(g.matrix)
         s2 = schmidt_coefficients_array(dressed)
@@ -127,8 +129,7 @@ def test_same_coefficients_different_class():
     s_p = np.sort(np.abs(z_from_point(p)))
     s_n = np.sort(np.abs(z_from_point(n)))
     assert np.max(np.abs(s_p - s_n)) <= 1e-12
-    inv_p, inv_n = invariants_from_point(p), invariants_from_point(n)
-    assert abs(inv_p.g1 - inv_n.g1) > 1e-3
+    assert abs(invariants_from_point(p)[0] - invariants_from_point(n)[0]) > 1e-3
 
 
 @pytest.mark.parametrize(
@@ -152,9 +153,19 @@ def test_schmidt_strength_rejects_unnormalized():
         schmidt_strength((np.nan, 0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("shape", [(5,), (1,), (1, 4), (2, 2)], ids=str)
+@pytest.mark.parametrize("scalar", [schmidt_strength, schmidt_number_from_coefficients])
+def test_schmidt_scalars_refuse_a_row_not_of_four(scalar, shape):
+    # (5,) is [.5, .5, .5, .5, 0], which sums to 1 and once gave strength 2
+    s = np.zeros(shape)
+    s.flat[: min(s.size, 4)] = 0.5 if s.size >= 4 else 1.0
+    with pytest.raises(ValidationError, match=re.escape(f"got shape {shape}")):
+        scalar(s)
+
+
 def test_schmidt_strength_bounds(rng):
     for _ in range(200):
-        s = schmidt_coefficients_array(haar_gate(rng).matrix)
+        s = schmidt_coefficients_array(Gate(haar_unitary(rng)).matrix)
         k = schmidt_strength(s)
         assert 0.0 <= k <= 2.0
 
@@ -163,8 +174,8 @@ def test_controlled_unitary_gate_endpoints():
     assert np.allclose(controlled_unitary_gate(0.0).matrix, np.eye(4), atol=1e-15)
     g = controlled_unitary_gate(1.0)
     assert np.allclose(g.matrix, 1j * kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]), atol=1e-15)
-    inv = invariants_from_unitary(g)
-    assert abs(inv.g1 - 1.0) < 1e-12 and abs(inv.g2 - 3.0) < 1e-12
+    g1, g2 = invariants_from_unitary(g)
+    assert abs(g1 - 1.0) < 1e-12 and abs(g2 - 3.0) < 1e-12
 
 
 def test_controlled_unitary_gate_half_is_cnot_class():
@@ -175,9 +186,9 @@ def test_controlled_unitary_gate_half_is_cnot_class():
 def test_controlled_unitary_invariant_curve():
     for p in np.linspace(0, 1, 21):
         theta = 2 * np.arcsin(np.sqrt(p))
-        inv = invariants_from_unitary(controlled_unitary_gate(p))
-        assert abs(inv.g1 - np.cos(theta) ** 2) < 1e-12
-        assert abs(inv.g2 - (2 * np.cos(theta) ** 2 + 1)) < 1e-12
+        g1, g2 = invariants_from_unitary(controlled_unitary_gate(p))
+        assert abs(g1 - np.cos(theta) ** 2) < 1e-12
+        assert abs(g2 - (2 * np.cos(theta) ** 2 + 1)) < 1e-12
 
 
 def test_controlled_unitary_gate_domain():
@@ -187,18 +198,22 @@ def test_controlled_unitary_gate_domain():
         controlled_unitary_gate(1.1)
 
 
+def _schmidt_number(g: Gate) -> int:
+    return int(ClassData.from_unitaries(g.matrix).schmidt_number)
+
+
 def test_schmidt_number_of_gates(rng):
-    assert schmidt_number_of(catalog("identity")) == 1
+    assert _schmidt_number(catalog("identity")) == 1
     for theta in rng.uniform(0.05, PI / 2, 20):
-        assert schmidt_number_of(canonical_gate((theta, 0, 0))) == 2
+        assert _schmidt_number(canonical_gate((theta, 0, 0))) == 2
     for _ in range(20):
         c = rng.uniform(0.3, 1.2, 3)
-        assert schmidt_number_of(canonical_gate(np.sort(c)[::-1])) == 4
+        assert _schmidt_number(canonical_gate(np.sort(c)[::-1])) == 4
 
 
 def test_schmidt_number_never_three(rng):
     s = schmidt_coefficients_array(
-        np.stack([haar_gate(rng).matrix for _ in range(500)])
+        np.stack([Gate(haar_unitary(rng)).matrix for _ in range(500)])
     )
     for row in s:
         assert schmidt_number_from_coefficients(row) in (1, 2, 4)
@@ -267,7 +282,7 @@ def test_schmidt_numbers_array_shapes():
 
 
 def test_schmidt_data_consistency(rng):
-    g = haar_gate(rng)
+    g = Gate(haar_unitary(rng))
     data = schmidt_decompose(g)
     assert abs(data.strength - schmidt_strength(data.coefficients)) <= 1e-12
-    assert data.schmidt_number == schmidt_number_of(g)
+    assert data.schmidt_number == _schmidt_number(g)

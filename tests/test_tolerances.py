@@ -24,8 +24,8 @@ from twoqubit.canonical import (
     PE_HALFSPACES,
     POLYHEDRON_VERTICES,
     TETRAHEDRON_VERTICES,
+    ClassData,
     is_perfect_entangler,
-    schmidt_number_line,
     weyl_reduce_array,
 )
 from twoqubit.cli import analyze_gate, report_text
@@ -110,16 +110,16 @@ def test_base_mirror_threshold_gives_one_of_two_images():
     # c3 sits at base_mirror_tol, so extraction noise decides whether the
     # base mirror c1 -> pi - c1 applies; either image is the same class
     images = np.array([[1.0, 1.0, 0.0], [PI - 1.0, 1.0, 0.0]])
-    reference = invariants_from_point(images[0])
+    ref_g1, ref_g2 = invariants_from_point(images[0])
     reports = _dressed_reports([PI - 1.0, 1.0, 1e-13], seed=7, count=40)[1:]
     assert len(reports) == 40
     for report in reports:
         point = np.array(report.points)
         point[2] = round(point[2], 12)
         assert np.any(np.all(np.abs(images - point) <= 1e-9, axis=1)), point
-        for inv in (report, invariants_from_point(point)):
-            assert abs(inv.g1 - reference.g1) <= DEFAULT_TOL.invariant_tol
-            assert abs(inv.g2 - reference.g2) <= DEFAULT_TOL.invariant_tol
+        for g1, g2 in ((report.g1, report.g2), invariants_from_point(point)):
+            assert abs(g1 - ref_g1) <= DEFAULT_TOL.invariant_tol
+            assert abs(g2 - ref_g2) <= DEFAULT_TOL.invariant_tol
     assert len({(r.is_pe, r.schmidt_number) for r in reports}) == 1
 
 
@@ -137,11 +137,11 @@ near_line_c2 = st.builds(
 def test_near_line_schmidt_number_matches_line_test(theta, c2, seed):
     point = [theta, c2, 0.0]
     assume(_clear_of_count_thresholds(point))
-    on_line = schmidt_number_line(point)
+    on_line = ClassData.from_points(point).controlled_unitary
     for report in _dressed_reports(point, seed, count=3):
-        assert (report.schmidt_number <= 2) == on_line
+        assert report.controlled_unitary == on_line
         assert ("controlled unitary: yes" in report_text(report, "dressed")) == on_line
-        assert schmidt_number_line(report.points) == on_line
+        assert ClassData.from_points(report.points).controlled_unitary == on_line
 
 
 def _surfaces():
