@@ -95,6 +95,9 @@ PE_HALFSPACES = (
 )
 
 
+_SWAP_01 = np.array([1, 0, 2])
+
+
 def weyl_reduce_array(c: np.ndarray) -> np.ndarray:
     """Fold coordinate triples (..., 3) into the fundamental chamber.
 
@@ -103,19 +106,16 @@ def weyl_reduce_array(c: np.ndarray) -> np.ndarray:
     the base mirror c1 -> pi - c1 when c3 vanishes and c1 > pi/2.
     """
     c = np.mod(np.asarray(c, dtype=float), np.pi)
-    c = np.flip(np.sort(c, axis=-1), axis=-1)
+    c.sort(axis=-1)
+    c = c[..., ::-1]
     over = c[..., 0] + c[..., 1] > np.pi
-    if np.any(over):
-        flipped = np.stack(
-            [np.pi - c[..., 1], np.pi - c[..., 0], c[..., 2]], axis=-1
-        )
-        c = np.where(over[..., None], flipped, c)
-        c = np.flip(np.sort(c, axis=-1), axis=-1)
+    if over.any():  # [c1, c2, c3] -> [pi - c2, pi - c1, c3] on those rows
+        flip = over[..., None] & np.array([True, True, False])
+        c = np.sort(np.where(flip, np.pi - c.take(_SWAP_01, axis=-1), c), axis=-1)[..., ::-1]
     mirror = (c[..., 2] <= DEFAULT_TOL.base_mirror_tol) & (c[..., 0] > np.pi / 2)
-    if np.any(mirror):
-        mirrored = np.stack([np.pi - c[..., 0], c[..., 1], c[..., 2]], axis=-1)
-        c = np.where(mirror[..., None], mirrored, c)
-        c = np.flip(np.sort(c, axis=-1), axis=-1)
+    if mirror.any():  # c1 -> pi - c1 on those rows
+        base = mirror[..., None] & np.array([True, False, False])
+        c = np.sort(np.where(base, np.pi - c, c), axis=-1)[..., ::-1]
     return c
 
 
@@ -142,19 +142,21 @@ def in_weyl_chamber(c) -> bool:
 # there when a + b = 2 atan(x) mod 2pi, which for this x is no rational multiple
 # of pi (x = sqrt2 - 1 would collide whenever a coordinate is pi/8).
 _MIX = (np.sqrt(5.0) - 1.0) / 2.0
+_OFF_ROWS, _OFF_COLS = np.nonzero(~np.eye(4, dtype=bool))
+# lam[_PAIR_A] + lam[_PAIR_B] = [l0 + l1, l0 + l2, l1 + l2]
+_PAIR_A, _PAIR_B = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
 def _eigenphases(m: np.ndarray) -> np.ndarray:
     """Eigenphases of stacked symmetric unitaries m (..., 4, 4): the commuting
     Re m and Im m share the eigenbasis P of Re m + x Im m; rows whose P^T m P
     keeps an off-diagonal entry above ``eigh_offdiag_tol`` use ``eigvals``."""
-    p = np.linalg.eigh(m.real + _MIX * m.imag)[1]
-    d = np.swapaxes(p, -1, -2) @ m @ p
-    diag = np.diagonal(d, axis1=-2, axis2=-1)
-    phases = np.angle(diag)
-    off = np.max(np.abs(d - diag[..., None] * np.eye(4)), axis=(-2, -1))
-    fallback = off > DEFAULT_TOL.eigh_offdiag_tol
-    if np.any(fallback):
+    # cast P once, not once in each product with the complex m
+    p = np.linalg.eigh(m.real + _MIX * m.imag)[1].astype(complex)
+    d = p.swapaxes(-1, -2) @ m @ p
+    phases = np.angle(d.diagonal(axis1=-2, axis2=-1))
+    fallback = np.abs(d[..., _OFF_ROWS, _OFF_COLS]).max(axis=-1) > DEFAULT_TOL.eigh_offdiag_tol
+    if fallback.any():
         phases[fallback] = np.angle(np.linalg.eigvals(m[fallback]))
     return phases
 
@@ -174,8 +176,9 @@ def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
     Raises:
         ExtractionError: if a point misses (G1, G2) by more than ``invariant_tol``.
     """
-    lam = np.sort(_eigenphases(m * np.exp(-0.5j * np.angle(det))[..., None, None]))
-    points = weyl_reduce_array(0.5 * (lam[..., [0, 0, 1]] + lam[..., [1, 2, 2]]))
+    lam = _eigenphases(m * np.exp(-0.5j * np.angle(det))[..., None, None])
+    lam.sort(axis=-1)
+    points = weyl_reduce_array(0.5 * (lam.take(_PAIR_A, axis=-1) + lam.take(_PAIR_B, axis=-1)))
     g1, g2 = invariants_from_point_array(points)
     residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref.real))
     refuse_rows(ExtractionError, "canonical point misses the local invariants", residual,
@@ -236,7 +239,7 @@ class ClassData:
         """Class data of coordinate triples (..., 3), kept as given: ``s`` is
         the sorted |z(c)| and the flag is taken on the reduced points."""
         c = np.asarray(c, dtype=float)
-        s = np.flip(np.sort(np.abs(z_from_point_array(c)), axis=-1), axis=-1)
+        s = np.sort(np.abs(z_from_point_array(c)), axis=-1)[..., ::-1]
         return cls._with_tail(c, *invariants_from_point_array(c), s, weyl_reduce_array(c))
 
     @classmethod
@@ -265,7 +268,7 @@ def is_perfect_entangler(c) -> bool:
 def is_perfect_entangler_array(c: np.ndarray) -> np.ndarray:
     """Vectorized perfect-entangler test for chamber-reduced triples (..., 3)."""
     a, b = PE_HALFSPACES
-    return np.all(np.asarray(c) @ a.T <= b + DEFAULT_TOL.pe_boundary_tol, axis=-1)
+    return (np.asarray(c) @ a.T <= b + DEFAULT_TOL.pe_boundary_tol).all(axis=-1)
 
 
 _XX = kron(SIGMA_X, SIGMA_X)

@@ -149,25 +149,20 @@ def gate_from_json_data(data, name: str | None = None) -> Gate:
     """
     if not isinstance(data, list) or len(data) != 4:
         raise ParseError("gate JSON must be an array of 4 rows")
-    matrix = np.empty((4, 4), dtype=complex)
+    entries = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != 4:
             raise ParseError(f"row {i} must be an array of 4 entries")
         for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in entry
-                )
-            ):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and type(entry[0]) is not bool and type(entry[1]) is not bool
+                    and isinstance(entry[0], (int, float)) and isinstance(entry[1], (int, float))):
                 raise ParseError(f"entry [{i}][{j}] must be a [re, im] number pair")
             try:
-                matrix[i, j] = complex(entry[0], entry[1])
+                entries.append(complex(*entry))
             except OverflowError:  # an integer beyond the float range
                 raise ValidationError("matrix entries must be finite") from None
-    return make_gate(matrix, name=name)
+    return make_gate(np.array(entries).reshape(4, 4), name=name)
 
 
 def gate_to_json_data(g: Gate) -> list:

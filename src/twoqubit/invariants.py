@@ -38,14 +38,14 @@ def bell_matrix_array(u: np.ndarray):
     """det(U) and M(U) = U_B^T U_B for a stack of unitaries, shape (..., 4, 4),
     where U_B = Q^T U Q (the transpose of Q, not its adjoint) is U in the Bell basis."""
     ub = Q_MAGIC.T @ u @ Q_MAGIC
-    return np.linalg.det(u), np.swapaxes(ub, -1, -2) @ ub
+    return np.linalg.det(u), ub.swapaxes(-1, -2) @ ub
 
 
 def invariants_from_bell_array(det: np.ndarray, m: np.ndarray):
     """(G1, G2) from ``bell_matrix_array``'s det(U) and M(U); G2 complex."""
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    tr = m.trace(axis1=-2, axis2=-1)
     # tr(M^2) = sum_ij M_ij M_ji, cheaper than forming M @ M
-    tr_m2 = np.sum(m * np.swapaxes(m, -1, -2), axis=(-2, -1))
+    tr_m2 = (m * m.swapaxes(-1, -2)).sum(axis=(-2, -1))
     g1 = tr**2 / (16 * det)
     g2 = (tr**2 - tr_m2) / (4 * det)
     return g1, g2
@@ -72,10 +72,12 @@ def invariants_from_unitary(g: Gate) -> tuple[complex, float]:
 def invariants_from_point_array(c: np.ndarray):
     """(G1, G2) for canonical coordinates, shape (..., 3). G2 is real."""
     c = np.asarray(c, dtype=float)
-    prod_cos2 = np.prod(np.cos(c) ** 2, axis=-1)
-    prod_sin2 = np.prod(np.sin(c) ** 2, axis=-1)
-    g1 = prod_cos2 - prod_sin2 + 0.25j * np.prod(np.sin(2 * c), axis=-1)
-    g2 = 4 * prod_cos2 - 4 * prod_sin2 - np.prod(np.cos(2 * c), axis=-1)
+    # each product of three runs left to right, as np.prod does, so the bits match
+    cos2, sin2, sin2c, cos2c = np.cos(c) ** 2, np.sin(c) ** 2, np.sin(2 * c), np.cos(2 * c)
+    prod_cos2 = cos2[..., 0] * cos2[..., 1] * cos2[..., 2]
+    prod_sin2 = sin2[..., 0] * sin2[..., 1] * sin2[..., 2]
+    g1 = prod_cos2 - prod_sin2 + 0.25j * (sin2c[..., 0] * sin2c[..., 1] * sin2c[..., 2])
+    g2 = 4 * prod_cos2 - 4 * prod_sin2 - cos2c[..., 0] * cos2c[..., 1] * cos2c[..., 2]
     return g1, g2
 
 
@@ -109,7 +111,7 @@ def invariants_from_z(z) -> tuple[complex, float]:
     """
     z = np.asarray(z, dtype=complex)
     if z.shape != (4,):
-        raise ValidationError("expected four complex coefficients")
+        raise ValidationError(f"expected four complex coefficients, got shape {z.shape}")
     refuse_rows(ValidationError, "z not normalized", abs(np.sum(np.abs(z) ** 2) - 1), "norm_tol")
     g1, g2 = invariants_from_z_array(z)
     return complex(g1), float(real_g2(g2))

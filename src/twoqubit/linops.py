@@ -52,7 +52,7 @@ def as_cmat(m, size: int) -> np.ndarray:
     a = np.array(m, dtype=complex)
     if a.shape != (size, size):
         raise ValidationError(f"expected a {size}x{size} matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix entries must be finite")
     return a
 
@@ -70,8 +70,10 @@ def as_triple(c) -> np.ndarray:
         a = np.array(c if isinstance(c, np.ndarray) else tuple(c), dtype=float)
     except (TypeError, ValueError, OverflowError):
         a = None
-    if a is None or a.shape != (3,) or not np.all(np.isfinite(a)):
-        raise ValidationError(f"expected a coordinate triple [c1, c2, c3], got {c!r}")
+    if a is None or a.shape != (3,) or not np.isfinite(a).all():
+        shown = repr(c)
+        shown = shown if len(shown) <= 80 else shown[:77] + "..."
+        raise ValidationError(f"expected a coordinate triple [c1, c2, c3], got {shown}")
     return a
 
 
@@ -79,8 +81,9 @@ def refuse_rows(error: type, what: str, residual: np.ndarray, field: str) -> Non
     """Raise ``error`` naming the rows whose residual is not within the
     ``DEFAULT_TOL`` field named ``field``; a NaN residual is refused."""
     tol = getattr(DEFAULT_TOL, field)
-    rows = np.flatnonzero(~(residual <= tol))
-    if rows.size:
+    within = residual <= tol
+    if not within.all():
+        rows = np.flatnonzero(~within)
         raise error(f"{what} at rows {rows[:10].tolist()}{' ...' if rows.size > 10 else ''} "
                     f"({rows.size} in all); worst residual {float(np.max(residual)):.3e} "
                     f"exceeds tol {tol:g} ({field})")

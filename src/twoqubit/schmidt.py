@@ -128,9 +128,10 @@ def schmidt_strength(s) -> float:
 def schmidt_strength_array(s: np.ndarray) -> np.ndarray:
     """Vectorized strength for coefficient stacks (..., 4); no validation."""
     p = np.asarray(s, dtype=float) ** 2
-    terms = np.where(p > 1e-300, p * np.log2(np.where(p > 1e-300, p, 1.0)), 0.0)
+    live = p > 1e-300
+    terms = np.where(live, p * np.log2(np.where(live, p, 1.0)), 0.0)
     # + 0.0 turns a signed zero into plain 0.0
-    return -np.sum(terms, axis=-1) + 0.0
+    return -terms.sum(axis=-1) + 0.0
 
 
 def schmidt_numbers_array(s: np.ndarray) -> np.ndarray:
@@ -142,12 +143,14 @@ def schmidt_numbers_array(s: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     zero_tol = DEFAULT_TOL.zero_tol
-    n = np.array(np.sum(s > zero_tol, axis=-1))
-    for t in (10 * zero_tol, 0.1 * zero_tol):
-        retry = n == 3
-        if np.any(retry):
-            n[retry] = np.sum(s[retry] > t, axis=-1)
-    return n[()]
+    n = np.count_nonzero(s > zero_tol, axis=-1)
+    if (n == 3).any():
+        n = np.array(n)
+        for t in (10 * zero_tol, 0.1 * zero_tol):
+            retry = n == 3
+            n[retry] = np.count_nonzero(s[retry] > t, axis=-1)
+        n = n[()]
+    return n
 
 
 def refuse_count_three(n, s) -> None:
@@ -155,7 +158,7 @@ def refuse_count_three(n, s) -> None:
     s (..., 4) whose count n is 3; the residual is the row's third-largest
     coefficient, which such a count puts above ``zero_tol``."""
     three = n == 3
-    if np.any(three):
+    if three.any():
         third = np.where(three, np.sort(s, axis=-1)[..., 1], 0.0)
         refuse_rows(SchmidtNumberError, "coefficient count is 3", third, "zero_tol")
 
@@ -169,7 +172,7 @@ def schmidt_number_from_coefficients(s) -> int:
         SchmidtNumberError: as ``refuse_count_three``.
     """
     s = _four(s)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValidationError(f"Schmidt coefficients must be finite: s = {s.tolist()}")
     n = schmidt_numbers_array(s)
     refuse_count_three(n, s)

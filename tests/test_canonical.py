@@ -12,6 +12,7 @@ from twoqubit import (
     canonical_gate,
     canonical_point,
     catalog,
+    catalog_names,
     in_weyl_chamber,
     invariants_from_point,
     invariants_from_unitary,
@@ -31,6 +32,7 @@ from twoqubit.canonical import (
     PE_HALFSPACES,
     POLYHEDRON_VERTICES,
     Q,
+    TETRAHEDRON_VERTICES,
     ClassData,
     canonical_points_array,
     is_perfect_entangler_array,
@@ -279,12 +281,24 @@ def test_canonical_points_are_float_arrays():
             vertex[0] = 1.0
 
 
-def test_class_data_of_a_stack_equals_the_per_gate_records():
+def test_class_data_of_a_stack_equals_the_per_gate_records(monkeypatch):
+    # catalog and Haar gates; dressed chamber and polyhedron vertices (degenerate
+    # spectra); dressed near-line gates (the count retry); and a point whose c1 =
+    # atan(_MIX) makes two phases collide in Re M + _MIX Im M (the eigvals fallback)
     rng = np.random.default_rng(31)
-    u = np.concatenate(
-        [haar_unitary(rng, 4, 20), [catalog(n).matrix for n in ("cnot", "swap", "identity")]]
-    )
+    haar = haar_unitary(rng, 4, 20)
+    points = [*TETRAHEDRON_VERTICES.values(), *POLYHEDRON_VERTICES.values()]
+    points += [[1.0, c2, 0.0] for c2 in (3e-9, 1e-8, 3e-8)]
+    points += [[np.arctan(canonical_mod._MIX), 0.3, 0.1]]
+    dressed = [random_local_unitary(rng) @ canonical_gate(c).matrix @ random_local_unitary(rng)
+               for c in points]
+    u = np.concatenate([haar, [catalog(n).matrix for n in catalog_names()], dressed])
+    fallback_rows = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: fallback_rows.append(len(m)) or eigvals(m))
     stack = ClassData.from_unitaries(u)
+    assert fallback_rows and fallback_rows[0] < len(u)
+    assert (np.count_nonzero(stack.s > linops.DEFAULT_TOL.zero_tol, axis=-1) == 3).any()
     for i, row in enumerate(u):
         single = ClassData.from_unitaries(row)
         for column in ("points", "s", "strength", "schmidt_number", "is_pe"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twoqubit import Gate, canonical_gate, catalog, catalog_names, gate_to_json_data, make_gate
-from twoqubit.cli import analyze_gate, main, report_text
+from twoqubit.cli import analyze_gate, main, report_json, report_text
 from twoqubit.sampling import haar_unitary, random_local_unitary
 
 
@@ -105,6 +105,16 @@ def test_analyze_json_has_no_signed_zero(capsys):
     values = [*payload["canonical_point"], *payload["g1"], payload["g2"]]
     assert code == 0 and 0.0 in values
     assert all(math.copysign(1.0, v) > 0 for v in values if v == 0.0)
+
+
+@pytest.mark.parametrize("source", ["gate.json", 'say "hi" to \u00e9\u4e16.json'])
+def test_json_report_is_what_json_dumps_writes(source):
+    gates = [catalog(n) for n in catalog_names()]
+    gates += [make_gate(u) for u in haar_unitary(np.random.default_rng(35), 4, 10)]
+    for g in gates:
+        out = report_json(analyze_gate(g), source)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out)["source"] == source
 
 
 def test_analyze_wrong_structure_exit_1(tmp_path, capsys):

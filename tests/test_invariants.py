@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,12 @@ def test_invariants_from_z_rejects_unnormalized():
         invariants_from_z(np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValidationError):
         invariants_from_z(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 2), (1, 4)])
+def test_invariants_from_z_names_the_shape_it_refuses(shape):
+    with pytest.raises(ValidationError, match=rf"four complex coefficients, got shape {re.escape(str(shape))}$"):
+        invariants_from_z(np.full(shape, 0.5))
 
 
 def test_invariants_from_z_flags_imaginary_g2():

@@ -87,9 +87,13 @@ def test_kron_bilinear(rng):
         [np.inf, 0, 0],
         # an integer beyond the float range
         pytest.param([10**400, 0, 0], id="[10**400, 0, 0]"),
+        pytest.param(list(range(100)), id="range(100)"),
     ],
     ids=repr,
 )
 def test_malformed_triple_raises_validation_error(entry, bad):
-    with pytest.raises(ValidationError, match="coordinate triple"):
+    with pytest.raises(ValidationError, match="coordinate triple") as info:
         entry(bad)
+    # the echoed input is cut to 80 characters
+    assert len(str(info.value)) < 200
+    assert str(info.value).endswith("...") == (len(repr(bad)) > 80)
