@@ -36,7 +36,7 @@ import numpy as np
 
 from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
 from .errors import ValidationError
-from .linops import DEFAULT_TOL
+from .linops import DEFAULT_TOL, lookup
 from .svgplot import line_plot
 
 __all__ = [
@@ -180,17 +180,15 @@ def edge(name: str) -> EdgeSpec:
     Raises:
         ValidationError: for an unknown name; the message lists valid names.
     """
-    try:
-        return _EDGES[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown edge {name!r}; valid names: {', '.join(_EDGES)}"
-        ) from None
+    return lookup(_EDGES, name, "edge")
 
 
 def _grid(param_range: tuple[float, float], n_points: int) -> np.ndarray:
-    if n_points < 2:
-        raise ValidationError("n_points must be at least 2")
+    """The endpoint-inclusive uniform grid of ``n_points`` over the range; the
+    one check of a grid size, so ValidationError for anything but an integer
+    of at least 2."""
+    if not isinstance(n_points, (int, np.integer)) or n_points < 2:
+        raise ValidationError(f"n_points must be an integer of at least 2, got {n_points!r}")
     return np.linspace(*param_range, n_points)
 
 
@@ -198,7 +196,8 @@ def sweep(name: str, n_points: int) -> Sweep:
     """Evaluate an edge on an endpoint-inclusive uniform parameter grid.
 
     Coefficients come from the expansion-coefficient engine, not from the
-    closed-form table.
+    closed-form table. An unknown name is refused before a bad grid size, both
+    with ValidationError.
     """
     spec = edge(name)
     params = _grid(spec.param_range, n_points)
@@ -268,32 +267,24 @@ def verify_tables(n_points: int) -> TableReport:
     return TableReport(checks=tuple(checks), tolerance=DEFAULT_TOL.table_tol)
 
 
-# Figure ids -> the curves they carry, in caption order. Each curve is
-# (edge name, parameter range); OA1 is restricted to its first half, the
-# other half being its mirror image.
-FIGURES: dict[str, tuple[tuple[str, tuple[float, float]], ...]] = {
-    "fig2": (("OA1", (0.0, _PI / 2)), ("OA2", (0.0, _PI / 2))),
-    "fig3a": (("OA3", (0.0, 1.0)),),
-    "fig3b": (("A2A1", (0.0, _PI / 2)),),
-    "fig4a": (("A2Q", (0.0, _PI / 4)), ("A2P", (0.0, _PI / 4))),
-    "fig4b": (("LQ", (0.0, _PI / 4)), ("LN", (0.0, _PI / 4))),
-    "fig5a": (("QP", (0.0, _PI / 4)),),
-    "fig5b": (("PN", (0.0, _PI / 2)),),
+# Figure ids -> (parameter range, the edges drawn over it, in caption order).
+# OA1 is restricted to its first half, the other half being its mirror image.
+FIGURES: dict[str, tuple[tuple[float, float], tuple[str, ...]]] = {
+    "fig2": ((0.0, _PI / 2), ("OA1", "OA2")),
+    "fig3a": ((0.0, 1.0), ("OA3",)),
+    "fig3b": ((0.0, _PI / 2), ("A2A1",)),
+    "fig4a": ((0.0, _PI / 4), ("A2Q", "A2P")),
+    "fig4b": ((0.0, _PI / 4), ("LQ", "LN")),
+    "fig5a": ((0.0, _PI / 4), ("QP",)),
+    "fig5b": ((0.0, _PI / 2), ("PN",)),
 }
 
 
 def _figure_series(figure: str, n_points: int):
-    try:
-        curves = FIGURES[figure]
-    except KeyError:
-        raise ValidationError(
-            f"unknown figure {figure!r}; valid ids: {', '.join(FIGURES)}"
-        ) from None
-    series = []
-    for name, param_range in curves:
-        params = _grid(param_range, n_points)
-        series.append((name, params, ClassData.from_points(edge(name).point_fn(params)).strength))
-    return params, series
+    param_range, names = lookup(FIGURES, figure, "figure")
+    params = _grid(param_range, n_points)
+    return params, [(name, params, ClassData.from_points(edge(name).point_fn(params)).strength)
+                    for name in names]
 
 
 def emit_figure_data(figure: str, n_points: int) -> str:
@@ -308,14 +299,9 @@ def emit_figure_data(figure: str, n_points: int) -> str:
 
 def figure_svg(figure: str, n_points: int) -> str:
     """SVG line plot of the same data emit_figure_data produces."""
-    _, series = _figure_series(figure, n_points)
-    return _strength_plot(series, figure)
+    return line_plot(_figure_series(figure, n_points)[1], title=figure)
 
 
 def edge_svg(sw: Sweep) -> str:
     """SVG line plot of one edge's strength profile."""
-    return _strength_plot([(sw.name, sw.param, sw.strength)], f"edge {sw.name}")
-
-
-def _strength_plot(series, title: str) -> str:
-    return line_plot(series, title=title, xlabel="parameter (rad)", ylabel="Schmidt strength")
+    return line_plot([(sw.name, sw.param, sw.strength)], title=f"edge {sw.name}")

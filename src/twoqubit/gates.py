@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linops import DEFAULT_TOL, as_cmat, unitarity_defect
+from .linops import DEFAULT_TOL, as_finite, lookup, unitarity_defect
 
 __all__ = [
     "IDENTITY2",
@@ -64,11 +64,11 @@ def make_gate(matrix, name: str | None = None) -> Gate:
     """Validate ``matrix`` as a two-qubit unitary and wrap it in a Gate.
 
     Raises:
-        ValidationError: if the matrix is not 4x4, not finite, or not
-            unitary within ``DEFAULT_TOL.unitarity_tol`` (the message carries
-            ||U^dag U - I||_F).
+        ValidationError: as ``as_finite``, for anything but a finite 4x4
+            complex matrix; or if the matrix is not unitary within
+            ``DEFAULT_TOL.unitarity_tol`` (the message carries ||U^dag U - I||_F).
     """
-    a = as_cmat(matrix, 4)
+    a = as_finite(matrix, (4, 4), "matrix", complex)
     defect = unitarity_defect(a)
     if not defect <= DEFAULT_TOL.unitarity_tol:  # NaN, from an overflow, fails too
         raise ValidationError(
@@ -127,13 +127,7 @@ def catalog(name: str) -> Gate:
     Raises:
         ValidationError: for an unknown name; the message lists valid names.
     """
-    try:
-        matrix = _CATALOG[name]
-    except KeyError:
-        raise ValidationError(
-            f"unknown gate {name!r}; valid names: {', '.join(_CATALOG)}"
-        ) from None
-    return Gate(matrix=matrix.copy(), name=name)
+    return Gate(matrix=lookup(_CATALOG, name, "gate").copy(), name=name)
 
 
 def gate_from_json_data(data, name: str | None = None) -> Gate:
@@ -160,7 +154,7 @@ def gate_from_json_data(data, name: str | None = None) -> Gate:
                 raise ParseError(f"entry [{i}][{j}] must be a [re, im] number pair")
             try:
                 entries.append(complex(*entry))
-            except OverflowError:  # an integer beyond the float range
+            except OverflowError:  # a huge integer; worded as make_gate words a NaN
                 raise ValidationError("matrix entries must be finite") from None
     return make_gate(np.array(entries).reshape(4, 4), name=name)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gates import Gate, Q_MAGIC
-from .linops import DEFAULT_TOL, as_triple, refuse_rows
+from .linops import DEFAULT_TOL, as_finite, as_triple, refuse_rows
 
 __all__ = [
     "invariants_from_unitary",
@@ -105,13 +105,12 @@ def invariants_from_z(z) -> tuple[complex, float]:
     (I x I, sx x sx, sy x sy, sz x sz).
 
     Raises:
-        ValidationError: if sum |z_l|^2 differs from 1 by more than
+        ValidationError: as ``as_finite``, for anything but four finite
+            complex numbers; or if sum |z_l|^2 differs from 1 by more than
             ``DEFAULT_TOL.norm_tol``.
         NumericalError: as ``real_g2``.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (4,):
-        raise ValidationError(f"expected four complex coefficients, got shape {z.shape}")
+    z = as_finite(z, (4,), "coefficient row [z1, z2, z3, z4]", complex)
     refuse_rows(ValidationError, "z not normalized", abs(np.sum(np.abs(z) ** 2) - 1), "norm_tol")
     g1, g2 = invariants_from_z_array(z)
     return complex(g1), float(real_g2(g2))

@@ -1,8 +1,8 @@
-"""Dense complex linear algebra for the fixed 2x2 and 4x4 matrices used here.
-
-Thin, validated wrappers around LAPACK (via numpy.linalg). Everything
-operates on plain complex128 arrays, never mutates its input, and is safe
-to call concurrently.
+"""The package's policies, each written once: the tolerance table
+(``Tolerance``), the validation of outside input (``as_finite`` for arrays,
+``lookup`` for names), the refusal of rows that break a tolerance
+(``refuse_rows``), and the small matrix helpers ``unitarity_defect`` and
+``kron``. Nothing here mutates its input.
 """
 from __future__ import annotations
 
@@ -15,8 +15,9 @@ from .errors import ValidationError
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "as_cmat",
+    "as_finite",
     "as_triple",
+    "lookup",
     "refuse_rows",
     "unitarity_defect",
     "kron",
@@ -47,34 +48,39 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_cmat(m, size: int) -> np.ndarray:
-    """Validate ``m`` as a finite size x size complex matrix; return a copy."""
-    a = np.array(m, dtype=complex)
-    if a.shape != (size, size):
-        raise ValidationError(f"expected a {size}x{size} matrix, got shape {a.shape}")
+def as_finite(x, shape: tuple, what: str, dtype=float) -> np.ndarray:
+    """``x`` converted to a new ``dtype`` array of ``shape`` with finite entries.
+
+    Raises:
+        ValidationError: ``expected <what>, got [shape (...): ]<repr>`` if ``x``
+            does not convert or has another shape, the echoed ``repr`` cut to
+            80 characters; ``<what> entries must be finite`` for a NaN or an
+            infinity.
+    """
+    try:
+        a = np.array(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.shape != shape:
+        shown = repr(x)
+        shown = shown if len(shown) <= 80 else shown[:77] + "..."
+        got = "" if a is None else f"shape {a.shape}: "
+        raise ValidationError(f"expected {what}, got {got}{shown}")
     if not np.isfinite(a).all():
-        raise ValidationError("matrix entries must be finite")
+        raise ValidationError(f"{what} entries must be finite")
     return a
 
 
 def as_triple(c) -> np.ndarray:
-    """Validate ``c`` as a real, finite triple [c1, c2, c3]; return a copy.
+    """``c`` as a real, finite coordinate triple, as ``as_finite`` checks it."""
+    return as_finite(c, (3,), "coordinate triple [c1, c2, c3]")
 
-    ``c`` may be any iterable of three numbers, such as a sequence or a
-    shape-(3,) array.
 
-    Raises:
-        ValidationError: for any other input.
-    """
-    try:
-        a = np.array(c if isinstance(c, np.ndarray) else tuple(c), dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        a = None
-    if a is None or a.shape != (3,) or not np.isfinite(a).all():
-        shown = repr(c)
-        shown = shown if len(shown) <= 80 else shown[:77] + "..."
-        raise ValidationError(f"expected a coordinate triple [c1, c2, c3], got {shown}")
-    return a
+def lookup(table: dict, key, kind: str):
+    """``table[key]``; ValidationError listing the valid names for another key."""
+    if isinstance(key, str) and key in table:
+        return table[key]
+    raise ValidationError(f"unknown {kind} {key!r}; valid names: {', '.join(table)}")
 
 
 def refuse_rows(error: type, what: str, residual: np.ndarray, field: str) -> None:
@@ -103,5 +109,6 @@ def kron(a, b) -> np.ndarray:
     significant) index, so row/column 2*i + j of the product addresses
     row i of ``a`` and row j of ``b``.
     """
-    return np.kron(as_cmat(a, 2), as_cmat(b, 2))
+    return np.kron(as_finite(a, (2, 2), "2x2 matrix", complex),
+                   as_finite(b, (2, 2), "2x2 matrix", complex))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SchmidtNumberError, ValidationError
 from .gates import Gate, IDENTITY2, SIGMA_X, make_gate
-from .linops import DEFAULT_TOL, as_cmat, as_triple, kron, refuse_rows
+from .linops import DEFAULT_TOL, as_finite, as_triple, kron, refuse_rows
 
 __all__ = [
     "SchmidtData",
@@ -101,12 +101,7 @@ def schmidt_coefficients_array(u: np.ndarray) -> np.ndarray:
     return np.linalg.svd(r, compute_uv=False) / 2.0
 
 
-def _four(s) -> np.ndarray:
-    """``s`` as one row of four real coefficients; ValidationError for another shape."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (4,):
-        raise ValidationError(f"expected four Schmidt coefficients, got shape {s.shape}")
-    return s
+_S_ROW = "Schmidt row [s1, s2, s3, s4]"
 
 
 def schmidt_strength(s) -> float:
@@ -115,11 +110,11 @@ def schmidt_strength(s) -> float:
     Uses the 0 log 0 = 0 convention; terms below 1e-300 contribute nothing.
 
     Raises:
-        ValidationError: if ``s`` is not four coefficients, if a coefficient is
-            below -``DEFAULT_TOL.negative_tol`` or NaN, or if sum s_l^2 differs
-            from 1 by more than ``DEFAULT_TOL.norm_tol``.
+        ValidationError: as ``as_finite``, for anything but four finite reals;
+            if a coefficient is below -``DEFAULT_TOL.negative_tol``; or if
+            sum s_l^2 differs from 1 by more than ``DEFAULT_TOL.norm_tol``.
     """
-    s = _four(s)
+    s = as_finite(s, (4,), _S_ROW)
     refuse_rows(ValidationError, "negative Schmidt coefficient", np.max(-s), "negative_tol")
     refuse_rows(ValidationError, "s not normalized", abs(np.sum(s**2) - 1), "norm_tol")
     return float(schmidt_strength_array(s))
@@ -168,12 +163,10 @@ def schmidt_number_from_coefficients(s) -> int:
     ``schmidt_numbers_array`` does; the result is 1, 2 or 4.
 
     Raises:
-        ValidationError: if ``s`` is not four coefficients or one is not finite.
+        ValidationError: as ``as_finite``, for anything but four finite reals.
         SchmidtNumberError: as ``refuse_count_three``.
     """
-    s = _four(s)
-    if not np.isfinite(s).all():
-        raise ValidationError(f"Schmidt coefficients must be finite: s = {s.tolist()}")
+    s = as_finite(s, (4,), _S_ROW)
     n = schmidt_numbers_array(s)
     refuse_count_three(n, s)
     return int(n)
@@ -188,10 +181,10 @@ def schmidt_decompose(g: Gate) -> SchmidtData:
     normalized coefficients.
 
     Raises:
-        ValidationError: if the matrix is not a finite 4x4 matrix; an SVD
-            that does not converge raises numpy's own error.
+        ValidationError: as ``as_finite``, if the matrix is not a finite 4x4
+            matrix; an SVD that does not converge raises numpy's own error.
     """
-    left, sigma, vh = np.linalg.svd(_realign(as_cmat(g.matrix, 4)))
+    left, sigma, vh = np.linalg.svd(_realign(as_finite(g.matrix, (4, 4), "matrix", complex)))
     coefficients = sigma / 2.0
     factors_a = np.ascontiguousarray(left.T.reshape(4, 2, 2))
     factors_b = vh.reshape(4, 2, 2)

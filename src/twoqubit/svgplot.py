@@ -1,4 +1,5 @@
-"""Minimal dependency-free SVG 1.1 line plots.
+"""Minimal dependency-free SVG 1.1 line plots of Schmidt strength against
+an edge parameter.
 
 Good enough for one-figure research plots: axes, tick labels, polylines
 and a legend. Output is a deterministic function of the data.
@@ -20,18 +21,13 @@ _MARGIN_T = 36
 _MARGIN_B = 48
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    if hi - lo < 1e-300:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, n)
-
-
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
-    """Render (label, x array, y array) series as an SVG document string."""
+def line_plot(series, title: str) -> str:
+    """Render (label, parameter array, Schmidt strength array) series as an
+    SVG document string."""
     xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
     ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
@@ -66,7 +62,7 @@ def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
         f'<path d="M {x0} {_MARGIN_T} L {x0} {y0} L {x0 + plot_w} {y0}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     )
-    for t in _ticks(x_lo, x_hi):
+    for t in np.linspace(x_lo, x_hi, 5):
         x = px(t)
         out.append(
             f'<line x1="{x:.2f}" y1="{y0}" x2="{x:.2f}" y2="{y0 + 5}" stroke="black"/>'
@@ -75,7 +71,7 @@ def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
             f'<text x="{x:.2f}" y="{y0 + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{t:.3g}</text>'
         )
-    for t in _ticks(y_lo, y_hi):
+    for t in np.linspace(y_lo, y_hi, 5):
         y = py(t)
         out.append(
             f'<line x1="{x0 - 5}" y1="{y:.2f}" x2="{x0}" y2="{y:.2f}" stroke="black"/>'
@@ -87,12 +83,12 @@ def line_plot(series, title: str, xlabel: str, ylabel: str) -> str:
     out.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{_esc(xlabel)}</text>"
+        "parameter (rad)</text>"
     )
     out.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{_esc(ylabel)}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">Schmidt strength</text>'
     )
     # curves
     for k, (label, x, y) in enumerate(series):

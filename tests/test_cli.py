@@ -233,6 +233,26 @@ def test_sweep_unknown_edge_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "OA1", "--n", "1"], "n_points must be an integer of at least 2, got 1"),
+        (["verify-tables", "--n", "1"], "n_points must be an integer of at least 2, got 1"),
+        # the edge is looked up before the grid is built
+        (["sweep", "XX", "--n", "1"], "unknown edge 'XX'; valid names: OA1, OA2,"),
+    ],
+    ids=["sweep", "verify-tables", "sweep-unknown-edge"],
+)
+def test_grid_of_one_point_exit_2(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "one.csv"
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not out_path.exists()
+
+
 def test_sweep_output_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(capsys, "sweep", "LN", "--n", "33", "--out", str(a))[0] == 0

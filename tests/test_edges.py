@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -202,10 +204,10 @@ def test_sweep_csv_format():
 
 
 def test_figure_catalog_curves():
-    assert [name for name, _ in FIGURES["fig2"]] == ["OA1", "OA2"]
-    assert [name for name, _ in FIGURES["fig4a"]] == ["A2Q", "A2P"]
-    assert [name for name, _ in FIGURES["fig4b"]] == ["LQ", "LN"]
-    assert [name for name, _ in FIGURES["fig5b"]] == ["PN"]
+    assert FIGURES["fig2"][1] == ("OA1", "OA2")
+    assert FIGURES["fig4a"][1] == ("A2Q", "A2P")
+    assert FIGURES["fig4b"][1] == ("LQ", "LN")
+    assert FIGURES["fig5b"][1] == ("PN",)
 
 
 def test_fig2_columns():
@@ -230,10 +232,21 @@ def test_fig3a_endpoints():
 def test_figure_columns_equal_the_sweeps(figure):
     n = 1001
     rows = [line.split(",") for line in emit_figure_data(figure, n).splitlines()]
-    for k, (name, param_range) in enumerate(FIGURES[figure], start=1):
+    param_range, names = FIGURES[figure]
+    for k, name in enumerate(names, start=1):
         if param_range == edge(name).param_range:
             column = [row[k] for row in rows[1:]]
             assert column == [f"{x:.15g}" for x in sweep(name, n).strength.tolist()], name
+
+
+@pytest.mark.parametrize("n_points", [1, 0, True, 2.5, "3", None], ids=repr)
+@pytest.mark.parametrize("entry", [lambda n: sweep("OA1", n), verify_tables,
+                                   lambda n: emit_figure_data("fig2", n)],
+                         ids=["sweep", "verify_tables", "emit_figure_data"])
+def test_grid_size_refused(entry, n_points):
+    message = f"n_points must be an integer of at least 2, got {n_points!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        entry(n_points)
 
 
 def test_figure_unknown_id():

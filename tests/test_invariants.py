@@ -93,7 +93,8 @@ def test_invariants_from_z_rejects_unnormalized():
 
 @pytest.mark.parametrize("shape", [(5,), (2, 2), (1, 4)])
 def test_invariants_from_z_names_the_shape_it_refuses(shape):
-    with pytest.raises(ValidationError, match=rf"four complex coefficients, got shape {re.escape(str(shape))}$"):
+    message = f"coefficient row [z1, z2, z3, z4], got shape {shape}: array("
+    with pytest.raises(ValidationError, match=re.escape(message)):
         invariants_from_z(np.full(shape, 0.5))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,15 +9,22 @@ from twoqubit import (
     Tolerance,
     ValidationError,
     canonical_gate,
+    catalog,
+    edge,
+    emit_figure_data,
     in_weyl_chamber,
     invariants_from_point,
+    invariants_from_z,
     is_perfect_entangler,
     kron,
+    make_gate,
+    schmidt_strength,
     weyl_reduce,
     z_from_point,
 )
 from twoqubit.gates import IDENTITY2, SIGMA_X, SIGMA_Z
 from twoqubit.sampling import haar_unitary
+from twoqubit.schmidt import schmidt_number_from_coefficients
 
 
 def test_tolerance_defaults():
@@ -97,3 +105,48 @@ def test_malformed_triple_raises_validation_error(entry, bad):
     # the echoed input is cut to 80 characters
     assert len(str(info.value)) < 200
     assert str(info.value).endswith("...") == (len(repr(bad)) > 80)
+
+
+def _malformed(good):
+    """Five malformed forms of an accepted array: a huge integer, a ragged
+    list, a string, one row too many and a NaN."""
+    good = np.asarray(good).tolist()
+    huge = np.array(good, dtype=object)
+    huge.flat[0] = 10**400
+    nan = np.array(good)
+    nan.flat[0] = np.nan
+    return {"huge": huge.tolist(), "ragged": [*good[:-1], [good[-1]]], "string": "abcd",
+            "shape": [*good, good[0]], "nan": nan.tolist()}
+
+
+def _outside_cases():
+    one = [1.0, 0.0, 0.0, 0.0]
+    arrays = [  # (name, entry point, an input it accepts, what its refusal names)
+        ("make_gate", make_gate, np.eye(4), "matrix"),
+        ("kron", lambda m: kron(IDENTITY2, m), IDENTITY2, "2x2 matrix"),
+        ("schmidt_strength", schmidt_strength, one, "Schmidt row [s1, s2, s3, s4]"),
+        ("schmidt_number_from_coefficients", schmidt_number_from_coefficients, one,
+         "Schmidt row [s1, s2, s3, s4]"),
+        ("invariants_from_z", invariants_from_z, one, "coefficient row [z1, z2, z3, z4]"),
+    ]
+    for name, entry, good, what in arrays:
+        for form, bad in _malformed(good).items():
+            if form == "nan":
+                message = re.escape(f"{what} entries must be finite") + "$"
+            elif form == "shape":
+                message = re.escape(f"expected {what}, got shape {np.shape(bad)}: [")
+            else:
+                message = re.escape(f"expected {what}, got ") + "(?!shape)"
+            yield pytest.param(entry, bad, "^" + message, id=f"{name}-{form}")
+    names = [(catalog, "gate"), (edge, "edge"), (lambda f: emit_figure_data(f, 10), "figure")]
+    for entry, kind in names:
+        for bad in ("nope", ["nope"]):
+            message = "^" + re.escape(f"unknown {kind} {bad!r}; valid names: ")
+            yield pytest.param(entry, bad, message, id=f"{kind}-{bad!r}")
+
+
+@pytest.mark.parametrize("entry, bad, message", list(_outside_cases()))
+def test_outside_input_raises_validation_error(entry, bad, message):
+    with pytest.raises(ValidationError, match=message) as info:
+        entry(bad)
+    assert len(str(info.value)) < 200

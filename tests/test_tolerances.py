@@ -278,14 +278,12 @@ def _audit_dressed_g2(monkeypatch):
         (lambda mp: twoqubit.schmidt_strength([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
         (lambda mp: twoqubit.schmidt_strength([-0.5, 0.5, 0.5, 0.5]), ValidationError,
          "negative_tol", "[0]"),
-        (lambda mp: twoqubit.schmidt_strength([np.nan, 0, 0, 0]), ValidationError,
-         "negative_tol", "[0]"),
         # unsorted, so the residual must be the third-largest coefficient, not s[2]
         (lambda mp: schmidt_number_from_coefficients([0.4, 0.8, 1e-20, 0.4]),
          twoqubit.SchmidtNumberError, "zero_tol", "[0]"),
     ],
     ids=["extraction", "class-data-g2", "matrix-route-g2", "z-route-g2", "audit-z-route-g2",
-         "audit-dressed-g2", "z-norm", "s-norm", "s-negative", "s-nan", "schmidt-count-3"],
+         "audit-dressed-g2", "z-norm", "s-norm", "s-negative", "schmidt-count-3"],
 )
 def test_refusal_names_rows_residual_tolerance_and_field(monkeypatch, site, error, field, rows):
     tol = getattr(DEFAULT_TOL, field)
