@@ -15,7 +15,7 @@ from .errors import (
     SchmidtNumberError,
     ValidationError,
 )
-from .linops import DEFAULT_TOL, Tolerance, kron
+from .linops import DEFAULT_TOL, Check, Report, Tolerance, kron
 from .gates import (
     Gate,
     PAULI_BASIS,
@@ -53,7 +53,6 @@ from .schmidt import (
 from .edges import (
     EdgeSpec,
     Sweep,
-    TableReport,
     edge,
     edge_names,
     emit_figure_data,
@@ -61,7 +60,7 @@ from .edges import (
     sweep,
     verify_tables,
 )
-from .audit import AuditResult, run_audit
+from .audit import run_audit
 
 __all__ = [
     "__version__",
@@ -73,6 +72,8 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "kron",
+    "Check",
+    "Report",
     "Gate",
     "PAULI_BASIS",
     "Q_MAGIC",
@@ -102,13 +103,11 @@ __all__ = [
     "controlled_unitary_gate",
     "EdgeSpec",
     "Sweep",
-    "TableReport",
     "edge",
     "edge_names",
     "sweep",
     "verify_tables",
     "emit_figure_data",
     "figure_svg",
-    "AuditResult",
     "run_audit",
 ]

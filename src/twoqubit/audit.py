@@ -19,14 +19,11 @@ fixes the outcome bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .canonical import ClassData
-from .errors import ValidationError
 from .gates import Gate
-from .linops import DEFAULT_TOL
+from .linops import DEFAULT_TOL, Check, Report, as_scalar
 from .invariants import (
     invariants_from_unitary_array,
     invariants_from_point_array,
@@ -36,7 +33,7 @@ from .invariants import (
 from .sampling import haar_unitary, random_local_unitary
 from .schmidt import schmidt_coefficients_array, z_from_point_array
 
-__all__ = ["AuditCheck", "AuditResult", "run_audit"]
+__all__ = ["run_audit"]
 
 # Haar-measure weight of the perfect-entangler polyhedron. It fills exactly
 # half the chamber by flat volume, but the Haar-induced density on the
@@ -49,25 +46,6 @@ __all__ = ["AuditCheck", "AuditResult", "run_audit"]
 HAAR_PE_FRACTION = 0.848826363
 
 
-@dataclass(frozen=True)
-class AuditCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class AuditResult:
-    samples: int
-    seed: int
-    checks: tuple[AuditCheck, ...]
-    counterexample: Gate | None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def pe_fraction_tolerance(samples: int) -> float:
     """Acceptance band for the perfect-entangler fraction: 4 binomial
     standard deviations about ``HAAR_PE_FRACTION`` at ``samples`` draws."""
@@ -75,36 +53,17 @@ def pe_fraction_tolerance(samples: int) -> float:
     return 4.0 * float(np.sqrt(p * (1.0 - p) / samples))
 
 
-def run_audit(samples: int, seed: int) -> AuditResult:
-    """Run the property suite and return per-check results.
+def run_audit(samples: int, seed: int) -> Report:
+    """Run the property suite and return one check per property.
 
-    The first failing check contributes the offending gate as a
-    counterexample.
+    The worst row of the first failing check is the report's counterexample.
     """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
+    as_scalar(samples, "samples", 1, below="samples must be at least 1")
+    as_scalar(seed, "seed", 0, None, below="seed must be non-negative")
     rng = np.random.default_rng(seed)
     gates = haar_unitary(rng, 4, samples)
     k_left = random_local_unitary(rng, samples)
     k_right = random_local_unitary(rng, samples)
-
-    checks: list[AuditCheck] = []
-    counterexample: Gate | None = None
-
-    def record(name: str, passed: bool, detail: str, worst_index: int | None):
-        nonlocal counterexample
-        checks.append(AuditCheck(name=name, passed=bool(passed), detail=detail))
-        if not passed and counterexample is None and worst_index is not None:
-            counterexample = Gate(
-                matrix=gates[worst_index].copy(), name=f"sample_{worst_index}"
-            )
-
-    def record_max(name: str, deviation: np.ndarray, tol: float):
-        worst = int(np.argmax(deviation))
-        dev = float(deviation[worst])
-        record(name, dev <= tol, f"max deviation {dev:.3e} (tol {tol:g})", worst)
 
     # three-route invariant consistency
     plain = ClassData.from_unitaries(gates)
@@ -114,7 +73,6 @@ def run_audit(samples: int, seed: int) -> AuditResult:
     g2_z = real_g2(g2_z)
     pairs = ((g1_u, g1_c), (g1_u, g1_z), (g1_c, g1_z), (g2_u, g2_c), (g2_u, g2_z), (g2_c, g2_z))
     route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
-    record_max("three-route invariant consistency", route_dev, DEFAULT_TOL.invariant_tol)
 
     # invariance of coefficients and invariants under local operations
     dressed = k_left @ gates @ k_right
@@ -122,30 +80,28 @@ def run_audit(samples: int, seed: int) -> AuditResult:
     g1_d, g2_d = invariants_from_unitary_array(dressed)
     inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - real_g2(g2_d)))
     local_dev = np.maximum(coeff_dev, inv_dev)
-    record_max(
-        "local invariance of schmidt coefficients", local_dev, DEFAULT_TOL.local_invariance_tol
-    )
 
-    # Schmidt numbers in {1, 2, 4}
+    # Schmidt numbers in {1, 2, 4}: the count of other rows, which must be 0
     numbers = plain.schmidt_number
     bad = np.flatnonzero(~np.isin(numbers, (1, 2, 4)))
-    first_bad = int(bad[0]) if bad.size else None
     histogram = dict(zip(*(a.tolist() for a in np.unique(numbers, return_counts=True))))
-    record("schmidt number in {1, 2, 4}", first_bad is None, f"histogram {histogram}", first_bad)
 
     # perfect-entangler fraction
     fraction = float(np.mean(plain.is_pe))
     band = pe_fraction_tolerance(samples)
-    record(
-        "perfect-entangler fraction",
-        abs(fraction - HAAR_PE_FRACTION) <= band,
-        f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})",
-        int(np.argmin(plain.is_pe)),
-    )
 
-    return AuditResult(
-        samples=samples,
-        seed=seed,
-        checks=tuple(checks),
-        counterexample=counterexample,
+    checks = (
+        Check.worst_row("three-route invariant consistency", route_dev, "invariant_tol",
+                        DEFAULT_TOL),
+        Check.worst_row("local invariance of schmidt coefficients", local_dev,
+                        "local_invariance_tol", DEFAULT_TOL),
+        Check("schmidt number in {1, 2, 4}", float(bad.size), 0.0,
+              int(bad[0]) if bad.size else None, f"histogram {histogram}"),
+        Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band,
+              int(np.argmin(plain.is_pe)),
+              f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})"),
     )
+    failed = next((c.where for c in checks if not c.passed), None)
+    counterexample = None if failed is None else Gate(matrix=gates[failed].copy(),
+                                                      name=f"sample_{failed}")
+    return Report(checks, counterexample)

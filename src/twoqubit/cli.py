@@ -142,40 +142,37 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify_tables(args) -> int:
     report = verify_tables(args.n)
     for check in report.checks:
-        status = "ok" if check.max_deviation <= report.tolerance else "FAIL"
-        print(
-            f"edge {check.name:4s}: max deviation {check.max_deviation:.3e} "
-            f"at parameter {check.worst_param:.9f}  {status}"
-        )
+        print(f"edge {check.name:4s}: {check.detail}  {'ok' if check.passed else 'FAIL'}")
     if report.passed:
         print(
-            f"PASS: {len(report.checks)} edges within {report.tolerance:g} "
+            f"PASS: {len(report.checks)} edges within {report.checks[0].tolerance:g} "
             f"on {args.n}-point grids"
         )
         return EXIT_OK
-    worst = max(report.checks, key=lambda c: c.max_deviation)
+    # the largest deviation, the first NaN if there is one, as in Check.worst_row
+    worst = report.checks[int(np.argmax([c.value for c in report.checks]))]
     print(
-        f"FAIL: edge {worst.name} deviates by {worst.max_deviation:.3e} "
-        f"at parameter {worst.worst_param:.9f}",
+        f"FAIL: edge {worst.name} deviates by {worst.value:.3e} "
+        f"at parameter {worst.where:.9f}",
         file=sys.stderr,
     )
     return EXIT_TABLES
 
 
 def _cmd_audit(args) -> int:
-    result = run_audit(args.samples, args.seed)
-    print(f"audit: samples={result.samples} seed={result.seed}")
-    for check in result.checks:
+    report = run_audit(args.samples, args.seed)
+    print(f"audit: samples={args.samples} seed={args.seed}")
+    for check in report.checks:
         print(f"  {check.name}: {check.detail}  {'PASS' if check.passed else 'FAIL'}")
-    if result.passed:
+    if report.passed:
         print("audit: PASS")
         return EXIT_OK
     print("audit: FAIL")
-    if result.counterexample is not None:
+    if report.counterexample is not None:
         path = Path(args.dump) if args.dump else Path("audit_counterexample.json")
         try:
             path.write_text(
-                json.dumps(gate_to_json_data(result.counterexample)) + "\n", newline="\n"
+                json.dumps(gate_to_json_data(report.counterexample)) + "\n", newline="\n"
             )
         except OSError as exc:
             print(f"error: cannot write counterexample: {exc}", file=sys.stderr)

@@ -29,21 +29,18 @@ parameter:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
-from .errors import ValidationError
-from .linops import DEFAULT_TOL, lookup
+from .linops import DEFAULT_TOL, Check, Report, as_scalar, lookup
 from .svgplot import line_plot
 
 __all__ = [
     "EdgeSpec",
     "Sweep",
-    "EdgeCheck",
-    "TableReport",
     "edge",
     "edge_names",
     "sweep",
@@ -185,11 +182,9 @@ def edge(name: str) -> EdgeSpec:
 
 def _grid(param_range: tuple[float, float], n_points: int) -> np.ndarray:
     """The endpoint-inclusive uniform grid of ``n_points`` over the range; the
-    one check of a grid size, so ValidationError for anything but an integer
-    of at least 2."""
-    if not isinstance(n_points, (int, np.integer)) or n_points < 2:
-        raise ValidationError(f"n_points must be an integer of at least 2, got {n_points!r}")
-    return np.linspace(*param_range, n_points)
+    one check of a grid size, so ValidationError, as ``as_scalar`` raises it,
+    for anything but an integer of at least 2."""
+    return np.linspace(*param_range, as_scalar(n_points, "n_points", 2))
 
 
 def sweep(name: str, n_points: int) -> Sweep:
@@ -221,50 +216,23 @@ def sweep_csv(sw: Sweep) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-@dataclass(frozen=True)
-class EdgeCheck:
-    """Closed-form-vs-engine deviation for one edge."""
-
-    name: str
-    max_deviation: float
-    worst_param: float
-
-
-@dataclass(frozen=True)
-class TableReport:
-    checks: tuple[EdgeCheck, ...]
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(c.max_deviation <= self.tolerance for c in self.checks)
-
-    @property
-    def max_deviation(self) -> float:
-        return max(c.max_deviation for c in self.checks)
-
-
-def verify_tables(n_points: int) -> TableReport:
+def verify_tables(n_points: int) -> Report:
     """Compare engine coefficients against every closed form on a grid.
 
     For each edge and grid parameter the sorted engine coefficients are
-    checked against the sorted closed-form values; the report carries the
-    per-edge maximum absolute deviation and where it occurred.
+    checked against the sorted closed-form values; each edge's check carries
+    its maximum absolute deviation and, as ``where``, the parameter of it.
     """
     checks = []
     for name in edge_names():
         sw = sweep(name, n_points)
         table = np.flip(np.sort(edge(name).closed_form_s(sw.param), axis=-1), axis=-1)
-        dev = np.max(np.abs(sw.s - table), axis=-1)
-        worst = int(np.argmax(dev))
-        checks.append(
-            EdgeCheck(
-                name=name,
-                max_deviation=float(dev[worst]),
-                worst_param=float(sw.param[worst]),
-            )
-        )
-    return TableReport(checks=tuple(checks), tolerance=DEFAULT_TOL.table_tol)
+        row = Check.worst_row(name, np.max(np.abs(sw.s - table), axis=-1), "table_tol",
+                              DEFAULT_TOL)
+        param = float(sw.param[row.where])
+        checks.append(replace(row, where=param,
+                              detail=f"max deviation {row.value:.3e} at parameter {param:.9f}"))
+    return Report(tuple(checks))
 
 
 # Figure ids -> (parameter range, the edges drawn over it, in caption order).

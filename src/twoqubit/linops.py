@@ -1,8 +1,9 @@
 """The package's policies, each written once: the tolerance table
 (``Tolerance``), the validation of outside input (``as_finite`` for arrays,
-``lookup`` for names), the refusal of rows that break a tolerance
-(``refuse_rows``), and the small matrix helpers ``unitarity_defect`` and
-``kron``. Nothing here mutates its input.
+``as_scalar`` for numbers, ``lookup`` for names), the refusal of rows that
+break a tolerance (``refuse_rows``), the report records (``Check`` and
+``Report``) whose one pass rule is ``Check.passed``, and the small matrix
+helpers ``unitarity_defect`` and ``kron``. Nothing here mutates its input.
 """
 from __future__ import annotations
 
@@ -17,7 +18,10 @@ __all__ = [
     "DEFAULT_TOL",
     "as_finite",
     "as_triple",
+    "as_scalar",
     "lookup",
+    "Check",
+    "Report",
     "refuse_rows",
     "unitarity_defect",
     "kron",
@@ -76,6 +80,33 @@ def as_triple(c) -> np.ndarray:
     return as_finite(c, (3,), "coordinate triple [c1, c2, c3]")
 
 
+# numpy indexes with int64, so no count can be larger than this
+INDEX_MAX = 2**63 - 1
+
+
+def as_scalar(x, what: str, low, high=INDEX_MAX, integer: bool = True,
+              below: str | None = None):
+    """``x`` if it is an integer (or, unless ``integer``, a float) from ``low``
+    to ``high``, no bound when None; a bool is neither, and NaN is in no range.
+
+    Raises:
+        ValidationError: ``below``, if given, for a number below ``low``;
+            ``<what> must be at most <high>, got <repr>`` for a larger integer;
+            else ``<what> must be an integer of at least <low>, got <repr>`` or,
+            unless ``integer``, ``<what> must lie in [<low>, <high>], got <repr>``.
+    """
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(x, kinds) and not isinstance(x, bool):
+        if low <= x and (high is None or x <= high):
+            return x
+        if below is not None and x < low:
+            raise ValidationError(below)
+        if integer and x >= low:
+            raise ValidationError(f"{what} must be at most {high}, got {x!r}")
+    rule = f"be an integer of at least {low}" if integer else f"lie in [{low}, {high}]"
+    raise ValidationError(f"{what} must {rule}, got {x!r}")
+
+
 def lookup(table: dict, key, kind: str):
     """``table[key]``; ValidationError listing the valid names for another key."""
     if isinstance(key, str) and key in table:
@@ -83,16 +114,57 @@ def lookup(table: dict, key, kind: str):
     raise ValidationError(f"unknown {kind} {key!r}; valid names: {', '.join(table)}")
 
 
+@dataclass(frozen=True)
+class Check:
+    """One checked claim of a report: ``value`` measured against
+    ``tolerance``, found at ``where`` (a row, a parameter, or None), and
+    ``detail``, the text that reports it."""
+
+    name: str
+    value: float
+    tolerance: float
+    where: int | float | None
+    detail: str
+
+    @property
+    def passed(self) -> bool:
+        """``value <= tolerance``, so a NaN value fails; the one pass rule of
+        every report, and the rule ``refuse_rows`` applies to each row."""
+        return self.value <= self.tolerance
+
+    @classmethod
+    def worst_row(cls, name: str, residual: np.ndarray, field: str, table: Tolerance) -> Check:
+        """The check of the largest entry of ``residual`` (the first NaN, if
+        there is one) against the ``field`` of ``table``; ``where`` is its row."""
+        tol = getattr(table, field)
+        flat = np.ravel(residual)
+        where = int(np.argmax(flat))
+        value = float(flat[where])
+        return cls(name, value, tol, where, f"max deviation {value:.3e} (tol {tol:g})")
+
+
+@dataclass(frozen=True)
+class Report:
+    """The checks of one command and, if one fails, the input that fails it."""
+
+    checks: tuple[Check, ...]
+    counterexample: object = None  # a gates.Gate; gates imports this module
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
 def refuse_rows(error: type, what: str, residual: np.ndarray, field: str) -> None:
     """Raise ``error`` naming the rows whose residual is not within the
     ``DEFAULT_TOL`` field named ``field``; a NaN residual is refused."""
-    tol = getattr(DEFAULT_TOL, field)
-    within = residual <= tol
+    within = residual <= getattr(DEFAULT_TOL, field)
     if not within.all():
         rows = np.flatnonzero(~within)
+        worst = Check.worst_row(what, residual, field, DEFAULT_TOL)
         raise error(f"{what} at rows {rows[:10].tolist()}{' ...' if rows.size > 10 else ''} "
-                    f"({rows.size} in all); worst residual {float(np.max(residual)):.3e} "
-                    f"exceeds tol {tol:g} ({field})")
+                    f"({rows.size} in all); worst residual {worst.value:.3e} "
+                    f"exceeds tol {worst.tolerance:g} ({field})")
 
 
 def unitarity_defect(m: np.ndarray) -> float:

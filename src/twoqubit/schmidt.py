@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SchmidtNumberError, ValidationError
 from .gates import Gate, IDENTITY2, SIGMA_X, make_gate
-from .linops import DEFAULT_TOL, as_finite, as_triple, kron, refuse_rows
+from .linops import DEFAULT_TOL, as_finite, as_scalar, as_triple, kron, refuse_rows
 
 __all__ = [
     "SchmidtData",
@@ -204,10 +204,10 @@ def controlled_unitary_gate(p: float) -> Gate:
     p in [0, 1]; p = sin^2(theta/2) places it at [theta, 0, 0].
 
     Raises:
-        ValidationError: if p is outside [0, 1].
+        ValidationError: if p is not a real number in [0, 1], as
+            ``as_scalar`` raises it.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0, 1], got {p!r}")
+    as_scalar(p, "p", 0, 1, integer=False)
     matrix = np.sqrt(1.0 - p) * kron(IDENTITY2, IDENTITY2) + 1j * np.sqrt(p) * kron(
         SIGMA_X, SIGMA_X
     )

@@ -1,0 +1,68 @@
+"""The CLI output corpus: each command line below with its exit code,
+stdout, stderr and the files it writes, as ``manifest.json`` holds them.
+
+``test_golden.py`` reruns every entry and requires the same bytes. After a
+deliberate output change, rewrite the manifest and review its diff:
+
+    PYTHONPATH=src python tests/golden/capture.py
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+MANIFEST = Path(__file__).with_name("manifest.json")
+
+COMMANDS = [
+    ["audit", "--samples", "1000", "--seed", "42"],
+    ["audit", "--samples", "300", "--seed", "42"],
+    ["audit", "--samples", "1", "--seed", "7"],
+    ["audit", "--samples", "5", "--seed", "1"],
+    ["verify-tables", "--n", "97"],
+    ["verify-tables", "--n", "2"],
+    ["verify-tables", "--n", "1001"],
+    ["audit", "--samples", "0"],
+    ["audit", "--seed", "-1"],
+    ["verify-tables", "--n", "1"],
+    # counts that numpy cannot index with, refused by linops.as_scalar
+    ["audit", "--samples", str(10**30)],
+    ["verify-tables", "--n", str(10**26)],
+    ["sweep", "OA1", "--n", str(10**23), "--out", "one.csv"],
+]
+
+
+def run(argv: list[str], cwd: Path) -> dict:
+    """``cli.main(argv)`` run in the empty directory ``cwd``: its exit code,
+    stdout, stderr and every file it leaves there, by name."""
+    from twoqubit.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(home)
+    files = {p.name: p.read_text() for p in sorted(Path(cwd).iterdir())}
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "files": files}
+
+
+def main() -> int:
+    entries = []
+    for argv in COMMANDS:
+        with tempfile.TemporaryDirectory() as cwd:
+            entries.append(run(argv, Path(cwd)))
+    MANIFEST.write_text(json.dumps(entries, indent=1) + "\n", newline="\n")
+    print(f"wrote {len(entries)} entries to {MANIFEST}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

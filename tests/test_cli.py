@@ -11,6 +11,48 @@ from twoqubit.cli import analyze_gate, main, report_json, report_text
 from twoqubit.sampling import haar_unitary, random_local_unitary
 
 
+# the full output of the planted faults below: a corrupted z at --n 9 (exit
+# 5), and a zero invariant tolerance on audit --samples 5 --seed 1 (exit 6,
+# or 4 when the counterexample cannot be written)
+TABLES_FAULT_OUT = (
+    "edge OA1 : max deviation 0.000e+00 at parameter 0.000000000  ok\n"
+    "edge OA2 : max deviation 5.000e-03 at parameter 1.570796327  FAIL\n"
+    "edge A2A1: max deviation 5.000e-03 at parameter 0.000000000  FAIL\n"
+    "edge A2A3: max deviation 5.000e-03 at parameter 0.589048623  FAIL\n"
+    "edge OA3 : max deviation 5.000e-03 at parameter 1.000000000  FAIL\n"
+    "edge A1A3: max deviation 5.000e-03 at parameter 1.000000000  FAIL\n"
+    "edge LQ  : max deviation 1.464e-03 at parameter 0.785398163  FAIL\n"
+    "edge LM  : max deviation 3.536e-03 at parameter 0.785398163  FAIL\n"
+    "edge A2M : max deviation 5.000e-03 at parameter 0.000000000  FAIL\n"
+    "edge A2Q : max deviation 5.000e-03 at parameter 0.000000000  FAIL\n"
+    "edge QP  : max deviation 3.536e-03 at parameter 0.785398163  FAIL\n"
+    "edge MN  : max deviation 3.536e-03 at parameter 0.000000000  FAIL\n"
+    "edge PN  : max deviation 3.536e-03 at parameter 0.392699082  FAIL\n"
+    "edge LN  : max deviation 3.536e-03 at parameter 0.785398163  FAIL\n"
+    "edge A2P : max deviation 5.000e-03 at parameter 0.000000000  FAIL\n"
+)
+TABLES_FAULT_ERR = "FAIL: edge A2A3 deviates by 5.000e-03 at parameter 0.589048623\n"
+AUDIT_FAULT_OUT = (
+    "audit: samples=5 seed=1\n"
+    "  three-route invariant consistency: max deviation 1.332e-15 (tol 0)  FAIL\n"
+    "  local invariance of schmidt coefficients: max deviation 7.772e-16 (tol 1e-09)  PASS\n"
+    "  schmidt number in {1, 2, 4}: histogram {4: 5}  PASS\n"
+    "  perfect-entangler fraction: fraction 0.6000 (expected 0.8488 +/- 0.6408)  PASS\n"
+    "audit: FAIL\n"
+)
+COUNTEREXAMPLE = (
+    "[[[0.30085593152359613, -0.4259989870253093], [0.4945425213405801, -0.32511266309166"
+    "775], [0.3959658715987053, -0.07599678628051187], [0.32099163497419275, 0.3348729754"
+    "470071]], [[0.3707328745128757, -0.20536928923219366], [-0.16517010742926005, 0.0974"
+    "2955534898981], [0.5343023136106315, 0.02385403542482148], [-0.22175691868217437, -0"
+    ".669613918488]], [[0.4633663590983916, -0.16205800283213662], [0.08470949635940266, "
+    "-0.4846056882049626], [-0.6068504964342248, 0.12299984585684666], [-0.33083821762508"
+    "61, -0.15543498903166547]], [[0.027413969410301664, -0.5537765411890379], [0.1436221"
+    "9924184522, 0.591869969090101], [-0.40565936447632844, 0.058579284544779564], [0.338"
+    "3383866415759, -0.19793611050981588]]]\n"
+)
+
+
 def _fail_route_check(monkeypatch, audit_mod):
     # a zero invariant tolerance fails the three-route check on any sample
     zero = dataclasses.replace(audit_mod.DEFAULT_TOL, invariant_tol=0.0)
@@ -240,8 +282,11 @@ def test_sweep_unknown_edge_exit_2(capsys, tmp_path):
         (["verify-tables", "--n", "1"], "n_points must be an integer of at least 2, got 1"),
         # the edge is looked up before the grid is built
         (["sweep", "XX", "--n", "1"], "unknown edge 'XX'; valid names: OA1, OA2,"),
+        # past numpy's int64 indexing
+        (["sweep", "OA1", "--n", str(10**23)], f"n_points must be at most {2**63 - 1}, got "),
+        (["verify-tables", "--n", str(10**26)], f"n_points must be at most {2**63 - 1}, got "),
     ],
-    ids=["sweep", "verify-tables", "sweep-unknown-edge"],
+    ids=["sweep", "verify-tables", "sweep-unknown-edge", "sweep-huge", "verify-tables-huge"],
 )
 def test_grid_of_one_point_exit_2(capsys, tmp_path, argv, message):
     out_path = tmp_path / "one.csv"
@@ -251,6 +296,12 @@ def test_grid_of_one_point_exit_2(capsys, tmp_path, argv, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert not out_path.exists()
+
+
+def test_audit_sample_count_numpy_cannot_index_exit_2(capsys):
+    code, out, err = run(capsys, "audit", "--samples", str(10**30))
+    assert (code, out) == (2, "")
+    assert err == f"error: samples must be at most {2**63 - 1}, got {10**30}\n"
 
 
 def test_sweep_output_deterministic(tmp_path, capsys):
@@ -313,6 +364,31 @@ def test_verify_tables_fault_exit_5(capsys, monkeypatch):
     code, out, err = run(capsys, "verify-tables", "--n", "9")
     assert code == 5
     assert "FAIL" in err
+    assert (out, err) == (TABLES_FAULT_OUT, TABLES_FAULT_ERR)
+
+
+def test_verify_tables_nan_deviation_exit_5(capsys, monkeypatch):
+    # a NaN in one row of edge LQ's z fails that edge alone, and the closing
+    # line names it, not the largest finite deviation
+    import twoqubit.canonical as canonical_mod
+    from twoqubit.canonical import L, Q
+
+    true_fn = canonical_mod.z_from_point_array
+
+    def planted(c):
+        z = true_fn(c)
+        if np.allclose(c[0], L) and np.allclose(c[-1], Q):
+            z = z.copy()
+            z[3] = np.nan
+        return z
+
+    monkeypatch.setattr(canonical_mod, "z_from_point_array", planted)
+    code, out, err = run(capsys, "verify-tables", "--n", "9")
+    assert code == 5
+    failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["edge LQ  : max deviation nan at parameter 0.294524311  FAIL"]
+    assert out.count("  ok\n") == 14
+    assert err == "FAIL: edge LQ deviates by nan at parameter 0.294524311\n"
 
 
 def test_audit_pass_and_determinism(capsys):
@@ -345,6 +421,8 @@ def test_audit_counterexample_round_trip(tmp_path, capsys, rng, monkeypatch):
     assert "audit: FAIL" in out
     dump = tmp_path / "audit_counterexample.json"
     assert dump.exists()
+    assert out == AUDIT_FAULT_OUT + f"counterexample gate written to {dump.name}\n"
+    assert dump.read_text() == COUNTEREXAMPLE
     code2, out2, _ = run(capsys, "analyze", str(dump), "--format", "json")
     assert code2 == 0
     assert json.loads(out2)["schmidt_number"] in (1, 2, 4)
@@ -361,6 +439,9 @@ def test_audit_counterexample_unwritable_exit_4(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert "audit: FAIL" in out
     assert "error: cannot write" in err
+    assert out == AUDIT_FAULT_OUT
+    assert err == ("error: cannot write counterexample: [Errno 2] No such file or directory: "
+                   f"{str(target)!r}\n")
 
 
 def test_parser_built_once(capsys, monkeypatch):

@@ -3,13 +3,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoqubit import (
     DEFAULT_TOL,
+    Check,
+    Report,
     Tolerance,
     ValidationError,
     canonical_gate,
     catalog,
+    controlled_unitary_gate,
     edge,
     emit_figure_data,
     in_weyl_chamber,
@@ -18,11 +23,15 @@ from twoqubit import (
     is_perfect_entangler,
     kron,
     make_gate,
+    run_audit,
     schmidt_strength,
+    sweep,
+    verify_tables,
     weyl_reduce,
     z_from_point,
 )
 from twoqubit.gates import IDENTITY2, SIGMA_X, SIGMA_Z
+from twoqubit.linops import refuse_rows
 from twoqubit.sampling import haar_unitary
 from twoqubit.schmidt import schmidt_number_from_coefficients
 
@@ -150,3 +159,68 @@ def test_outside_input_raises_validation_error(entry, bad, message):
     with pytest.raises(ValidationError, match=message) as info:
         entry(bad)
     assert len(str(info.value)) < 200
+
+
+COUNT_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "entry, bad, message",
+    [
+        (lambda x: run_audit(x, 1), 2.5, "samples must be an integer of at least 1, got 2.5"),
+        (lambda x: run_audit(x, 1), "10", "samples must be an integer of at least 1, got '10'"),
+        (lambda x: run_audit(x, 1), True, "samples must be an integer of at least 1, got True"),
+        (lambda x: run_audit(x, 1), 2**63, f"samples must be at most {COUNT_MAX}, got {2**63}"),
+        (lambda x: run_audit(10, x), 1.5, "seed must be an integer of at least 0, got 1.5"),
+        (controlled_unitary_gate, "0.5", "p must lie in [0, 1], got '0.5'"),
+        (controlled_unitary_gate, True, "p must lie in [0, 1], got True"),
+        (lambda x: sweep("OA1", x), 2**63, f"n_points must be at most {COUNT_MAX}, got {2**63}"),
+        (verify_tables, 10**26, f"n_points must be at most {COUNT_MAX}, got {10**26}"),
+        # a number of the right kind but out of range keeps its own text
+        (lambda x: run_audit(x, 1), 0, "samples must be at least 1"),
+        (lambda x: run_audit(1, x), -1, "seed must be non-negative"),
+        (controlled_unitary_gate, 1.1, "p must lie in [0, 1], got 1.1"),
+        (controlled_unitary_gate, np.nan, "p must lie in [0, 1], got nan"),
+    ],
+    ids=["samples-float", "samples-str", "samples-bool", "samples-huge", "seed-float",
+         "p-str", "p-bool", "sweep-huge", "verify_tables-huge", "samples-zero",
+         "seed-negative", "p-above", "p-nan"],
+)
+def test_scalar_input_raises_validation_error(entry, bad, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        entry(bad)
+
+
+def test_scalar_check_accepts_numpy_numbers_and_any_seed():
+    assert run_audit(np.int64(3), 2**70).passed
+    assert controlled_unitary_gate(np.float64(0.5)).name == "controlled_unitary(p=0.5)"
+    assert sweep("OA1", np.int32(3)).param.size == 3
+
+
+# every Tolerance field that a report reads: the audit's two row checks and
+# verify_tables' edge checks
+REPORT_FIELDS = ["invariant_tol", "local_invariance_tol", "table_tol"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field=st.sampled_from(REPORT_FIELDS), probe=st.sampled_from(["at", "above", "nan"]),
+       others=st.lists(st.floats(0.0, 1.0), max_size=8), index=st.integers(0, 8))
+def test_check_and_refuse_rows_agree_at_the_tolerance(field, probe, others, index):
+    # rows at most the tolerance, and one row exactly at it, one ULP above
+    # it, or NaN: only the first passes, for the report and the refusal alike
+    tol = getattr(DEFAULT_TOL, field)
+    value = {"at": tol, "above": np.nextafter(tol, np.inf), "nan": np.nan}[probe]
+    index = min(index, len(others))
+    residual = np.insert(np.array(others) * tol, index, value)
+    check = Check.worst_row("probe", residual, field, DEFAULT_TOL)
+    try:
+        refuse_rows(ValidationError, "probe", residual, field)
+        refused = False
+    except ValidationError:
+        refused = True
+    assert check.passed == Report((check,)).passed == (not refused) == (probe == "at")
+    assert check.tolerance == tol
+    if probe == "at":
+        assert check.value == tol and residual[check.where] == tol
+    else:
+        assert check.where == index and np.array_equal(check.value, value, equal_nan=True)

@@ -1,0 +1,34 @@
+"""The CI workflow runs the tier-1 command that ROADMAP.md names, and its
+failing-path steps expect the exit codes the CLI documents."""
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _steps() -> dict:
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    return {step["name"]: step for step in workflow["jobs"]["tier1"]["steps"] if "name" in step}
+
+
+def test_tier1_step_runs_the_roadmap_command():
+    tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", (ROOT / "ROADMAP.md").read_text(),
+                      re.MULTILINE)
+    assert tier1, "ROADMAP.md names no tier-1 command"
+    assert _steps()["Tier-1 tests"]["run"] == tier1.group(1)
+
+
+@pytest.mark.parametrize("command, code", [
+    ("twoqubit analyze no-such-file", 1),
+    ("twoqubit sweep OA1 --n 1 --out one.csv", 2),
+    ("twoqubit audit --samples 0", 2),
+    ("twoqubit verify-tables --n 1", 2),
+    (f"twoqubit audit --samples {10**30}", 2),
+])
+def test_failing_path_step_expects_its_exit_code(command, code):
+    runs = [step["run"] for name, step in _steps().items() if name.startswith("Failing path")]
+    assert [f"python -m {command} || code=$?" in run and f'test "$code" -eq {code}' in run
+            for run in runs].count(True) == 1
