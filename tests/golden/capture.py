@@ -18,6 +18,10 @@ from pathlib import Path
 
 MANIFEST = Path(__file__).with_name("manifest.json")
 
+# the fifteen edges, in the order of twoqubit.edges.edge_names()
+EDGES = ["OA1", "OA2", "A2A1", "A2A3", "OA3", "A1A3", "LQ", "LM", "A2M", "A2Q", "QP", "MN", "PN",
+         "LN", "A2P"]
+
 COMMANDS = [
     ["audit", "--samples", "1000", "--seed", "42"],
     ["audit", "--samples", "300", "--seed", "42"],
@@ -33,6 +37,9 @@ COMMANDS = [
     ["audit", "--samples", str(10**30)],
     ["verify-tables", "--n", str(10**26)],
     ["sweep", "OA1", "--n", str(10**23), "--out", "one.csv"],
+    # every edge's CSV and SVG, stored verbatim, and an unknown edge
+    *(["sweep", name, "--n", "11", "--out", "e.csv", "--svg"] for name in EDGES),
+    ["sweep", "XY", "--n", "5", "--out", "x.csv"],
 ]
 
 
