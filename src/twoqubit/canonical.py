@@ -49,6 +49,7 @@ __all__ = [
     "canonical_point",
     "canonical_points_array",
     "ClassData",
+    "s_from_point_array",
     "is_perfect_entangler",
     "canonical_gate",
 ]
@@ -239,13 +240,18 @@ class ClassData:
         """Class data of coordinate triples (..., 3), kept as given: ``s`` is
         the sorted |z(c)| and the flag is taken on the reduced points."""
         c = np.asarray(c, dtype=float)
-        s = np.sort(np.abs(z_from_point_array(c)), axis=-1)[..., ::-1]
-        return cls._with_tail(c, *invariants_from_point_array(c), s, weyl_reduce_array(c))
+        return cls._with_tail(c, *invariants_from_point_array(c), s_from_point_array(c),
+                              weyl_reduce_array(c))
 
     @classmethod
     def _with_tail(cls, points, g1, g2, s, reduced) -> ClassData:
         return cls(points, g1, g2, s, schmidt_strength_array(s), schmidt_numbers_array(s),
                    is_perfect_entangler_array(reduced))
+
+
+def s_from_point_array(c) -> np.ndarray:
+    """Schmidt coefficients of coordinate triples (..., 3): the |z(c)|, descending."""
+    return np.sort(np.abs(z_from_point_array(c)), axis=-1)[..., ::-1]
 
 
 def canonical_point(g: Gate) -> np.ndarray:

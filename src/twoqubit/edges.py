@@ -8,7 +8,7 @@ it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`), and
 :func:`sweep_csv` and :func:`edge_svg` render from that record. Sweeps
 always compute coefficients through the expansion-coefficient engine
 (z_from_point); the closed forms are kept only as an independent oracle,
-checked by :func:`verify_tables`.
+checked by :func:`verify_tables`, which reads only the coefficients.
 
 The oracle compares sorted coefficients, and a chamber symmetry keeps
 them (Zhang et al., PRA 67, 042313 (2003)). So the fifteen edges have
@@ -30,11 +30,11 @@ parameter:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
+from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData, s_from_point_array
 from .linops import DEFAULT_TOL, Check, Report, as_scalar, lookup
 from .svgplot import line_plot
 
@@ -199,21 +199,36 @@ def sweep(name: str, n_points: int) -> Sweep:
     return Sweep(**vars(ClassData.from_points(spec.point_fn(params))), name=name, param=params)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+# Rows per formatted block: each block is one %-format call over its values,
+# so memory for the text stays bounded for any grid size.
+_CSV_BLOCK = 4096
+
+
+def _csv_blocks(header: str, columns, flags=None) -> Iterator[str]:
+    """CSV text in pieces: the header line, then blocks of up to ``_CSV_BLOCK``
+    rows. Each row holds the columns' values at 15 significant digits and, if
+    ``flags`` is given, ``true`` or ``false``; LF line endings."""
+    yield header + "\n"
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        rows = slice(lo, lo + _CSV_BLOCK)
+        table = np.column_stack([c[rows] for c in columns])
+        row = ",".join(["%.15g"] * table.shape[1])
+        if flags is not None:
+            table = np.column_stack([table.astype(object), np.where(flags[rows], "true", "false")])
+            row += ",%s"
+        yield ((row + "\n") * len(table)) % tuple(table.ravel().tolist())
+
+
+def sweep_csv_blocks(sw: Sweep) -> Iterator[str]:
+    """The pieces of ``sweep_csv(sw)``, for writing without holding the whole text."""
+    return _csv_blocks("param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe",
+                       [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2],
+                       sw.is_pe)
 
 
 def sweep_csv(sw: Sweep) -> str:
     """CSV rendering of a sweep: 15 significant digits, LF line endings."""
-    table = np.column_stack(
-        [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2]
-    ).tolist()
-    rows = (
-        ",".join(map(_fmt, row)) + (",true" if pe else ",false")
-        for row, pe in zip(table, sw.is_pe.tolist())
-    )
-    header = "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe"
-    return "\n".join([header, *rows]) + "\n"
+    return "".join(sweep_csv_blocks(sw))
 
 
 def verify_tables(n_points: int) -> Report:
@@ -225,11 +240,12 @@ def verify_tables(n_points: int) -> Report:
     """
     checks = []
     for name in edge_names():
-        sw = sweep(name, n_points)
-        table = np.flip(np.sort(edge(name).closed_form_s(sw.param), axis=-1), axis=-1)
-        row = Check.worst_row(name, np.max(np.abs(sw.s - table), axis=-1), "table_tol",
-                              DEFAULT_TOL)
-        param = float(sw.param[row.where])
+        spec = edge(name)
+        params = _grid(spec.param_range, n_points)
+        table = np.flip(np.sort(spec.closed_form_s(params), axis=-1), axis=-1)
+        deviation = np.abs(s_from_point_array(spec.point_fn(params)) - table)
+        row = Check.worst_row(name, np.max(deviation, axis=-1), "table_tol", DEFAULT_TOL)
+        param = float(params[row.where])
         checks.append(replace(row, where=param,
                               detail=f"max deviation {row.value:.3e} at parameter {param:.9f}"))
     return Report(tuple(checks))
@@ -260,9 +276,8 @@ def emit_figure_data(figure: str, n_points: int) -> str:
     per curve, in caption order. Curves within a figure share their
     parameter grid."""
     params, series = _figure_series(figure, n_points)
-    table = np.column_stack([params] + [vals for _, _, vals in series]).tolist()
     header = "param," + ",".join(name for name, _, _ in series)
-    return "\n".join([header, *(",".join(map(_fmt, row)) for row in table)]) + "\n"
+    return "".join(_csv_blocks(header, [params] + [vals for _, _, vals in series]))
 
 
 def figure_svg(figure: str, n_points: int) -> str:

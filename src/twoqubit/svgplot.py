@@ -42,10 +42,12 @@ def line_plot(series, title: str) -> str:
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    # Pixel coordinates of values or arrays: numpy's float64 operations round
+    # as Python's, so an array gives each value's pixel bit for bit.
+    def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = [
@@ -94,7 +96,8 @@ def line_plot(series, title: str) -> str:
     for k, (label, x, y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         dash = _DASHES[k % len(_DASHES)]
-        pts = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(x, y))
+        xy = np.column_stack([px(np.asarray(x, dtype=float)), py(np.asarray(y, dtype=float))])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

@@ -1,11 +1,13 @@
 import re
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
 from twoqubit import ValidationError, edge, edge_names, emit_figure_data, figure_svg, sweep, verify_tables
+from twoqubit import svgplot
 from twoqubit.canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
-from twoqubit.edges import FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, sweep_csv
+from twoqubit.edges import FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, edge_svg, sweep_csv
 from twoqubit.schmidt import schmidt_strength
 
 PI = np.pi
@@ -201,6 +203,96 @@ def test_sweep_csv_format():
     assert row[-1] == "true"
     assert row[8] == "2"
     assert "\r" not in text
+
+
+def _per_value_csv(header, columns, flags=None):
+    """The CSV as formatted one value at a time: the oracle for the block renderer."""
+    rows = [",".join(f"{x:.15g}" for x in row) for row in np.column_stack(columns).tolist()]
+    if flags is not None:
+        rows = [row + ("," + ("true" if pe else "false")) for row, pe in zip(rows, flags)]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _first_difference(got, expected):
+    """None for equal texts, else the number and the two versions of their
+    first differing line; pytest's own diff of two long texts takes minutes."""
+    for k, pair in enumerate(zip_longest(got.split("\n"), expected.split("\n"))):
+        if pair[0] != pair[1]:
+            return k, *pair
+    return None
+
+
+# one block of rows is 4096, so these sizes end a block, end one row short of
+# it, start a new block with one row, and start a third block
+@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("name", ["PN", "OA1"])
+def test_sweep_csv_equals_the_per_value_oracle(name, n):
+    sw = sweep(name, n)
+    expected = _per_value_csv(
+        "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe",
+        [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2],
+        sw.is_pe.tolist(),
+    )
+    assert _first_difference(sweep_csv(sw), expected) is None
+
+
+def test_sweep_command_writes_sweep_csv(tmp_path, capsys):
+    from twoqubit.cli import main
+
+    out = tmp_path / "pn.csv"
+    assert main(["sweep", "PN", "--n", "4097", "--out", str(out), "--svg"]) == 0
+    sw = sweep("PN", 4097)
+    assert _first_difference(out.read_bytes().decode(), sweep_csv(sw)) is None
+    assert _first_difference(out.with_suffix(".svg").read_bytes().decode(), edge_svg(sw)) is None
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_figure_csv_equals_the_per_value_oracle(figure):
+    param_range, names = FIGURES[figure]
+    params = np.linspace(*param_range, 4097)
+    strengths = [ClassData.from_points(edge(name).point_fn(params)).strength for name in names]
+    expected = _per_value_csv("param," + ",".join(names), [params, *strengths])
+    assert _first_difference(emit_figure_data(figure, 4097), expected) is None
+
+
+def _per_point_polylines(series):
+    """Each curve's polyline points as formatted one point at a time, with
+    line_plot's ranges and pixel formulas in scalar arithmetic."""
+    xs = np.concatenate([x for _, x, _ in series]).tolist()
+    ys = np.concatenate([y for _, _, y in series]).tolist()
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    if y_hi - y_lo < 1e-12:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w = svgplot._WIDTH - svgplot._MARGIN_L - svgplot._MARGIN_R
+    plot_h = svgplot._HEIGHT - svgplot._MARGIN_T - svgplot._MARGIN_B
+
+    def px(x):
+        return svgplot._MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return svgplot._MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    return [" ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x.tolist(), y.tolist()))
+            for _, x, y in series]
+
+
+def _polylines(svg):
+    return re.findall(r'<polyline points="([^"]*)"', svg)
+
+
+def test_edge_svg_points_equal_the_per_point_oracle():
+    sw = sweep("PN", 4097)
+    assert _polylines(edge_svg(sw)) == _per_point_polylines([("PN", sw.param, sw.strength)])
+
+
+def test_figure_svg_points_equal_the_per_point_oracle():
+    params = np.linspace(0, PI / 2, 501)
+    series = [(name, params, ClassData.from_points(edge(name).point_fn(params)).strength)
+              for name in FIGURES["fig2"][1]]
+    assert len(series) == 2
+    assert _polylines(figure_svg("fig2", 501)) == _per_point_polylines(series)
 
 
 def test_figure_catalog_curves():
