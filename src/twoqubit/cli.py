@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .audit import run_audit
 from .canonical import ClassData
-from .edges import edge_svg, sweep, sweep_csv_blocks, verify_tables
+from .edges import edge_svg, sweep, verify_tables, write_sweep_csv
 from .errors import NumericalError, ParseError, ValidationError
 from .gates import Gate, catalog, catalog_names, gate_from_json_data, gate_to_json_data
 from .schmidt import refuse_count_three
@@ -126,7 +126,7 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     try:
         with out.open("w", newline="\n") as f:
-            f.writelines(sweep_csv_blocks(sw))
+            write_sweep_csv(sw, f)
         if args.svg:
             out.with_suffix(".svg").write_text(edge_svg(sw), newline="\n")
     except OSError as exc:

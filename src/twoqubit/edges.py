@@ -219,8 +219,7 @@ def _csv_blocks(header: str, columns, flags=None) -> Iterator[str]:
         yield ((row + "\n") * len(table)) % tuple(table.ravel().tolist())
 
 
-def sweep_csv_blocks(sw: Sweep) -> Iterator[str]:
-    """The pieces of ``sweep_csv(sw)``, for writing without holding the whole text."""
+def _sweep_csv_blocks(sw: Sweep) -> Iterator[str]:
     return _csv_blocks("param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe",
                        [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2],
                        sw.is_pe)
@@ -228,7 +227,13 @@ def sweep_csv_blocks(sw: Sweep) -> Iterator[str]:
 
 def sweep_csv(sw: Sweep) -> str:
     """CSV rendering of a sweep: 15 significant digits, LF line endings."""
-    return "".join(sweep_csv_blocks(sw))
+    return "".join(_sweep_csv_blocks(sw))
+
+
+def write_sweep_csv(sw: Sweep, file) -> None:
+    """Write ``sweep_csv(sw)`` to an open text file a block at a time, so the
+    whole text is never held."""
+    file.writelines(_sweep_csv_blocks(sw))
 
 
 def verify_tables(n_points: int) -> Report:
