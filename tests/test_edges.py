@@ -222,8 +222,8 @@ def _first_difference(got, expected):
     return None
 
 
-# one block of rows is 4096, so these sizes end a block, end one row short of
-# it, start a new block with one row, and start a third block
+# a block holds 4096 rows, so these sizes stop one row short of a block, fill
+# one exactly, and put a single row in a second and in a third block
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
 @pytest.mark.parametrize("name", ["PN", "OA1"])
 def test_sweep_csv_equals_the_per_value_oracle(name, n):
