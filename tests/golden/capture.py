@@ -22,6 +22,9 @@ MANIFEST = Path(__file__).with_name("manifest.json")
 EDGES = ["OA1", "OA2", "A2A1", "A2A3", "OA3", "A1A3", "LQ", "LM", "A2M", "A2Q", "QP", "MN", "PN",
          "LN", "A2P"]
 
+# the catalog gates, in the order of twoqubit.gates.catalog_names()
+GATES = ["identity", "cnot", "cz", "swap", "dcnot", "iswap", "sqrt_swap", "sqrt_iswap"]
+
 COMMANDS = [
     ["audit", "--samples", "1000", "--seed", "42"],
     ["audit", "--samples", "300", "--seed", "42"],
@@ -40,6 +43,10 @@ COMMANDS = [
     # every edge's CSV and SVG, stored verbatim, and an unknown edge
     *(["sweep", name, "--n", "11", "--out", "e.csv", "--svg"] for name in EDGES),
     ["sweep", "XY", "--n", "5", "--out", "x.csv"],
+    # every catalog gate analyzed as text and as JSON, and the catalog itself
+    *(["analyze", name] for name in GATES),
+    *(["analyze", name, "--format", "json"] for name in GATES),
+    ["list-gates"],
 ]
 
 
