@@ -10,14 +10,22 @@ Checks, over ``samples`` Haar-random gates:
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.
 
-Every check is evaluated on whole arrays. The plain gates are evaluated
-once, as one ``ClassData`` whose single det(U) and M(U) pass feeds the
-coordinates and the matrix-route invariants; the dressed gates take one more.
-
-Everything is driven by one seeded generator, so a (samples, seed) pair
-fixes the outcome bit for bit.
+The samples are drawn and checked in chunks of ``_AUDIT_CHUNK`` = 4096,
+in turn from one generator seeded with ``seed``: each chunk's Haar gates,
+then its left and then its right local dressing. Within a chunk every check
+is evaluated on whole arrays; the plain gates are evaluated once, as one
+``ClassData`` whose single det(U) and M(U) pass feeds the coordinates and
+the matrix-route invariants, and the dressed gates take one more. Each
+check is then a reduction over the chunks: the worst value and its global
+row, summed histogram and PE counts, the first offending row. So memory
+does not grow with ``samples``, and a (samples, seed) pair fixes the
+outcome bit for bit.
 """
 from __future__ import annotations
+
+import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,6 +53,10 @@ __all__ = ["run_audit"]
 # Zyczkowski, PRA 87, 022111 (2013) for the same figure.
 HAAR_PE_FRACTION = 0.848826363
 
+# samples drawn and checked at a time; a constant, so that the output depends
+# only on (samples, seed), and the memory on neither
+_AUDIT_CHUNK = 4096
+
 
 def pe_fraction_tolerance(samples: int) -> float:
     """Acceptance band for the perfect-entangler fraction: 4 binomial
@@ -53,17 +65,15 @@ def pe_fraction_tolerance(samples: int) -> float:
     return 4.0 * float(np.sqrt(p * (1.0 - p) / samples))
 
 
-def run_audit(samples: int, seed: int) -> Report:
-    """Run the property suite and return one check per property.
-
-    The worst row of the first failing check is the report's counterexample.
-    """
-    as_scalar(samples, "samples", 1, below="samples must be at least 1")
-    as_scalar(seed, "seed", 0, None, below="seed must be non-negative")
-    rng = np.random.default_rng(seed)
-    gates = haar_unitary(rng, 4, samples)
-    k_left = random_local_unitary(rng, samples)
-    k_right = random_local_unitary(rng, samples)
+def _chunk_rows(rng: np.random.Generator, n: int):
+    """The next ``n`` samples: their gates, drawn before the left and then the
+    right dressing, their Schmidt numbers, and one row value per check whose
+    first NaN, else first largest, entry is that check's row: the route and
+    the local deviations, and the flags of Schmidt numbers outside {1, 2, 4}
+    and of rows that are no perfect entangler."""
+    gates = haar_unitary(rng, 4, n)
+    k_left = random_local_unitary(rng, n)
+    k_right = random_local_unitary(rng, n)
 
     # three-route invariant consistency
     plain = ClassData.from_unitaries(gates)
@@ -79,29 +89,58 @@ def run_audit(samples: int, seed: int) -> Report:
     coeff_dev = np.max(np.abs(plain.s - schmidt_coefficients_array(dressed)), axis=-1)
     g1_d, g2_d = invariants_from_unitary_array(dressed)
     inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - real_g2(g2_d)))
-    local_dev = np.maximum(coeff_dev, inv_dev)
 
-    # Schmidt numbers in {1, 2, 4}: the count of other rows, which must be 0
     numbers = plain.schmidt_number
-    bad = np.flatnonzero(~np.isin(numbers, (1, 2, 4)))
-    histogram = dict(zip(*(a.tolist() for a in np.unique(numbers, return_counts=True))))
+    return gates, numbers, (route_dev, np.maximum(coeff_dev, inv_dev),
+                            ~np.isin(numbers, (1, 2, 4)), ~plain.is_pe)
 
-    # perfect-entangler fraction
-    fraction = float(np.mean(plain.is_pe))
+
+def _replaces(kept, value: float) -> bool:
+    """True if a later chunk's row ``value`` replaces the ``kept`` (value,
+    row, gate): as in ``Check.worst_row``, the first NaN wins, then the first
+    largest."""
+    return kept is None or (not math.isnan(kept[0]) and (math.isnan(value) or value > kept[0]))
+
+
+def run_audit(samples: int, seed: int) -> Report:
+    """Run the property suite and return one check per property.
+
+    The samples are drawn and checked ``_AUDIT_CHUNK`` at a time, and each
+    check is a reduction over the chunks. The worst row of the first failing
+    check is the report's counterexample.
+    """
+    as_scalar(samples, "samples", 1, below="samples must be at least 1")
+    as_scalar(seed, "seed", 0, None, below="seed must be non-negative")
+    rng = np.random.default_rng(seed)
+    kept = [None] * 4  # (value, global row, gate) of each check
+    bad_rows = pe_rows = 0
+    histogram = Counter()
+    for start in range(0, samples, _AUDIT_CHUNK):
+        gates, numbers, rows = _chunk_rows(rng, min(_AUDIT_CHUNK, samples - start))
+        for i, values in enumerate(rows):
+            row = int(np.argmax(values))
+            if _replaces(kept[i], float(values[row])):
+                kept[i] = (float(values[row]), start + row, gates[row].copy())
+        bad_rows += int(np.count_nonzero(rows[2]))
+        pe_rows += numbers.size - int(np.count_nonzero(rows[3]))
+        histogram.update(dict(zip(*(a.tolist() for a in np.unique(numbers, return_counts=True)))))
+
+    def worst(name, i, field):
+        value, row, _ = kept[i]
+        return replace(Check.worst_row(name, value, field, DEFAULT_TOL), where=row)
+
+    # the Schmidt-number check counts the rows outside {1, 2, 4}, which must be 0
+    fraction = pe_rows / samples
     band = pe_fraction_tolerance(samples)
-
     checks = (
-        Check.worst_row("three-route invariant consistency", route_dev, "invariant_tol",
-                        DEFAULT_TOL),
-        Check.worst_row("local invariance of schmidt coefficients", local_dev,
-                        "local_invariance_tol", DEFAULT_TOL),
-        Check("schmidt number in {1, 2, 4}", float(bad.size), 0.0,
-              int(bad[0]) if bad.size else None, f"histogram {histogram}"),
-        Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band,
-              int(np.argmin(plain.is_pe)),
+        worst("three-route invariant consistency", 0, "invariant_tol"),
+        worst("local invariance of schmidt coefficients", 1, "local_invariance_tol"),
+        Check("schmidt number in {1, 2, 4}", float(bad_rows), 0.0,
+              kept[2][1] if bad_rows else None, f"histogram {dict(sorted(histogram.items()))}"),
+        Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band, kept[3][1],
               f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})"),
     )
-    failed = next((c.where for c in checks if not c.passed), None)
-    counterexample = None if failed is None else Gate(matrix=gates[failed].copy(),
-                                                      name=f"sample_{failed}")
+    failed = next((i for i, c in enumerate(checks) if not c.passed), None)
+    counterexample = None if failed is None else Gate(matrix=kept[failed][2],
+                                                      name=f"sample_{checks[failed].where}")
     return Report(checks, counterexample)

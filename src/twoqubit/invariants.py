@@ -36,8 +36,15 @@ def real_g2(g2: np.ndarray) -> np.ndarray:
 
 def bell_matrix_array(u: np.ndarray):
     """det(U) and M(U) = U_B^T U_B for a stack of unitaries, shape (..., 4, 4),
-    where U_B = Q^T U Q (the transpose of Q, not its adjoint) is U in the Bell basis."""
-    ub = Q_MAGIC.T @ u @ Q_MAGIC
+    where U_B = Q^T U Q (the transpose of Q, not its adjoint) is U in the Bell basis.
+
+    Each product with Q is one (4N, 4) @ (4, 4) product over the flattened
+    stack, not one per gate: Q^T U is taken as (U^T Q)^T. Its entries are the
+    same sums as those of ``Q_MAGIC.T @ u @ Q_MAGIC``; the tests hold them equal
+    bit for bit."""
+    shape = u.shape
+    qu = (u.swapaxes(-1, -2).reshape(-1, 4) @ Q_MAGIC).reshape(shape).swapaxes(-1, -2)
+    ub = (qu.reshape(-1, 4) @ Q_MAGIC).reshape(shape)
     return np.linalg.det(u), ub.swapaxes(-1, -2) @ ub
 
 

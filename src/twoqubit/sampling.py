@@ -22,8 +22,23 @@ def haar_unitary(rng: np.random.Generator, dim: int = 4, size: int | None = None
 
 
 def random_local_unitary(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Random single-qubit pair u (x) v with u, v Haar on U(2)."""
-    u = haar_unitary(rng, 2, size)
-    v = haar_unitary(rng, 2, size)
-    prod = np.einsum("...ab,...cd->...acbd", u, v)
-    return prod.reshape(prod.shape[:-4] + (4, 4))
+    """Random single-qubit pair u (x) v with u, v Haar on U(2).
+
+    Each factor is drawn in SU(2) from a unit quaternion (a, b, c, d), a
+    normalised real 4-Gaussian, as [[a+ib, c+id], [-c+id, a-ib]]; that is
+    Haar on SU(2) (Mezzadri, Notices AMS 54, 592 (2007)). One uniform global
+    phase, multiplied in, makes the pair Haar on U(2) (x) U(2), whose two
+    phases only enter as their sum. So no QR runs: the draw is one
+    (..., 2, 4) Gaussian block, then one phase per pair.
+
+    Returns shape (4, 4), or (size, 4, 4) when ``size`` is given.
+    """
+    shape = () if size is None else (size,)
+    q = rng.standard_normal(shape + (2, 4))
+    q /= np.sqrt(np.einsum("...i,...i->...", q, q))[..., None]
+    z = q[..., 0::2] + 1j * q[..., 1::2]  # (a + ib, c + id) of each factor
+    f = np.stack((z, np.stack((-z[..., 1].conj(), z[..., 0].conj()), axis=-1)), axis=-2)
+    f[..., 0, :, :] *= np.exp(2j * np.pi * rng.random(shape))[..., None, None]
+    # rows (a, c) and columns (b, d) of u[a, b] v[c, d], in one broadcast product
+    k = f[..., 0, :, None, :, None] * f[..., 1, None, :, None, :]
+    return k.reshape(shape + (4, 4))

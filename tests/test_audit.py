@@ -1,11 +1,21 @@
+import tracemalloc
+
 import numpy as np
 
 import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
-from twoqubit.audit import HAAR_PE_FRACTION, pe_fraction_tolerance, run_audit
+from twoqubit.audit import _AUDIT_CHUNK, HAAR_PE_FRACTION, pe_fraction_tolerance, run_audit
 from twoqubit.canonical import ClassData
-from twoqubit.sampling import haar_unitary
+from twoqubit.invariants import (
+    invariants_from_point_array,
+    invariants_from_unitary_array,
+    invariants_from_z_array,
+    real_g2,
+)
+from twoqubit.linops import DEFAULT_TOL, Check
+from twoqubit.sampling import haar_unitary, random_local_unitary
+from twoqubit.schmidt import schmidt_coefficients_array, z_from_point_array
 
 
 def test_pe_band_is_four_binomial_sigma():
@@ -57,6 +67,107 @@ def test_schmidt_count_of_three_fails_with_first_row(monkeypatch):
     assert check.detail == "histogram {3: 2, 4: 18}"
     assert result.checks[1].passed
     assert result.counterexample.name == "sample_7"
+
+
+def _one_shot_checks(samples: int, seed: int):
+    """The audit's checks as one ClassData of all the draws: each chunk's
+    gates, left and right dressing, in run_audit's order, concatenated."""
+    rng = np.random.default_rng(seed)
+    sizes = [min(_AUDIT_CHUNK, samples - start) for start in range(0, samples, _AUDIT_CHUNK)]
+    draws = [(haar_unitary(rng, 4, n), random_local_unitary(rng, n), random_local_unitary(rng, n))
+             for n in sizes]
+    gates, k_left, k_right = (np.concatenate(part) for part in zip(*draws))
+    plain = ClassData.from_unitaries(gates)
+    g1_c, g2_c = invariants_from_point_array(plain.points)
+    g1_z, g2_z = invariants_from_z_array(z_from_point_array(plain.points))
+    g2_z = real_g2(g2_z)
+    pairs = ((plain.g1, g1_c), (plain.g1, g1_z), (g1_c, g1_z),
+             (plain.g2, g2_c), (plain.g2, g2_z), (g2_c, g2_z))
+    route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
+    dressed = k_left @ gates @ k_right
+    g1_d, g2_d = invariants_from_unitary_array(dressed)
+    local_dev = np.maximum(
+        np.max(np.abs(plain.s - schmidt_coefficients_array(dressed)), axis=-1),
+        np.maximum(np.abs(plain.g1 - g1_d), np.abs(plain.g2 - real_g2(g2_d))))
+    numbers = plain.schmidt_number
+    bad = np.flatnonzero(~np.isin(numbers, (1, 2, 4)))
+    histogram = dict(zip(*(a.tolist() for a in np.unique(numbers, return_counts=True))))
+    fraction = float(np.mean(plain.is_pe))
+    band = pe_fraction_tolerance(samples)
+    return gates, (
+        Check.worst_row("three-route invariant consistency", route_dev, "invariant_tol",
+                        DEFAULT_TOL),
+        Check.worst_row("local invariance of schmidt coefficients", local_dev,
+                        "local_invariance_tol", DEFAULT_TOL),
+        Check("schmidt number in {1, 2, 4}", float(bad.size), 0.0,
+              int(bad[0]) if bad.size else None, f"histogram {histogram}"),
+        Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band,
+              int(np.argmin(plain.is_pe)),
+              f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})"),
+    )
+
+
+def test_chunked_audit_equals_the_one_shot_checks():
+    samples = 2 * _AUDIT_CHUNK + 17
+    _, expected = _one_shot_checks(samples, 29)
+    report = run_audit(samples, 29)
+    assert report.checks == expected
+    assert report.passed and report.counterexample is None
+
+
+def test_fault_in_the_second_chunk_names_its_global_row(monkeypatch):
+    original = audit_mod.schmidt_coefficients_array
+    bad = np.array([0.8, 0.4, 0.4, 1e-20]) / np.linalg.norm([0.8, 0.4, 0.4])
+
+    def planted(u):
+        # the second chunk holds the last 20 samples
+        s = original(u)
+        if len(u) == 20:
+            s[[7, 12]] = bad
+        return s
+
+    monkeypatch.setattr(audit_mod, "schmidt_coefficients_array", planted)
+    monkeypatch.setattr(canonical_mod, "schmidt_coefficients_array", planted)
+    result = run_audit(_AUDIT_CHUNK + 20, 5)
+    check = result.checks[2]
+    assert not check.passed and check.where == _AUDIT_CHUNK + 7
+    assert check.detail == f"histogram {{3: 2, 4: {_AUDIT_CHUNK + 18}}}"
+    assert result.counterexample.name == f"sample_{_AUDIT_CHUNK + 7}"
+    gates, _ = _one_shot_checks(_AUDIT_CHUNK + 20, 5)
+    assert np.array_equal(result.counterexample.matrix, gates[_AUDIT_CHUNK + 7])
+
+
+def test_first_nan_over_the_chunks_is_the_worst_row(monkeypatch):
+    original = audit_mod.schmidt_coefficients_array
+    calls = []
+
+    def planted(u):
+        # the dressed coefficients only, in the second and third chunks
+        s = original(u)
+        calls.append(len(u))
+        if len(calls) in (2, 3):
+            s[len(calls)] = np.nan
+        return s
+
+    monkeypatch.setattr(audit_mod, "schmidt_coefficients_array", planted)
+    result = run_audit(3 * _AUDIT_CHUNK, 8)
+    check = result.checks[1]
+    assert np.isnan(check.value) and check.where == _AUDIT_CHUNK + 2
+    assert result.counterexample.name == f"sample_{_AUDIT_CHUNK + 2}"
+
+
+def _audit_peak(samples: int) -> int:
+    tracemalloc.start()
+    try:
+        run_audit(samples, 13)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_audit_memory_does_not_grow_with_samples():
+    small, large = _audit_peak(2 * _AUDIT_CHUNK), _audit_peak(8 * _AUDIT_CHUNK)
+    assert large <= 1.1 * small, (small, large)
 
 
 def _density_integral(tets, n: int, integrand=None) -> float:

@@ -81,6 +81,21 @@ def test_bell_transform_round_trip(rng):
         assert abs(det[i] - det_i) <= 1e-14 and np.allclose(m[i], m_i, atol=1e-14)
 
 
+def _bits_equal(a, b) -> bool:
+    return np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag)
+
+
+@pytest.mark.parametrize("n", [1, 7, 4097])
+def test_bell_transform_of_a_stack_is_the_per_gate_product_bit_for_bit(n):
+    # the stack is flattened into one product with Q per side; each gate
+    # still gets exactly the entries of its own Q^T U Q and det(U)
+    u = haar_unitary(np.random.default_rng(n), 4, n)
+    det, m = bell_matrix_array(u)
+    ub = [Q_MAGIC.T @ g @ Q_MAGIC for g in u]
+    assert _bits_equal(m, np.stack([b.T @ b for b in ub]))
+    assert _bits_equal(det, np.stack([np.linalg.det(g) for g in u]))
+
+
 def test_bell_transform_preserves_unitarity_and_norm(rng):
     for _ in range(25):
         g = Gate(haar_unitary(rng))

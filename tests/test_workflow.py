@@ -32,3 +32,12 @@ def test_failing_path_step_expects_its_exit_code(command, code):
     runs = [step["run"] for name, step in _steps().items() if name.startswith("Failing path")]
     assert [f"python -m {command} || code=$?" in run and f'test "$code" -eq {code}' in run
             for run in runs].count(True) == 1
+
+
+def test_chunk_smoke_step_spans_several_chunks():
+    from twoqubit.audit import _AUDIT_CHUNK
+
+    run = _steps()["Smoke, an audit that spans several chunks"]["run"]
+    samples = int(re.search(r"audit --samples (\d+) --seed \d+ ", run).group(1))
+    assert samples > 2 * _AUDIT_CHUNK
+    assert 'grep -qx "audit: PASS"' in run
