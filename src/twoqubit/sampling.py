@@ -28,8 +28,8 @@ def random_local_unitary(rng: np.random.Generator, size: int | None = None) -> n
     normalised real 4-Gaussian, as [[a+ib, c+id], [-c+id, a-ib]]; that is
     Haar on SU(2) (Mezzadri, Notices AMS 54, 592 (2007)). One uniform global
     phase, multiplied in, makes the pair Haar on U(2) (x) U(2), whose two
-    phases only enter as their sum. So no QR runs: the draw is one
-    (..., 2, 4) Gaussian block, then one phase per pair.
+    phases only enter as their sum. No QR runs: the draw is one (..., 2, 4)
+    Gaussian block, then one phase per pair.
 
     Returns shape (4, 4), or (size, 4, 4) when ``size`` is given.
     """
