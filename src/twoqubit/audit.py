@@ -66,11 +66,11 @@ def pe_fraction_tolerance(samples: int) -> float:
 
 
 def _chunk_rows(rng: np.random.Generator, n: int):
-    """The next ``n`` samples: their gates, drawn before the left and then the
-    right dressing, their Schmidt numbers, and one row value per check whose
-    first NaN, else first largest, entry is that check's row: the route and
-    the local deviations, and the flags of Schmidt numbers outside {1, 2, 4}
-    and of rows that are no perfect entangler."""
+    """The next ``n`` samples: their gates (drawn before the left and then
+    the right dressing), their Schmidt numbers, and each check's row values,
+    whose first NaN, else first largest, entry is the check's row: the route
+    and local deviations, and flags of a Schmidt number outside {1, 2, 4}
+    and of a gate that is no perfect entangler."""
     gates = haar_unitary(rng, 4, n)
     k_left = random_local_unitary(rng, n)
     k_right = random_local_unitary(rng, n)
