@@ -47,6 +47,11 @@ COMMANDS = [
     *(["analyze", name] for name in GATES),
     *(["analyze", name, "--format", "json"] for name in GATES),
     ["list-gates"],
+    # errors a plain command line reaches: an unknown gate source, a one-point
+    # grid, and an output directory that does not exist
+    ["analyze", "no-such-gate"],
+    ["sweep", "OA1", "--n", "1", "--out", "one.csv"],
+    ["sweep", "OA1", "--n", "5", "--out", "missing/e.csv"],
 ]
 
 
