@@ -19,17 +19,17 @@ the matrix-route invariants, and the dressed gates take one more. Each
 check is then a reduction over the chunks: the worst value and its global
 row, summed histogram and PE counts, the first offending row. So memory
 does not grow with ``samples``, and a (samples, seed) pair fixes the
-outcome bit for bit.
+outcome bit for bit. A refusal raised inside a chunk keeps its type and
+its chunk-local rows, prefixed ``audit samples <first> to <last>: ``.
 """
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 
 from .canonical import ClassData
+from .errors import NumericalError
 from .gates import Gate
 from .linops import DEFAULT_TOL, Check, Report, as_scalar
 from .invariants import (
@@ -95,48 +95,44 @@ def _chunk_rows(rng: np.random.Generator, n: int):
                             ~np.isin(numbers, (1, 2, 4)), ~plain.is_pe)
 
 
-def _replaces(kept, value: float) -> bool:
-    """True if a later chunk's row ``value`` replaces the ``kept`` (value,
-    row, gate): as in ``Check.worst_row``, the first NaN wins, then the first
-    largest."""
-    return kept is None or (not math.isnan(kept[0]) and (math.isnan(value) or value > kept[0]))
-
-
 def run_audit(samples: int, seed: int) -> Report:
-    """Run the property suite and return one check per property.
-
-    The samples are drawn and checked ``_AUDIT_CHUNK`` at a time, and each
-    check is a reduction over the chunks. The worst row of the first failing
-    check is the report's counterexample.
-    """
+    """Run the property suite, ``_AUDIT_CHUNK`` samples at a time, and return
+    one check per property, each a reduction over the chunks. The worst row
+    of the first failing check is the report's counterexample."""
     as_scalar(samples, "samples", 1, below="samples must be at least 1")
     as_scalar(seed, "seed", 0, None, below="seed must be non-negative")
     rng = np.random.default_rng(seed)
-    kept = [None] * 4  # (value, global row, gate) of each check
-    bad_rows = pe_rows = 0
-    histogram = Counter()
+    kept = [(-np.inf, 0, None)] * 4  # (value, global row, gate) of each check
+    counts, pe_rows = np.zeros(5, dtype=np.int64), 0  # rows by Schmidt number, PE rows
     for start in range(0, samples, _AUDIT_CHUNK):
-        gates, numbers, rows = _chunk_rows(rng, min(_AUDIT_CHUNK, samples - start))
+        n = min(_AUDIT_CHUNK, samples - start)
+        try:
+            gates, numbers, rows = _chunk_rows(rng, n)
+        except NumericalError as exc:
+            raise type(exc)(f"audit samples {start} to {start + n - 1}: {exc}") from None
         for i, values in enumerate(rows):
             row = int(np.argmax(values))
-            if _replaces(kept[i], float(values[row])):
+            # Check.worst_row's rule (row values are >= 0 or NaN): the first
+            # NaN, then the first largest; a tie keeps the earlier row
+            if np.argmax((kept[i][0], values[row])):
                 kept[i] = (float(values[row]), start + row, gates[row].copy())
-        bad_rows += int(np.count_nonzero(rows[2]))
-        pe_rows += numbers.size - int(np.count_nonzero(rows[3]))
-        histogram.update(dict(zip(*(a.tolist() for a in np.unique(numbers, return_counts=True)))))
+        counts += np.bincount(numbers, minlength=5)
+        pe_rows += n - int(np.count_nonzero(rows[3]))
 
     def worst(name, i, field):
         value, row, _ = kept[i]
         return replace(Check.worst_row(name, value, field, DEFAULT_TOL), where=row)
 
     # the Schmidt-number check counts the rows outside {1, 2, 4}, which must be 0
+    bad_rows = int(counts[0] + counts[3])
+    histogram = {k: int(v) for k, v in enumerate(counts) if v}
     fraction = pe_rows / samples
     band = pe_fraction_tolerance(samples)
     checks = (
         worst("three-route invariant consistency", 0, "invariant_tol"),
         worst("local invariance of schmidt coefficients", 1, "local_invariance_tol"),
         Check("schmidt number in {1, 2, 4}", float(bad_rows), 0.0,
-              kept[2][1] if bad_rows else None, f"histogram {dict(sorted(histogram.items()))}"),
+              kept[2][1] if bad_rows else None, f"histogram {histogram}"),
         Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band, kept[3][1],
               f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})"),
     )

@@ -2,9 +2,10 @@
 
 Subcommands: analyze, sweep, verify-tables, audit, list-gates.
 
-Exit codes: 0 success, 1 parse error, 2 validation error, 3 numerical
-error (``NumericalError`` or numpy's ``LinAlgError``), 4 I/O failure,
-5 table verification failure, 6 audit property violation.
+Exit codes: 0 success, 1 parse error, 2 validation error (a count that
+no memory can hold included), 3 numerical error (``NumericalError`` or
+numpy's ``LinAlgError``), 4 I/O failure, 5 table verification failure,
+6 audit property violation.
 """
 from __future__ import annotations
 
@@ -248,8 +249,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, MemoryError) as exc:
+        # MemoryError: a count below 2**63 that no memory can hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,15 @@
+import re
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
 from twoqubit.audit import _AUDIT_CHUNK, HAAR_PE_FRACTION, pe_fraction_tolerance, run_audit
 from twoqubit.canonical import ClassData
+from twoqubit.errors import ExtractionError, NumericalError
 from twoqubit.invariants import (
     invariants_from_point_array,
     invariants_from_unitary_array,
@@ -154,6 +157,41 @@ def test_first_nan_over_the_chunks_is_the_worst_row(monkeypatch):
     check = result.checks[1]
     assert np.isnan(check.value) and check.where == _AUDIT_CHUNK + 2
     assert result.counterexample.name == f"sample_{_AUDIT_CHUNK + 2}"
+
+
+@pytest.mark.parametrize(
+    "row, g1_shift, g2_shift, error, what, field",
+    [(7, 0.1, 0.0, ExtractionError, "canonical point misses the local invariants",
+      "invariant_tol"),
+     (12, 0.0, 1e-6j, NumericalError, "G2 imaginary residue", "imag_residue_tol")],
+    ids=["extraction", "g2-imaginary-residue"],
+)
+def test_refusal_in_the_second_chunk_names_its_samples(monkeypatch, row, g1_shift, g2_shift,
+                                                        error, what, field):
+    true = canonical_mod.invariants_from_bell_array
+
+    def planted(det, m):
+        # the plain gates of the second chunk, which holds the last 20 samples
+        g1, g2 = true(det, m)
+        if len(det) == 20:
+            at_row = np.arange(20) == row
+            g1, g2 = g1 + g1_shift * at_row, g2 + g2_shift * at_row
+        return g1, g2
+
+    monkeypatch.setattr(canonical_mod, "invariants_from_bell_array", planted)
+    with pytest.raises(error) as info:
+        run_audit(_AUDIT_CHUNK + 20, 5)
+    assert type(info.value) is error
+    tol = getattr(DEFAULT_TOL, field)
+    # the rows stay the chunk's own; the prefix names its global samples
+    match = re.fullmatch(
+        rf"audit samples {_AUDIT_CHUNK} to {_AUDIT_CHUNK + 19}: {re.escape(what)} at rows "
+        rf"\[{row}\] \(1 in all\); worst residual (\S+) exceeds tol {re.escape(f'{tol:g}')} "
+        rf"\({field}\)",
+        str(info.value),
+    )
+    assert match, str(info.value)
+    assert float(match.group(1)) == pytest.approx(abs(g1_shift + g2_shift), rel=1e-3)
 
 
 def _audit_peak(samples: int) -> int:

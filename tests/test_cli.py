@@ -166,6 +166,14 @@ def test_analyze_wrong_structure_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_analyze_short_row_exit_1(tmp_path, capsys):
+    data = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    data[1].pop()
+    path = tmp_path / "short_row.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "analyze", str(path)) == (1, "", "error: row 1 must be an array of 4 entries\n")
+
+
 def test_analyze_nonunitary_exit_2(tmp_path, capsys):
     data = [[[2.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
     path = tmp_path / "stretch.json"
@@ -302,6 +310,30 @@ def test_audit_sample_count_numpy_cannot_index_exit_2(capsys):
     code, out, err = run(capsys, "audit", "--samples", str(10**30))
     assert (code, out) == (2, "")
     assert err == f"error: samples must be at most {2**63 - 1}, got {10**30}\n"
+
+
+@pytest.mark.parametrize("argv", [["verify-tables", "--n", str(10**17)],
+                                  ["sweep", "OA1", "--n", str(10**17)]],
+                         ids=["verify-tables", "sweep"])
+def test_count_no_memory_can_hold_exit_2(capsys, tmp_path, argv):
+    # below 2**63, so as_scalar passes it, but the grid alone would be 711 PiB
+    out_path = tmp_path / "x.csv"
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.strip() != "error:", err
+    assert not out_path.exists()
+
+
+def test_bare_memory_error_exit_2_names_it(capsys, monkeypatch):
+    import twoqubit.cli as cli_mod
+
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "verify_tables", exhausted)
+    assert run(capsys, "verify-tables") == (2, "", "error: out of memory\n")
 
 
 def test_sweep_output_deterministic(tmp_path, capsys):

@@ -27,6 +27,7 @@ def test_tier1_step_runs_the_roadmap_command():
     ("twoqubit audit --samples 0", 2),
     ("twoqubit verify-tables --n 1", 2),
     (f"twoqubit audit --samples {10**30}", 2),
+    (f"twoqubit verify-tables --n {10**17}", 2),
 ])
 def test_failing_path_step_expects_its_exit_code(command, code):
     runs = [step["run"] for name, step in _steps().items() if name.startswith("Failing path")]
