@@ -171,7 +171,8 @@ def test_analyze_short_row_exit_1(tmp_path, capsys):
     data[1].pop()
     path = tmp_path / "short_row.json"
     path.write_text(json.dumps(data))
-    assert run(capsys, "analyze", str(path)) == (1, "", "error: row 1 must be an array of 4 entries\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (1, "", "error: row 1 must be an array of 4 entries\n")
 
 
 def test_analyze_nonunitary_exit_2(tmp_path, capsys):
