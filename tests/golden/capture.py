@@ -1,6 +1,11 @@
 """The CLI output corpus: each command line below with its exit code,
 stdout, stderr and the files it writes, as ``manifest.json`` holds them.
 
+An entry that reads a gate file holds it under ``inputs``, by the relative
+name the command line gives, and it is written into the run directory first.
+An entry whose files are too large to store verbatim (``digest``) holds each
+file's SHA-256 and byte count instead.
+
 ``test_golden.py`` reruns every entry and requires the same bytes. After a
 deliberate output change, rewrite the manifest and review its diff:
 
@@ -9,6 +14,7 @@ deliberate output change, rewrite the manifest and review its diff:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -55,11 +61,45 @@ COMMANDS = [
 ]
 
 
-def run(argv: list[str], cwd: Path) -> dict:
-    """``cli.main(argv)`` run in the empty directory ``cwd``: its exit code,
-    stdout, stderr and every file it leaves there, by name."""
+def _gate_files() -> dict[str, str]:
+    """Gate files by name: four seeded Haar gates, and three that make_gate
+    refuses (a NaN entry, an entry of 10**400, and the non-unitary
+    diag(1, 1, 1, 2))."""
+    import numpy as np
+
+    from twoqubit.sampling import haar_unitary
+
+    def dump(matrix) -> str:
+        return json.dumps([[[v.real, v.imag] for v in row] for row in matrix.tolist()]) + "\n"
+
+    files = {f"haar{seed}.json": dump(haar_unitary(np.random.default_rng(seed)))
+             for seed in range(4)}
+    diag = [[[float(i == j) * (2 if i == 3 else 1), 0.0] for j in range(4)] for i in range(4)]
+    files["nonunitary.json"] = json.dumps(diag) + "\n"
+    files["nan.json"] = files["nonunitary.json"].replace("2.0", "NaN", 1)
+    files["huge.json"] = files["nonunitary.json"].replace("2.0", str(10**400), 1)
+    return files
+
+
+# commands that read a gate file, and sweeps whose files are stored as digests
+FILE_COMMANDS = [
+    *(["analyze", f"haar{seed}.json", *fmt] for seed in range(4)
+      for fmt in ([], ["--format", "json"])),
+    ["analyze", "nan.json"],
+    ["analyze", "huge.json"],
+    ["analyze", "nonunitary.json"],
+]
+DIGEST_COMMANDS = [["sweep", name, "--n", "101", "--out", "e.csv", "--svg"] for name in EDGES]
+
+
+def run(argv: list[str], cwd: Path, inputs: dict | None = None, digest: bool = False) -> dict:
+    """``cli.main(argv)`` run in the empty directory ``cwd`` after writing
+    ``inputs`` there: its exit code, stdout, stderr and every other file it
+    leaves there, by name, as text or, if ``digest``, as SHA-256 and bytes."""
     from twoqubit.cli import main
 
+    for name, text in (inputs or {}).items():
+        (cwd / name).write_text(text, newline="\n")
     out, err = io.StringIO(), io.StringIO()
     home = os.getcwd()
     os.chdir(cwd)
@@ -68,16 +108,30 @@ def run(argv: list[str], cwd: Path) -> dict:
             code = main(argv)
     finally:
         os.chdir(home)
-    files = {p.name: p.read_text() for p in sorted(Path(cwd).iterdir())}
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
-            "stderr": err.getvalue(), "files": files}
+    paths = [p for p in sorted(Path(cwd).iterdir()) if p.name not in (inputs or {})]
+    if digest:
+        files = {p.name: {"sha256": hashlib.sha256(p.read_bytes()).hexdigest(),
+                          "bytes": p.stat().st_size} for p in paths}
+    else:
+        files = {p.name: p.read_text() for p in paths}
+    entry = {"argv": argv, "exit": code, "stdout": out.getvalue(),
+             "stderr": err.getvalue(), "files": files}
+    if inputs:
+        entry["inputs"] = inputs
+    if digest:
+        entry["digest"] = True
+    return entry
 
 
 def main() -> int:
+    gate_files = _gate_files()
+    runs = [*((argv, None, False) for argv in COMMANDS),
+            *((argv, {argv[1]: gate_files[argv[1]]}, False) for argv in FILE_COMMANDS),
+            *((argv, None, True) for argv in DIGEST_COMMANDS)]
     entries = []
-    for argv in COMMANDS:
+    for argv, inputs, digest in runs:
         with tempfile.TemporaryDirectory() as cwd:
-            entries.append(run(argv, Path(cwd)))
+            entries.append(run(argv, Path(cwd), inputs, digest))
     MANIFEST.write_text(json.dumps(entries, indent=1) + "\n", newline="\n")
     print(f"wrote {len(entries)} entries to {MANIFEST}")
     return 0
