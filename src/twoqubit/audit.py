@@ -36,7 +36,6 @@ from .invariants import (
     invariants_from_unitary_array,
     invariants_from_point_array,
     invariants_from_z_array,
-    real_g2,
 )
 from .sampling import haar_unitary, random_local_unitary
 from .schmidt import schmidt_coefficients_array, z_from_point_array
@@ -80,7 +79,6 @@ def _chunk_rows(rng: np.random.Generator, n: int):
     g1_u, g2_u = plain.g1, plain.g2
     g1_c, g2_c = invariants_from_point_array(plain.points)
     g1_z, g2_z = invariants_from_z_array(z_from_point_array(plain.points))
-    g2_z = real_g2(g2_z)
     pairs = ((g1_u, g1_c), (g1_u, g1_z), (g1_c, g1_z), (g2_u, g2_c), (g2_u, g2_z), (g2_c, g2_z))
     route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
 
@@ -88,7 +86,7 @@ def _chunk_rows(rng: np.random.Generator, n: int):
     dressed = k_left @ gates @ k_right
     coeff_dev = np.max(np.abs(plain.s - schmidt_coefficients_array(dressed)), axis=-1)
     g1_d, g2_d = invariants_from_unitary_array(dressed)
-    inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - real_g2(g2_d)))
+    inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - g2_d))
 
     numbers = plain.schmidt_number
     return gates, numbers, (route_dev, np.maximum(coeff_dev, inv_dev),

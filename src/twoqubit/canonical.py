@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ExtractionError
 from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, Gate
 from .invariants import (
-    bell_matrix_array, invariants_from_bell_array, invariants_from_point_array, real_g2,
+    bell_matrix_array, invariants_from_bell_array, invariants_from_point_array,
 )
 from .linops import DEFAULT_TOL, as_triple, kron, refuse_rows
 from .schmidt import (
@@ -181,7 +181,7 @@ def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
     lam.sort(axis=-1)
     points = weyl_reduce_array(0.5 * (lam.take(_PAIR_A, axis=-1) + lam.take(_PAIR_B, axis=-1)))
     g1, g2 = invariants_from_point_array(points)
-    residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref.real))
+    residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref))
     refuse_rows(ExtractionError, "canonical point misses the local invariants", residual,
                 "invariant_tol")
     return points
@@ -189,8 +189,9 @@ def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
 
 def canonical_points_array(u: np.ndarray) -> np.ndarray:
     """Chamber-reduced canonical coordinates (..., 3) for a stack of unitaries
-    (..., 4, 4): one det(U) and M(U) pass, then ``points_from_bell_array``,
-    whose ``ExtractionError`` it raises."""
+    (..., 4, 4): one det(U) and M(U) pass, then ``points_from_bell_array``. It
+    refuses what ``ClassData.from_unitaries`` refuses, in the same order: a G2
+    residue, as ``invariants_from_bell_array``, then a missed point."""
     det, m = bell_matrix_array(np.asarray(u, dtype=complex))
     return points_from_bell_array(det, m, *invariants_from_bell_array(det, m))
 
@@ -226,14 +227,14 @@ class ClassData:
         as half the singular values of the realigned matrices.
 
         Raises:
-            ExtractionError: as ``canonical_points_array``.
-            NumericalError: as ``real_g2``; a failed eigensolver or SVD raises numpy's error.
+            NumericalError: as ``canonical_points_array``, an ``ExtractionError``
+                included; a failed eigensolver or SVD raises numpy's error.
         """
         u = np.asarray(u, dtype=complex)
         det, m = bell_matrix_array(u)
         g1, g2 = invariants_from_bell_array(det, m)
         points = points_from_bell_array(det, m, g1, g2)
-        return cls._with_tail(points, g1, real_g2(g2), schmidt_coefficients_array(u), points)
+        return cls._with_tail(points, g1, g2, schmidt_coefficients_array(u), points)
 
     @classmethod
     def from_points(cls, c) -> ClassData:

@@ -98,17 +98,13 @@ def _load_gate(source: str) -> Gate:
     if source in catalog_names():
         return catalog(source)
     try:
-        text = Path(source).read_text()
+        data = json.loads(Path(source).read_text())
     except OSError as exc:
         raise ParseError(
             f"{source!r} is neither a catalog name ({', '.join(catalog_names())}) "
             f"nor a readable file: {exc}"
         ) from None
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid JSON in {source}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"invalid JSON in {source}: {exc}") from None
     return gate_from_json_data(data, name=source)
 

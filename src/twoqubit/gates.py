@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .linops import DEFAULT_TOL, as_finite, lookup, unitarity_defect
+from .linops import as_finite, lookup, refuse_rows, unitarity_defect
 
 __all__ = [
     "IDENTITY2",
@@ -65,15 +65,12 @@ def make_gate(matrix, name: str | None = None) -> Gate:
 
     Raises:
         ValidationError: as ``as_finite``, for anything but a finite 4x4
-            complex matrix; or if the matrix is not unitary within
-            ``DEFAULT_TOL.unitarity_tol`` (the message carries ||U^dag U - I||_F).
+            complex matrix; or, as ``refuse_rows``, if ||U^dag U - I||_F is
+            not within ``unitarity_tol`` (a NaN from an overflow is refused).
     """
     a = as_finite(matrix, (4, 4), "matrix", complex)
-    defect = unitarity_defect(a)
-    if not defect <= DEFAULT_TOL.unitarity_tol:  # NaN, from an overflow, fails too
-        raise ValidationError(
-            f"matrix is not unitary: ||U^dag U - I||_F = {defect:.3e}"
-        )
+    refuse_rows(ValidationError, "matrix is not unitary: ||U^dag U - I||_F", unitarity_defect(a),
+                "unitarity_tol")
     return Gate(matrix=a, name=name)
 
 

@@ -8,7 +8,9 @@ the two-sided Pauli expansion of the nonlocal part. All three routes must
 agree; the tests enforce this.
 
 The array helpers (prefixed ``invariants_from_*_array``) accept stacked
-inputs and are used by the extraction and audit machinery.
+inputs and are used by the extraction and audit machinery. Each returns
+complex G1 and real G2: G2 is real for every unitary, so the routes that
+compute it complex refuse its imaginary residue where they compute it.
 """
 from __future__ import annotations
 
@@ -23,11 +25,10 @@ __all__ = [
     "invariants_from_point",
     "invariants_from_z",
     "locally_equivalent",
-    "real_g2",
 ]
 
 
-def real_g2(g2: np.ndarray) -> np.ndarray:
+def _real_g2(g2: np.ndarray) -> np.ndarray:
     """The real part of complex G2 values (...,); G2 is real for unitary input,
     so rows whose imaginary residue exceeds ``imag_residue_tol`` raise NumericalError."""
     refuse_rows(NumericalError, "G2 imaginary residue", np.abs(g2.imag), "imag_residue_tol")
@@ -49,20 +50,17 @@ def bell_matrix_array(u: np.ndarray):
 
 
 def invariants_from_bell_array(det: np.ndarray, m: np.ndarray):
-    """(G1, G2) from ``bell_matrix_array``'s det(U) and M(U); G2 complex."""
+    """(G1, G2) from ``bell_matrix_array``'s det(U) and M(U); G2 refused as ``_real_g2``."""
     tr = m.trace(axis1=-2, axis2=-1)
     # tr(M^2) = sum_ij M_ij M_ji, cheaper than forming M @ M
     tr_m2 = (m * m.swapaxes(-1, -2)).sum(axis=(-2, -1))
     g1 = tr**2 / (16 * det)
-    g2 = (tr**2 - tr_m2) / (4 * det)
-    return g1, g2
+    return g1, _real_g2((tr**2 - tr_m2) / (4 * det))
 
 
 def invariants_from_unitary_array(u: np.ndarray):
-    """(G1, G2) for a stack of unitaries, shape (..., 4, 4).
-
-    G2 is returned complex; callers take it real through ``real_g2``.
-    """
+    """(G1, G2) for a stack of unitaries, shape (..., 4, 4), as
+    ``invariants_from_bell_array``."""
     return invariants_from_bell_array(*bell_matrix_array(u))
 
 
@@ -73,7 +71,7 @@ def invariants_from_unitary(g: Gate) -> tuple[complex, float]:
     global phase of the input; no prior normalization is required.
     """
     g1, g2 = invariants_from_unitary_array(g.matrix)
-    return complex(g1), float(real_g2(g2))
+    return complex(g1), float(g2)
 
 
 def invariants_from_point_array(c: np.ndarray):
@@ -95,14 +93,10 @@ def invariants_from_point(c) -> tuple[complex, float]:
 
 
 def invariants_from_z_array(z: np.ndarray):
-    """(G1, G2) from two-sided Pauli coefficients, shape (..., 4).
-
-    G2 is returned complex; callers take it real through ``real_g2``.
-    """
+    """(G1, G2) from two-sided Pauli coefficients, shape (..., 4); G2 refused as ``_real_g2``."""
     z = np.asarray(z, dtype=complex)
     g1 = np.sum(z**2, axis=-1) ** 2
-    g2 = g1 + 2 * np.sum(z**4, axis=-1) + 24 * np.prod(z, axis=-1)
-    return g1, g2
+    return g1, _real_g2(g1 + 2 * np.sum(z**4, axis=-1) + 24 * np.prod(z, axis=-1))
 
 
 def invariants_from_z(z) -> tuple[complex, float]:
@@ -115,12 +109,12 @@ def invariants_from_z(z) -> tuple[complex, float]:
         ValidationError: as ``as_finite``, for anything but four finite
             complex numbers; or if sum |z_l|^2 differs from 1 by more than
             ``DEFAULT_TOL.norm_tol``.
-        NumericalError: as ``real_g2``.
+        NumericalError: as ``_real_g2``.
     """
     z = as_finite(z, (4,), "coefficient row [z1, z2, z3, z4]", complex)
     refuse_rows(ValidationError, "z not normalized", abs(np.sum(np.abs(z) ** 2) - 1), "norm_tol")
     g1, g2 = invariants_from_z_array(z)
-    return complex(g1), float(real_g2(g2))
+    return complex(g1), float(g2)
 
 
 def locally_equivalent(a: Gate, b: Gate) -> bool:

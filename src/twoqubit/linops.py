@@ -168,10 +168,11 @@ def refuse_rows(error: type, what: str, residual: np.ndarray, field: str) -> Non
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """Frobenius norm of m^dag m - I; inf or NaN, with no warning, on overflow."""
+    """Frobenius norm of m^dag m - I, as numpy's float (a ``float`` that
+    ``refuse_rows`` takes as one row); inf or NaN, with no warning, on overflow."""
     m = np.asarray(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(np.swapaxes(m, -1, -2).conj() @ m - np.eye(m.shape[-1])))
+        return np.linalg.norm(np.swapaxes(m, -1, -2).conj() @ m - np.eye(m.shape[-1]))
 
 
 def kron(a, b) -> np.ndarray:

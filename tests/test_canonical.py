@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import twoqubit.canonical as canonical_mod
+import twoqubit.invariants as invariants_mod
 import twoqubit.linops as linops
 from twoqubit import (
     ExtractionError,
@@ -330,13 +331,12 @@ def test_class_data_from_points_agrees_with_from_unitaries():
 
 
 def test_class_data_refuses_imaginary_g2_residue(monkeypatch):
-    true_bell = canonical_mod.invariants_from_bell_array
+    true_real_g2 = invariants_mod._real_g2
 
-    def residue(det, m):
-        g1, g2 = true_bell(det, m)
-        return g1, g2 + 1e-6j * (np.arange(g2.size).reshape(g2.shape) == 2)
+    def residue(g2):
+        return true_real_g2(g2 + 1e-6j * (np.arange(g2.size).reshape(g2.shape) == 2))
 
-    monkeypatch.setattr(canonical_mod, "invariants_from_bell_array", residue)
+    monkeypatch.setattr(invariants_mod, "_real_g2", residue)
     u = haar_unitary(np.random.default_rng(34), 4, 5)
     with pytest.raises(NumericalError, match=r"imaginary residue at rows \[2\].*tol 1e-09"):
         ClassData.from_unitaries(u)

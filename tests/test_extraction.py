@@ -5,13 +5,15 @@ the branch in closed form and checks the result against (G1, G2). These
 tests aim at the cases that stress each step: degenerate spectra, phases
 at +/-pi, the ``eigvals`` fallback and the failure report.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoqubit.canonical as canonical_mod
-from twoqubit import ExtractionError, canonical_gate
+from twoqubit import ExtractionError, Gate, NumericalError, canonical_gate
 from twoqubit.canonical import (
     ClassData,
     POLYHEDRON_VERTICES,
@@ -20,7 +22,7 @@ from twoqubit.canonical import (
     weyl_reduce_array,
 )
 from twoqubit.edges import edge_names, sweep
-from twoqubit.invariants import invariants_from_unitary_array
+from twoqubit.invariants import invariants_from_unitary, invariants_from_unitary_array
 from twoqubit.sampling import haar_unitary, random_local_unitary
 
 PI = np.pi
@@ -119,14 +121,45 @@ def test_returned_invariants_are_the_matrix_route():
     data = ClassData.from_unitaries(u)
     g1_ref, g2_ref = invariants_from_unitary_array(u)
     assert np.array_equal(data.points, canonical_points_array(u))
-    assert np.array_equal(data.g1, g1_ref) and np.array_equal(data.g2, g2_ref.real)
+    assert np.array_equal(data.g1, g1_ref) and np.array_equal(data.g2, g2_ref) and g2_ref.dtype == float
 
 
-def test_extraction_error_names_rows_and_tolerance():
-    rng = np.random.default_rng(9)
-    u = haar_unitary(rng, 4, 6)
-    # a non-unitary row has no canonical point
-    u[3] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+def test_extraction_error_names_rows_and_tolerance(monkeypatch):
+    true = canonical_mod.invariants_from_bell_array
+
+    def planted(det, m):
+        # a G1 that row 3 of the six-gate stack misses
+        g1, g2 = true(det, m)
+        return g1 + 0.1 * (np.arange(g1.size) == 3) * (g1.size == 6), g2
+
+    monkeypatch.setattr(canonical_mod, "invariants_from_bell_array", planted)
+    u = haar_unitary(np.random.default_rng(9), 4, 6)
     with pytest.raises(ExtractionError, match=r"rows \[3\] \(1 in all\).*tol 1e-08"):
         canonical_points_array(u)
     canonical_points_array(np.delete(u, 3, axis=0))
+
+
+def test_non_unitary_row_is_refused_by_its_g2_residue():
+    rng = np.random.default_rng(9)
+    u = haar_unitary(rng, 4, 6)
+    u[3] = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    with pytest.raises(NumericalError) as info:
+        canonical_points_array(u)
+    assert type(info.value) is NumericalError
+    assert re.match(r"G2 imaginary residue at rows \[3\] \(1 in all\).*\(imag_residue_tol\)$",
+                    str(info.value)), str(info.value)
+
+
+def test_every_route_refuses_a_near_unitary_gate_alike():
+    # 1e-9 off unitary: the G2 residue is about 3e-9, above imag_residue_tol,
+    # while the extracted point still matches (G1, Re G2)
+    rng = np.random.default_rng(3)
+    u = haar_unitary(rng) + 1e-9 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    messages = []
+    for route in (canonical_points_array, ClassData.from_unitaries,
+                  lambda m: invariants_from_unitary(Gate(matrix=m))):
+        with pytest.raises(NumericalError) as info:
+            route(u)
+        messages.append((type(info.value), str(info.value)))
+    assert messages[0][1].startswith("G2 imaginary residue at rows [0] (1 in all)")
+    assert messages == [messages[0]] * 3

@@ -16,7 +16,14 @@ from twoqubit import (
     make_gate,
     z_from_point,
 )
+from twoqubit.canonical import canonical_points_array
+from twoqubit.invariants import (
+    invariants_from_point_array,
+    invariants_from_unitary_array,
+    invariants_from_z_array,
+)
 from twoqubit.sampling import haar_unitary, random_local_unitary
+from twoqubit.schmidt import z_from_point_array
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -163,6 +170,14 @@ def test_three_route_consistency(rng):
         inv_z = invariants_from_z(z_from_point(c))
         for a, b in itertools.combinations([inv_u, inv_c, inv_z], 2):
             assert _close(a, *b, tol=1e-8)
+
+
+def test_every_array_kernel_returns_complex_g1_and_real_g2(rng):
+    u = haar_unitary(rng, 4, 20)
+    points = canonical_points_array(u)
+    for g1, g2 in (invariants_from_unitary_array(u), invariants_from_point_array(points),
+                   invariants_from_z_array(z_from_point_array(points))):
+        assert g1.dtype == complex and g2.dtype == float and g2.shape == (20,)
 
 
 def test_local_invariance(rng):

@@ -17,8 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twoqubit
-import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
+import twoqubit.invariants as invariants_mod
 from twoqubit import DEFAULT_TOL, ValidationError, canonical_gate, make_gate
 from twoqubit.canonical import (
     PE_HALFSPACES,
@@ -223,15 +223,19 @@ def test_make_gate_unitarity_threshold(seed, weights):
         make_gate(u @ v @ np.diag(np.sqrt(1 + 2 * tol * w)) @ v.conj().T)
 
 
-def _plant_imag(monkeypatch, module, name, row):
-    """Patch ``module.name``, a (G1, G2) kernel, to add 1e-6j to G2 at ``row``."""
-    true = getattr(module, name)
+def _plant_imag(monkeypatch, row, call=1):
+    """Patch the G2 residue refusal of the invariant kernels to add 1e-6j to G2
+    at ``row`` on its ``call``-th call; an audit chunk calls it for its plain
+    gates first, then for the z route, then for the dressed gates."""
+    true, calls = invariants_mod._real_g2, []
 
-    def planted(*args):
-        g1, g2 = true(*args)
-        return g1, g2 + 1e-6j * (np.arange(g2.size).reshape(g2.shape) == row)
+    def planted(g2):
+        calls.append(None)
+        if len(calls) == call:
+            g2 = g2 + 1e-6j * (np.arange(g2.size).reshape(g2.shape) == row)
+        return true(g2)
 
-    monkeypatch.setattr(module, name, planted)
+    monkeypatch.setattr(invariants_mod, "_real_g2", planted)
 
 
 def _extraction(monkeypatch):
@@ -241,7 +245,7 @@ def _extraction(monkeypatch):
 
 
 def _class_data_g2(monkeypatch):
-    _plant_imag(monkeypatch, canonical_mod, "invariants_from_bell_array", 2)
+    _plant_imag(monkeypatch, 2)
     twoqubit.ClassData.from_unitaries(haar_unitary(np.random.default_rng(34), 4, 5))
 
 
@@ -256,12 +260,12 @@ def _z_route_g2(monkeypatch):
 
 
 def _audit_z_route_g2(monkeypatch):
-    _plant_imag(monkeypatch, audit_mod, "invariants_from_z_array", 4)
+    _plant_imag(monkeypatch, 4, call=2)
     twoqubit.run_audit(10, 1)
 
 
 def _audit_dressed_g2(monkeypatch):
-    _plant_imag(monkeypatch, audit_mod, "invariants_from_unitary_array", 1)
+    _plant_imag(monkeypatch, 1, call=3)
     twoqubit.run_audit(10, 1)
 
 
@@ -275,6 +279,9 @@ def _audit_dressed_g2(monkeypatch):
         (_audit_z_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[4]"),
         (_audit_dressed_g2, twoqubit.NumericalError, "imag_residue_tol", "[1]"),
         (lambda mp: twoqubit.invariants_from_z([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
+        (lambda mp: make_gate(np.diag([1, 1, 1, 2])), ValidationError, "unitarity_tol", "[0]"),
+        # ||U^dag U - I||_F overflows to NaN, which is refused too
+        (lambda mp: make_gate(np.full((4, 4), 1e200)), ValidationError, "unitarity_tol", "[0]"),
         (lambda mp: twoqubit.schmidt_strength([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
         (lambda mp: twoqubit.schmidt_strength([-0.5, 0.5, 0.5, 0.5]), ValidationError,
          "negative_tol", "[0]"),
@@ -283,7 +290,8 @@ def _audit_dressed_g2(monkeypatch):
          twoqubit.SchmidtNumberError, "zero_tol", "[0]"),
     ],
     ids=["extraction", "class-data-g2", "matrix-route-g2", "z-route-g2", "audit-z-route-g2",
-         "audit-dressed-g2", "z-norm", "s-norm", "s-negative", "schmidt-count-3"],
+         "audit-dressed-g2", "z-norm", "unitarity", "unitarity-overflow", "s-norm", "s-negative",
+         "schmidt-count-3"],
 )
 def test_refusal_names_rows_residual_tolerance_and_field(monkeypatch, site, error, field, rows):
     tol = getattr(DEFAULT_TOL, field)
