@@ -175,8 +175,8 @@ def _shift_g2(monkeypatch, row, shift):
     true, calls = invariants_mod._real_g2, []
 
     def planted(g2):
-        calls.append(len(g2))
-        if calls.count(20) == 1 and len(g2) == 20:
+        if len(g2) == 20 and not calls:
+            calls.append(g2)
             g2 = g2 + shift * (np.arange(20) == row)
         return true(g2)
 
