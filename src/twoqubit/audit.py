@@ -5,7 +5,8 @@ Checks, over ``samples`` Haar-random gates:
   * the three invariant routes (matrix, coordinates, expansion
     coefficients) agree pairwise within ``DEFAULT_TOL.invariant_tol``;
   * sorted Schmidt coefficients and invariants are unchanged by random
-    single-qubit operations on both sides (``DEFAULT_TOL.local_invariance_tol``);
+    single-qubit operations on both sides (``DEFAULT_TOL.local_invariance_tol``),
+    the dressed gates' realignment SVD checked against |z(c)| at the plain points;
   * Schmidt numbers take only the values 1, 2 or 4;
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.

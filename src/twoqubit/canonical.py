@@ -26,9 +26,7 @@ from .invariants import (
     bell_matrix_array, invariants_from_bell_array, invariants_from_point_array,
 )
 from .linops import DEFAULT_TOL, as_triple, kron, refuse_rows
-from .schmidt import (
-    schmidt_coefficients_array, schmidt_numbers_array, schmidt_strength_array, z_from_point_array,
-)
+from .schmidt import schmidt_numbers_array, schmidt_strength_array, z_from_point_array
 
 __all__ = [
     "O",
@@ -201,9 +199,9 @@ class ClassData:
     """The local class of each input row, as columns.
 
     The canonical decomposition gives the chamber ``points`` (..., 3),
-    complex ``g1``, real ``g2`` and the perfect-entangler flag ``is_pe``;
-    the operator-Schmidt decomposition gives the coefficients ``s``
-    (..., 4), descending, their ``strength`` and the ``schmidt_number``.
+    complex ``g1``, real ``g2`` and the perfect-entangler flag ``is_pe``.
+    A local class fixes its operator-Schmidt coefficients, so ``s`` (..., 4) is
+    the points' sorted |z(c)|, with its ``strength`` and ``schmidt_number``.
     """
 
     points: np.ndarray
@@ -224,28 +222,27 @@ class ClassData:
     def from_unitaries(cls, u) -> ClassData:
         """Class data of unitaries (..., 4, 4): the points and (G1, G2) of
         one det(U) and M(U) pass, as in ``canonical_points_array``, and ``s``
-        as half the singular values of the realigned matrices.
+        as the sorted |z(c)| there, which the audit checks against the SVD.
 
         Raises:
             NumericalError: as ``canonical_points_array``, an ``ExtractionError``
-                included; a failed eigensolver or SVD raises numpy's error.
+                included; a failed numpy solver (det, eigh) raises numpy's error.
         """
-        u = np.asarray(u, dtype=complex)
-        det, m = bell_matrix_array(u)
+        det, m = bell_matrix_array(np.asarray(u, dtype=complex))
         g1, g2 = invariants_from_bell_array(det, m)
         points = points_from_bell_array(det, m, g1, g2)
-        return cls._with_tail(points, g1, g2, schmidt_coefficients_array(u), points)
+        return cls._with_tail(points, g1, g2, points)
 
     @classmethod
     def from_points(cls, c) -> ClassData:
         """Class data of coordinate triples (..., 3), kept as given: ``s`` is
         the sorted |z(c)| and the flag is taken on the reduced points."""
         c = np.asarray(c, dtype=float)
-        return cls._with_tail(c, *invariants_from_point_array(c), s_from_point_array(c),
-                              weyl_reduce_array(c))
+        return cls._with_tail(c, *invariants_from_point_array(c), weyl_reduce_array(c))
 
     @classmethod
-    def _with_tail(cls, points, g1, g2, s, reduced) -> ClassData:
+    def _with_tail(cls, points, g1, g2, reduced) -> ClassData:
+        s = s_from_point_array(points)
         return cls(points, g1, g2, s, schmidt_strength_array(s), schmidt_numbers_array(s),
                    is_perfect_entangler_array(reduced))
 

@@ -151,8 +151,8 @@ def gate_from_json_data(data, name: str | None = None) -> Gate:
                 raise ParseError(f"entry [{i}][{j}] must be a [re, im] number pair")
             try:
                 entries.append(complex(*entry))
-            except OverflowError:  # a huge integer; worded as make_gate words a NaN
-                raise ValidationError("matrix entries must be finite") from None
+            except OverflowError:  # a huge integer, refused by make_gate as an infinity
+                entries.append(complex(np.inf))
     return make_gate(np.array(entries).reshape(4, 4), name=name)
 
 

@@ -58,8 +58,8 @@ def as_finite(x, shape: tuple, what: str, dtype=float) -> np.ndarray:
     Raises:
         ValidationError: ``expected <what>, got [shape (...): ]<repr>`` if ``x``
             does not convert or has another shape, the echoed ``repr`` cut to
-            80 characters; ``<what> entries must be finite`` for a NaN or an
-            infinity.
+            80 characters; ``<what> entries must be finite, but entry [<index>]
+            is not`` for the first NaN or infinity.
     """
     try:
         a = np.array(x, dtype=dtype)
@@ -71,7 +71,8 @@ def as_finite(x, shape: tuple, what: str, dtype=float) -> np.ndarray:
         got = "" if a is None else f"shape {a.shape}: "
         raise ValidationError(f"expected {what}, got {got}{shown}")
     if not np.isfinite(a).all():
-        raise ValidationError(f"{what} entries must be finite")
+        index = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise ValidationError(f"{what} entries must be finite, but entry {index} is not")
     return a
 
 

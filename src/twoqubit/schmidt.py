@@ -1,13 +1,14 @@
 """Operator-Schmidt decomposition of two-qubit gates.
 
-A gate expands as U = sum_l s_l A_l (x) B_l with Hilbert-Schmidt
-orthonormal single-qubit factors. The coefficients are obtained
-numerically by realigning U into a 4x4 matrix whose singular values are
-2 s_l, or analytically from the canonical coordinates via the closed-form
-coefficients of the two-sided Pauli expansion. Normalization is chosen so
-that sum s_l^2 = 1 for unitaries, making s_l^2 a probability distribution;
-its Shannon entropy (base 2) is the Schmidt strength, an entanglement
-measure for the operator itself ranging from 0 (local gates) to 2.
+A gate expands as U = sum_l s_l A_l (x) B_l with Hilbert-Schmidt orthonormal
+single-qubit factors. Gates in one local class share their coefficients, the
+|z_l| of the closed-form two-sided Pauli expansion at the canonical
+coordinates, which ``ClassData`` takes. Realigning U into a 4x4 matrix with
+singular values 2 s_l gives them numerically, for the factors of
+``schmidt_decompose`` and as the audit's witness. Normalization is chosen so
+that sum s_l^2 = 1 for unitaries, making s_l^2 a probability distribution; its
+Shannon entropy (base 2) is the Schmidt strength, an entanglement measure for
+the operator itself ranging from 0 (local gates) to 2.
 
 The count of nonvanishing coefficients, the Schmidt number, is 1 for local
 gates, 2 exactly on the controlled-unitary line, and 4 otherwise; 3 is

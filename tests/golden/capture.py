@@ -123,13 +123,17 @@ def run(argv: list[str], cwd: Path, inputs: dict | None = None, digest: bool = F
     return entry
 
 
-def main() -> int:
+def _runs() -> list[tuple]:
+    """The corpus as (argv, inputs, digest) triples, in manifest order."""
     gate_files = _gate_files()
-    runs = [*((argv, None, False) for argv in COMMANDS),
+    return [*((argv, None, False) for argv in COMMANDS),
             *((argv, {argv[1]: gate_files[argv[1]]}, False) for argv in FILE_COMMANDS),
             *((argv, None, True) for argv in DIGEST_COMMANDS)]
+
+
+def main() -> int:
     entries = []
-    for argv, inputs, digest in runs:
+    for argv, inputs, digest in _runs():
         with tempfile.TemporaryDirectory() as cwd:
             entries.append(run(argv, Path(cwd), inputs, digest))
     MANIFEST.write_text(json.dumps(entries, indent=1) + "\n", newline="\n")

@@ -50,19 +50,42 @@ def test_bell_matrix_formed_once_per_gate_set(monkeypatch):
     assert calls == [(50, 4, 4), (50, 4, 4)]
 
 
-def test_schmidt_count_of_three_fails_with_first_row(monkeypatch):
-    original = audit_mod.schmidt_coefficients_array
+def test_one_realignment_svd_per_sample(monkeypatch):
+    # the dressed gates' SVD is the only one: the plain gates' s is |z(c)|
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert run_audit(_AUDIT_CHUNK + 20, 3).passed
+    assert calls == [(_AUDIT_CHUNK, 4, 4), (20, 4, 4)]
+
+
+def _plant_coefficients(monkeypatch, rows, size=None):
+    """Plant a count-3 row of coefficients at ``rows`` of every set of ``size``
+    rows (any size if None), through the plain gates' |z(c)| and the dressed
+    gates' SVD alike, so only the Schmidt-number check sees it."""
     bad = np.array([0.8, 0.4, 0.4, 1e-20]) / np.linalg.norm([0.8, 0.4, 0.4])
 
-    def planted(u):
-        # planted in the plain and the dressed set alike, so only the
-        # Schmidt-number check sees it
-        s = original(u)
-        s[[7, 12]] = bad
-        return s
+    def planting(original):
+        def planted(x):
+            s = original(x)
+            if size is None or len(x) == size:
+                s[rows] = bad
+            return s
+        return planted
 
-    monkeypatch.setattr(audit_mod, "schmidt_coefficients_array", planted)
-    monkeypatch.setattr(canonical_mod, "schmidt_coefficients_array", planted)
+    monkeypatch.setattr(canonical_mod, "s_from_point_array",
+                        planting(canonical_mod.s_from_point_array))
+    monkeypatch.setattr(audit_mod, "schmidt_coefficients_array",
+                        planting(audit_mod.schmidt_coefficients_array))
+
+
+def test_schmidt_count_of_three_fails_with_first_row(monkeypatch):
+    _plant_coefficients(monkeypatch, [7, 12])
     result = run_audit(20, 5)
     check = result.checks[2]
     assert not check.passed
@@ -117,18 +140,8 @@ def test_chunked_audit_equals_the_one_shot_checks():
 
 
 def test_fault_in_the_second_chunk_names_its_global_row(monkeypatch):
-    original = audit_mod.schmidt_coefficients_array
-    bad = np.array([0.8, 0.4, 0.4, 1e-20]) / np.linalg.norm([0.8, 0.4, 0.4])
-
-    def planted(u):
-        # the second chunk holds the last 20 samples
-        s = original(u)
-        if len(u) == 20:
-            s[[7, 12]] = bad
-        return s
-
-    monkeypatch.setattr(audit_mod, "schmidt_coefficients_array", planted)
-    monkeypatch.setattr(canonical_mod, "schmidt_coefficients_array", planted)
+    # the second chunk holds the last 20 samples
+    _plant_coefficients(monkeypatch, [7, 12], size=20)
     result = run_audit(_AUDIT_CHUNK + 20, 5)
     check = result.checks[2]
     assert not check.passed and check.where == _AUDIT_CHUNK + 7

@@ -39,8 +39,9 @@ from twoqubit.canonical import (
     is_perfect_entangler_array,
     weyl_reduce_array,
 )
+from twoqubit.edges import edge_names, sweep
 from twoqubit.invariants import invariants_from_point_array
-from twoqubit.schmidt import schmidt_coefficients_array
+from twoqubit.schmidt import schmidt_coefficients_array, schmidt_numbers_array
 from twoqubit.sampling import haar_unitary, random_local_unitary
 
 PI = np.pi
@@ -309,12 +310,31 @@ def test_class_data_of_a_stack_equals_the_per_gate_records(monkeypatch):
 
 
 def test_class_data_from_unitaries_columns():
-    u = haar_unitary(np.random.default_rng(32), 4, 30)
+    # Haar gates, dressed vertices and edge quarter points, and dressed points
+    # displaced off the controlled-unitary line and off the vertices by delta
+    rng = np.random.default_rng(32)
+    vertices = [*TETRAHEDRON_VERTICES.values(), *POLYHEDRON_VERTICES.values()]
+    special = vertices + [row for name in edge_names() for row in sweep(name, 5).points]
+    displaced = [
+        point
+        for delta in (1e-9, 1e-7, 1e-5, 1e-3)
+        for point in [[theta, delta, 0.0] for theta in (0.3, 1.0, PI / 2, 2.5)]
+        + [[theta, delta, delta / 2] for theta in (0.3, 1.0, PI / 2, 2.5)]
+        + [v + delta * np.array([0.6, 0.3, 0.1]) for v in vertices]
+    ]
+    dressed = [np.exp(2j * PI * rng.uniform()) * random_local_unitary(rng)
+               @ canonical_gate(c).matrix @ random_local_unitary(rng) for c in special + displaced]
+    u = np.concatenate([haar_unitary(rng, 4, 30), dressed])
     data = ClassData.from_unitaries(u)
     assert np.array_equal(data.points, canonical_points_array(u))
-    assert np.array_equal(data.s, schmidt_coefficients_array(u))
+    # one s kernel, |z(c)| at the extracted points, and the realignment SVD agrees
+    assert np.array_equal(data.s, canonical_mod.s_from_point_array(data.points))
+    s_svd = schmidt_coefficients_array(u)
+    assert np.max(np.abs(data.s - s_svd)) <= 1e-14
+    assert np.array_equal(data.schmidt_number, schmidt_numbers_array(s_svd))
+    assert set(data.schmidt_number.tolist()) == {1, 2, 4}
     assert np.array_equal(data.is_pe, is_perfect_entangler_array(data.points))
-    assert data.g2.dtype == float and data.schmidt_number.shape == data.is_pe.shape == (30,)
+    assert data.g2.dtype == float and data.schmidt_number.shape == data.is_pe.shape == (len(u),)
 
 
 def test_class_data_from_points_agrees_with_from_unitaries():

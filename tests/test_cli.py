@@ -138,7 +138,20 @@ def test_analyze_integer_beyond_float_range_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
-    assert err == "error: matrix entries must be finite\n"
+    assert err == "error: matrix entries must be finite, but entry [0, 0] is not\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), 10**400])
+def test_gate_file_structure_is_checked_before_its_entries_are_finite(tmp_path, capsys, value):
+    # a NaN and an integer beyond the float range are refused alike, after
+    # the parse of every entry
+    data = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    data[0][0][0], data[3][3] = value, [True, 0]
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: entry [3][3] must be a [re, im] number pair\n"
 
 
 def test_analyze_json_has_no_signed_zero(capsys):
@@ -195,10 +208,10 @@ def test_analyze_overflowing_matrix_exit_2(tmp_path, capsys, scale):
     assert err.startswith("error: matrix is not unitary") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("solver", ["svd", "eigh"])
+@pytest.mark.parametrize("solver", ["det", "eigh"])
 def test_analyze_maps_linalg_error_to_exit_3(capsys, monkeypatch, solver):
     def no_convergence(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError(f"{solver} did not converge")
 
     monkeypatch.setattr(np.linalg, solver, no_convergence)
     code, out, err = run(capsys, "analyze", "cnot")
@@ -208,14 +221,16 @@ def test_analyze_maps_linalg_error_to_exit_3(capsys, monkeypatch, solver):
 
 
 def test_analyze_coefficients_are_the_realignment_singular_values(rng, capsys):
+    from twoqubit.canonical import s_from_point_array
     from twoqubit.cli import _round15, report_json
     from twoqubit.schmidt import schmidt_coefficients_array
 
     gates = [catalog(name) for name in catalog_names()] + [Gate(haar_unitary(rng)) for _ in range(10)]
     for g in gates:
-        s = schmidt_coefficients_array(g.matrix)
         data = analyze_gate(g)
+        s = s_from_point_array(data.points)
         assert np.array_equal(data.s, s)
+        assert np.max(np.abs(s - schmidt_coefficients_array(g.matrix))) <= 1e-14
         payload = json.loads(report_json(data, "g"))
         assert payload["schmidt_coefficients"] == [_round15(v) for v in s]
 
@@ -516,27 +531,24 @@ def test_list_gates(capsys):
 
 
 def test_audit_maps_dressed_svd_failure_to_exit_3(capsys, monkeypatch):
-    # the first SVD is the plain set's, the second the dressed set's
-    true_svd = np.linalg.svd
+    # the dressed set's SVD is the audit's only one; the plain set's s is |z(c)|
     calls = []
 
-    def second_fails(*args, **kwargs):
+    def first_fails(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 2:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return true_svd(*args, **kwargs)
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", second_fails)
+    monkeypatch.setattr(np.linalg, "svd", first_fails)
     code, out, err = run(capsys, "audit", "--samples", "20", "--seed", "1")
-    assert code == 3 and out == "" and len(calls) == 2
+    assert code == 3 and out == "" and len(calls) == 1
     assert err == "error: SVD did not converge\n"
 
 
 def test_analyze_schmidt_count_of_three_exit_3(capsys, monkeypatch):
     import twoqubit.canonical as canonical_mod
 
-    monkeypatch.setattr(canonical_mod, "schmidt_coefficients_array",
-                        lambda u: np.array([3**-0.5] * 3 + [0.0]))
+    monkeypatch.setattr(canonical_mod, "s_from_point_array",
+                        lambda c: np.array([3**-0.5] * 3 + [0.0]))
     code, out, err = run(capsys, "analyze", "cnot")
     assert code == 3 and out == ""
     assert err == ("error: coefficient count is 3 at rows [0] (1 in all); worst residual "

@@ -141,7 +141,9 @@ def _outside_cases():
     for name, entry, good, what in arrays:
         for form, bad in _malformed(good).items():
             if form == "nan":
-                message = re.escape(f"{what} entries must be finite") + "$"
+                first = [0] * np.ndim(good)  # _malformed puts the NaN first
+                message = re.escape(f"{what} entries must be finite, but entry {first} is not")
+                message += "$"
             elif form == "shape":
                 message = re.escape(f"expected {what}, got shape {np.shape(bad)}: [")
             else:

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twoqubit
+import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
 from twoqubit import DEFAULT_TOL, ValidationError, canonical_gate, make_gate
@@ -226,7 +227,8 @@ def test_make_gate_unitarity_threshold(seed, weights):
 def _plant_imag(monkeypatch, row, call=1):
     """Patch the G2 residue refusal of the invariant kernels to add 1e-6j to G2
     at ``row`` on its ``call``-th call; an audit chunk calls it for its plain
-    gates first, then for the z route, then for the dressed gates."""
+    gates first, then for the z route, then for the dressed gates. The z route
+    has its own planting, ``_audit_z_route_g2``, which call order cannot give."""
     true, calls = invariants_mod._real_g2, []
 
     def planted(g2):
@@ -260,7 +262,14 @@ def _z_route_g2(monkeypatch):
 
 
 def _audit_z_route_g2(monkeypatch):
-    _plant_imag(monkeypatch, 4, call=2)
+    # a common phase e^{i phi} on row 4 of the audit's z turns G2 into
+    # e^{4i phi} G2; only the z route reads audit.z_from_point_array
+    true = audit_mod.z_from_point_array
+
+    def planted(c):
+        return true(c) * np.exp(1e-6j * (np.arange(len(c)) == 4))[:, None]
+
+    monkeypatch.setattr(audit_mod, "z_from_point_array", planted)
     twoqubit.run_audit(10, 1)
 
 

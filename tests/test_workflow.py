@@ -24,6 +24,7 @@ def test_tier1_step_runs_the_roadmap_command():
 @pytest.mark.parametrize("command, code", [
     ("twoqubit analyze no-such-file", 1),
     ("twoqubit analyze nonunitary.json", 2),
+    ("twoqubit analyze nan.json", 2),
     ("twoqubit sweep OA1 --n 1 --out one.csv", 2),
     ("twoqubit audit --samples 0", 2),
     ("twoqubit verify-tables --n 1", 2),
