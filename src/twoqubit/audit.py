@@ -11,7 +11,7 @@ Checks, over ``samples`` Haar-random gates:
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.
 
-The samples are drawn and checked in chunks of ``_AUDIT_CHUNK`` = 4096,
+The samples are drawn and checked in chunks of ``linops.CHUNK`` = 4096,
 in turn from one generator seeded with ``seed``: each chunk's Haar gates,
 then its left and then its right local dressing. Within a chunk every check
 is evaluated on whole arrays; the plain gates are evaluated once, as one
@@ -32,7 +32,7 @@ import numpy as np
 from .canonical import ClassData
 from .errors import NumericalError
 from .gates import Gate
-from .linops import DEFAULT_TOL, Check, Report, as_scalar
+from .linops import DEFAULT_TOL, Check, Report, as_scalar, chunks
 from .invariants import (
     invariants_from_unitary_array,
     invariants_from_point_array,
@@ -52,10 +52,6 @@ __all__ = ["run_audit"]
 # direct sampling agrees (0.8491 +/- 0.0008 at 2e5 gates). See Musz, Kus,
 # Zyczkowski, PRA 87, 022111 (2013) for the same figure.
 HAAR_PE_FRACTION = 0.848826363
-
-# samples drawn and checked at a time; a constant, so that the output depends
-# only on (samples, seed), and the memory on neither
-_AUDIT_CHUNK = 4096
 
 
 def pe_fraction_tolerance(samples: int) -> float:
@@ -95,7 +91,7 @@ def _chunk_rows(rng: np.random.Generator, n: int):
 
 
 def run_audit(samples: int, seed: int) -> Report:
-    """Run the property suite, ``_AUDIT_CHUNK`` samples at a time, and return
+    """Run the property suite, ``linops.CHUNK`` samples at a time, and return
     one check per property, each a reduction over the chunks. The worst row
     of the first failing check is the report's counterexample."""
     as_scalar(samples, "samples", 1, below="samples must be at least 1")
@@ -103,8 +99,8 @@ def run_audit(samples: int, seed: int) -> Report:
     rng = np.random.default_rng(seed)
     kept = [(-np.inf, 0, None)] * 4  # (value, global row, gate) of each check
     counts, pe_rows = np.zeros(5, dtype=np.int64), 0  # rows by Schmidt number, PE rows
-    for start in range(0, samples, _AUDIT_CHUNK):
-        n = min(_AUDIT_CHUNK, samples - start)
+    for chunk in chunks(samples):
+        start, n = chunk.start, chunk.stop - chunk.start
         try:
             gates, numbers, rows = _chunk_rows(rng, n)
         except NumericalError as exc:

@@ -187,11 +187,10 @@ def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
 
 def canonical_points_array(u: np.ndarray) -> np.ndarray:
     """Chamber-reduced canonical coordinates (..., 3) for a stack of unitaries
-    (..., 4, 4): one det(U) and M(U) pass, then ``points_from_bell_array``. It
-    refuses what ``ClassData.from_unitaries`` refuses, in the same order: a G2
-    residue, as ``invariants_from_bell_array``, then a missed point."""
-    det, m = bell_matrix_array(np.asarray(u, dtype=complex))
-    return points_from_bell_array(det, m, *invariants_from_bell_array(det, m))
+    (..., 4, 4): the points of ``ClassData.from_unitaries``, so it refuses what
+    that refuses, in the same order: a G2 residue, as
+    ``invariants_from_bell_array``, then a missed point."""
+    return ClassData.from_unitaries(u).points
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,12 +220,12 @@ class ClassData:
     @classmethod
     def from_unitaries(cls, u) -> ClassData:
         """Class data of unitaries (..., 4, 4): the points and (G1, G2) of
-        one det(U) and M(U) pass, as in ``canonical_points_array``, and ``s``
+        one det(U) and M(U) pass, then ``points_from_bell_array``, and ``s``
         as the sorted |z(c)| there, which the audit checks against the SVD.
 
         Raises:
-            NumericalError: as ``canonical_points_array``, an ``ExtractionError``
-                included; a failed numpy solver (det, eigh) raises numpy's error.
+            NumericalError: a G2 residue, then a missed point (``ExtractionError``);
+                a failed numpy solver (det, eigh) raises numpy's error.
         """
         det, m = bell_matrix_array(np.asarray(u, dtype=complex))
         g1, g2 = invariants_from_bell_array(det, m)

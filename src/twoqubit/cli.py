@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .audit import run_audit
 from .canonical import ClassData
-from .edges import edge_svg, sweep, verify_tables, write_sweep_csv
+from .edges import edge_svg, verify_tables, write_sweep_csv
 from .errors import NumericalError, ParseError, ValidationError
 from .gates import Gate, catalog, catalog_names, gate_from_json_data, gate_to_json_data
 from .schmidt import refuse_count_three
@@ -119,20 +119,18 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sw = sweep(args.edge, args.n)
     out = Path(args.out)
     try:
-        with out.open("w", newline="\n") as f:
-            write_sweep_csv(sw, f)
+        params, strength = write_sweep_csv(args.edge, args.n, out)
         if args.svg:
-            out.with_suffix(".svg").write_text(edge_svg(sw), newline="\n")
+            out.with_suffix(".svg").write_text(edge_svg(args.edge, params, strength), newline="\n")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     written = str(out) + (f" and {out.with_suffix('.svg')}" if args.svg else "")
     print(
         f"edge {args.edge}: {args.n} points, strength range "
-        f"[{sw.strength.min():.6f}, {sw.strength.max():.6f}], wrote {written}"
+        f"[{strength.min():.6f}, {strength.max():.6f}], wrote {written}"
     )
     return EXIT_OK
 

@@ -5,10 +5,12 @@ Each edge is the straight segment between two named vertices of
 :mod:`canonical` (O, A1, A2, A3 or L, M, N, P, Q, A2), traced linearly over
 a parameter range, together with closed-form Schmidt coefficients along
 it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`), and
-:func:`sweep_csv` and :func:`edge_svg` render from that record. Sweeps
-always compute coefficients through the expansion-coefficient engine
-(z_from_point); the closed forms are kept only as an independent oracle,
-checked by :func:`verify_tables`, which reads only the coefficients.
+:func:`sweep_csv` renders that record. :func:`write_sweep_csv` evaluates and
+writes the same rows ``linops.CHUNK`` at a time, keeping only the grid and
+its strengths, which :func:`edge_svg` plots. Sweeps always compute
+coefficients through the expansion-coefficient engine (z_from_point); the
+closed forms are kept only as an independent oracle, checked by
+:func:`verify_tables`, which reads only the coefficients.
 
 The oracle compares sorted coefficients, and a chamber symmetry keeps
 them (Zhang et al., PRA 67, 042313 (2003)). So the fifteen edges have
@@ -35,7 +37,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData, s_from_point_array
-from .linops import DEFAULT_TOL, Check, Report, as_scalar, lookup
+from .linops import DEFAULT_TOL, Check, Report, as_scalar, chunks, lookup
 from .svgplot import line_plot
 
 __all__ = [
@@ -199,18 +201,12 @@ def sweep(name: str, n_points: int) -> Sweep:
     return Sweep(**vars(ClassData.from_points(spec.point_fn(params))), name=name, param=params)
 
 
-# Rows per formatted block: each block is one %-format call over its values,
-# so memory for the text stays bounded for any grid size.
-_CSV_BLOCK = 4096
-
-
-def _csv_blocks(header: str, columns, flags=None) -> Iterator[str]:
-    """CSV text in pieces: the header line, then blocks of up to ``_CSV_BLOCK``
-    rows. Each row holds the columns' values at 15 significant digits and, if
-    ``flags`` is given, ``true`` or ``false``; LF line endings."""
-    yield header + "\n"
-    for lo in range(0, len(columns[0]), _CSV_BLOCK):
-        rows = slice(lo, lo + _CSV_BLOCK)
+def _csv_blocks(columns, flags=None) -> Iterator[str]:
+    """CSV rows in blocks of up to ``linops.CHUNK``, each one %-format call over
+    its values, so the text of a large table is never held whole. Each row holds
+    the columns' values at 15 significant digits and, if ``flags`` is given,
+    ``true`` or ``false``; LF line endings."""
+    for rows in chunks(len(columns[0])):
         table = np.column_stack([c[rows] for c in columns])
         row = ",".join(["%.15g"] * table.shape[1])
         if flags is not None:
@@ -219,21 +215,35 @@ def _csv_blocks(header: str, columns, flags=None) -> Iterator[str]:
         yield ((row + "\n") * len(table)) % tuple(table.ravel().tolist())
 
 
-def _sweep_csv_blocks(sw: Sweep) -> Iterator[str]:
-    return _csv_blocks("param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe",
-                       [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2],
-                       sw.is_pe)
+_SWEEP_HEADER = "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe\n"
+
+
+def _sweep_rows(params: np.ndarray, data: ClassData) -> Iterator[str]:
+    """The sweep CSV's rows of ``data``, row i belonging to ``params[i]``."""
+    return _csv_blocks([params, data.points, data.s, data.strength,
+                        data.g1.real, data.g1.imag, data.g2], data.is_pe)
 
 
 def sweep_csv(sw: Sweep) -> str:
     """CSV rendering of a sweep: 15 significant digits, LF line endings."""
-    return "".join(_sweep_csv_blocks(sw))
+    return _SWEEP_HEADER + "".join(_sweep_rows(sw.param, sw))
 
 
-def write_sweep_csv(sw: Sweep, file) -> None:
-    """Write ``sweep_csv(sw)`` to an open text file a block at a time, so the
-    whole text is never held."""
-    file.writelines(_sweep_csv_blocks(sw))
+def write_sweep_csv(name: str, n_points: int, path) -> tuple[np.ndarray, np.ndarray]:
+    """Write ``sweep_csv(sweep(name, n_points))`` to ``path``, evaluating and
+    writing ``linops.CHUNK`` rows at a time, and return the grid and its
+    strengths, the only columns held whole. The name and the grid size are
+    refused as :func:`sweep` refuses them, before ``path`` is opened."""
+    spec = edge(name)
+    params = _grid(spec.param_range, n_points)
+    strength = np.empty_like(params)
+    with open(path, "w", newline="\n") as f:
+        f.write(_SWEEP_HEADER)
+        for rows in chunks(len(params)):
+            data = ClassData.from_points(spec.point_fn(params[rows]))
+            f.writelines(_sweep_rows(params[rows], data))
+            strength[rows] = data.strength
+    return params, strength
 
 
 def verify_tables(n_points: int) -> Report:
@@ -281,8 +291,8 @@ def emit_figure_data(figure: str, n_points: int) -> str:
     per curve, in caption order. Curves within a figure share their
     parameter grid."""
     params, series = _figure_series(figure, n_points)
-    header = "param," + ",".join(name for name, _, _ in series)
-    return "".join(_csv_blocks(header, [params] + [vals for _, _, vals in series]))
+    header = "param," + ",".join(name for name, _, _ in series) + "\n"
+    return header + "".join(_csv_blocks([params] + [vals for _, _, vals in series]))
 
 
 def figure_svg(figure: str, n_points: int) -> str:
@@ -290,6 +300,6 @@ def figure_svg(figure: str, n_points: int) -> str:
     return line_plot(_figure_series(figure, n_points)[1], title=figure)
 
 
-def edge_svg(sw: Sweep) -> str:
-    """SVG line plot of one edge's strength profile."""
-    return line_plot([(sw.name, sw.param, sw.strength)], title=f"edge {sw.name}")
+def edge_svg(name: str, param: np.ndarray, strength: np.ndarray) -> str:
+    """SVG line plot of one edge's strength profile over its grid."""
+    return line_plot([(name, param, strength)], title=f"edge {name}")

@@ -1,13 +1,15 @@
 """The package's policies, each written once: the tolerance table
-(``Tolerance``), the validation of outside input (``as_finite`` for arrays,
-``as_scalar`` for numbers, ``lookup`` for names), the refusal of rows that
-break a tolerance (``refuse_rows``), the report records (``Check`` and
-``Report``) whose one pass rule is ``Check.passed``, and the small matrix
-helpers ``unitarity_defect`` and ``kron``. Nothing here mutates its input.
+(``Tolerance``), the rows handled at a time (``CHUNK`` and ``chunks``), the
+validation of outside input (``as_finite`` for arrays, ``as_scalar`` for
+numbers, ``lookup`` for names), the refusal of rows that break a tolerance
+(``refuse_rows``), the report records (``Check`` and ``Report``) whose one
+pass rule is ``Check.passed``, and the small matrix helpers
+``unitarity_defect`` and ``kron``. Nothing here mutates its input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from .errors import ValidationError
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
+    "CHUNK",
+    "chunks",
     "as_finite",
     "as_triple",
     "as_scalar",
@@ -50,6 +54,15 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+# Rows evaluated, checked or formatted at a time, so memory does not grow with
+# the row count; a constant, so each output depends only on its command's input.
+CHUNK = 4096
+
+
+def chunks(n: int) -> Iterator[slice]:
+    """Consecutive slices of up to ``CHUNK`` rows that cover rows 0 to n - 1."""
+    return (slice(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK))
 
 
 def as_finite(x, shape: tuple, what: str, dtype=float) -> np.ndarray:

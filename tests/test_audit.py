@@ -7,15 +7,16 @@ import pytest
 import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
-from twoqubit.audit import _AUDIT_CHUNK, HAAR_PE_FRACTION, pe_fraction_tolerance, run_audit
+from twoqubit.audit import HAAR_PE_FRACTION, pe_fraction_tolerance, run_audit
 from twoqubit.canonical import ClassData
+from twoqubit.edges import write_sweep_csv
 from twoqubit.errors import ExtractionError, NumericalError
 from twoqubit.invariants import (
     invariants_from_point_array,
     invariants_from_unitary_array,
     invariants_from_z_array,
 )
-from twoqubit.linops import DEFAULT_TOL, Check
+from twoqubit.linops import CHUNK, DEFAULT_TOL, Check
 from twoqubit.sampling import haar_unitary, random_local_unitary
 from twoqubit.schmidt import schmidt_coefficients_array, z_from_point_array
 
@@ -60,8 +61,8 @@ def test_one_realignment_svd_per_sample(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    assert run_audit(_AUDIT_CHUNK + 20, 3).passed
-    assert calls == [(_AUDIT_CHUNK, 4, 4), (20, 4, 4)]
+    assert run_audit(CHUNK + 20, 3).passed
+    assert calls == [(CHUNK, 4, 4), (20, 4, 4)]
 
 
 def _plant_coefficients(monkeypatch, rows, size=None):
@@ -98,7 +99,7 @@ def _one_shot_checks(samples: int, seed: int):
     """The audit's checks as one ClassData of all the draws: each chunk's
     gates, left and right dressing, in run_audit's order, concatenated."""
     rng = np.random.default_rng(seed)
-    sizes = [min(_AUDIT_CHUNK, samples - start) for start in range(0, samples, _AUDIT_CHUNK)]
+    sizes = [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
     draws = [(haar_unitary(rng, 4, n), random_local_unitary(rng, n), random_local_unitary(rng, n))
              for n in sizes]
     gates, k_left, k_right = (np.concatenate(part) for part in zip(*draws))
@@ -132,7 +133,7 @@ def _one_shot_checks(samples: int, seed: int):
 
 
 def test_chunked_audit_equals_the_one_shot_checks():
-    samples = 2 * _AUDIT_CHUNK + 17
+    samples = 2 * CHUNK + 17
     _, expected = _one_shot_checks(samples, 29)
     report = run_audit(samples, 29)
     assert report.checks == expected
@@ -142,13 +143,13 @@ def test_chunked_audit_equals_the_one_shot_checks():
 def test_fault_in_the_second_chunk_names_its_global_row(monkeypatch):
     # the second chunk holds the last 20 samples
     _plant_coefficients(monkeypatch, [7, 12], size=20)
-    result = run_audit(_AUDIT_CHUNK + 20, 5)
+    result = run_audit(CHUNK + 20, 5)
     check = result.checks[2]
-    assert not check.passed and check.where == _AUDIT_CHUNK + 7
-    assert check.detail == f"histogram {{3: 2, 4: {_AUDIT_CHUNK + 18}}}"
-    assert result.counterexample.name == f"sample_{_AUDIT_CHUNK + 7}"
-    gates, _ = _one_shot_checks(_AUDIT_CHUNK + 20, 5)
-    assert np.array_equal(result.counterexample.matrix, gates[_AUDIT_CHUNK + 7])
+    assert not check.passed and check.where == CHUNK + 7
+    assert check.detail == f"histogram {{3: 2, 4: {CHUNK + 18}}}"
+    assert result.counterexample.name == f"sample_{CHUNK + 7}"
+    gates, _ = _one_shot_checks(CHUNK + 20, 5)
+    assert np.array_equal(result.counterexample.matrix, gates[CHUNK + 7])
 
 
 def test_first_nan_over_the_chunks_is_the_worst_row(monkeypatch):
@@ -164,10 +165,10 @@ def test_first_nan_over_the_chunks_is_the_worst_row(monkeypatch):
         return s
 
     monkeypatch.setattr(audit_mod, "schmidt_coefficients_array", planted)
-    result = run_audit(3 * _AUDIT_CHUNK, 8)
+    result = run_audit(3 * CHUNK, 8)
     check = result.checks[1]
-    assert np.isnan(check.value) and check.where == _AUDIT_CHUNK + 2
-    assert result.counterexample.name == f"sample_{_AUDIT_CHUNK + 2}"
+    assert np.isnan(check.value) and check.where == CHUNK + 2
+    assert result.counterexample.name == f"sample_{CHUNK + 2}"
 
 
 def _shift_g1(monkeypatch, row, shift):
@@ -207,12 +208,12 @@ def test_refusal_in_the_second_chunk_names_its_samples(monkeypatch, plant, row, 
                                                         error, what, field):
     plant(monkeypatch, row, shift)
     with pytest.raises(error) as info:
-        run_audit(_AUDIT_CHUNK + 20, 5)
+        run_audit(CHUNK + 20, 5)
     assert type(info.value) is error
     tol = getattr(DEFAULT_TOL, field)
     # the rows stay the chunk's own; the prefix names its global samples
     match = re.fullmatch(
-        rf"audit samples {_AUDIT_CHUNK} to {_AUDIT_CHUNK + 19}: {re.escape(what)} at rows "
+        rf"audit samples {CHUNK} to {CHUNK + 19}: {re.escape(what)} at rows "
         rf"\[{row}\] \(1 in all\); worst residual (\S+) exceeds tol {re.escape(f'{tol:g}')} "
         rf"\({field}\)",
         str(info.value),
@@ -221,18 +222,26 @@ def test_refusal_in_the_second_chunk_names_its_samples(monkeypatch, plant, row, 
     assert float(match.group(1)) == pytest.approx(abs(shift), rel=1e-3)
 
 
-def _audit_peak(samples: int) -> int:
+def _traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
-        run_audit(samples, 13)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_audit_memory_does_not_grow_with_samples():
-    small, large = _audit_peak(2 * _AUDIT_CHUNK), _audit_peak(8 * _AUDIT_CHUNK)
+    small, large = _traced_peak(run_audit, 2 * CHUNK, 13), _traced_peak(run_audit, 8 * CHUNK, 13)
     assert large <= 1.1 * small, (small, large)
+
+
+def test_sweep_memory_does_not_grow_with_rows(tmp_path):
+    # the command keeps the grid and its strengths, 16 B per row; every other
+    # column lives for one chunk
+    out = tmp_path / "pn.csv"
+    small, large = (_traced_peak(write_sweep_csv, "PN", n, out) for n in (2 * CHUNK, 16 * CHUNK))
+    assert (large - small) / (14 * CHUNK) <= 24, (small, large)
 
 
 def _density_integral(tets, n: int, integrand=None) -> float:

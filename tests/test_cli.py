@@ -366,24 +366,23 @@ def test_sweep_unwritable_path_exit_4(capsys, tmp_path):
 
 
 def test_sweep_evaluates_edge_once(tmp_path, capsys, monkeypatch):
-    import twoqubit.cli as cli_mod
-    import twoqubit.edges as edges_mod
+    from twoqubit.canonical import ClassData
+    from twoqubit.linops import CHUNK
 
-    true_sweep = edges_mod.sweep
-    results = []
+    true_from_points = ClassData.from_points.__func__
+    rows = []
 
-    def counted(name, n_points):
-        results.append(true_sweep(name, n_points))
-        return results[-1]
+    def counted(cls, c):
+        rows.append(len(c))
+        return true_from_points(cls, c)
 
-    # bind the counter wherever the package holds the sweep function
-    monkeypatch.setattr(edges_mod, "sweep", counted)
-    monkeypatch.setattr(cli_mod, "sweep", counted)
+    # the sweep command evaluates each grid row once, a chunk at a time
+    monkeypatch.setattr(ClassData, "from_points", classmethod(counted))
     out_path = tmp_path / "pn.csv"
-    code, _, _ = run(capsys, "sweep", "PN", "--n", "50", "--out", str(out_path), "--svg")
+    argv = ["sweep", "PN", "--n", str(CHUNK + 50), "--out", str(out_path), "--svg"]
+    code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert len(results) == 1
-    assert isinstance(results[0].strength, np.ndarray)
+    assert rows == [CHUNK, 50]
 
 
 def test_verify_tables_pass(capsys):

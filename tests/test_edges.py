@@ -243,7 +243,8 @@ def test_sweep_command_writes_sweep_csv(tmp_path, capsys):
     assert main(["sweep", "PN", "--n", "4097", "--out", str(out), "--svg"]) == 0
     sw = sweep("PN", 4097)
     assert _first_difference(out.read_bytes().decode(), sweep_csv(sw)) is None
-    assert _first_difference(out.with_suffix(".svg").read_bytes().decode(), edge_svg(sw)) is None
+    svg = edge_svg("PN", sw.param, sw.strength)
+    assert _first_difference(out.with_suffix(".svg").read_bytes().decode(), svg) is None
 
 
 @pytest.mark.parametrize("figure", FIGURES)
@@ -284,7 +285,8 @@ def _polylines(svg):
 
 def test_edge_svg_points_equal_the_per_point_oracle():
     sw = sweep("PN", 4097)
-    assert _polylines(edge_svg(sw)) == _per_point_polylines([("PN", sw.param, sw.strength)])
+    assert (_polylines(edge_svg("PN", sw.param, sw.strength))
+            == _per_point_polylines([("PN", sw.param, sw.strength)]))
 
 
 def test_figure_svg_points_equal_the_per_point_oracle():

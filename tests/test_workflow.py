@@ -38,9 +38,9 @@ def test_failing_path_step_expects_its_exit_code(command, code):
 
 
 def test_chunk_smoke_step_spans_several_chunks():
-    from twoqubit.audit import _AUDIT_CHUNK
+    from twoqubit.linops import CHUNK
 
     run = _steps()["Smoke, an audit that spans several chunks"]["run"]
     samples = int(re.search(r"audit --samples (\d+) --seed \d+ ", run).group(1))
-    assert samples > 2 * _AUDIT_CHUNK
+    assert samples > 2 * CHUNK
     assert 'grep -qx "audit: PASS"' in run
