@@ -11,17 +11,18 @@ Checks, over ``samples`` Haar-random gates:
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.
 
-The samples are drawn and checked in chunks of ``linops.CHUNK`` = 4096,
-in turn from one generator seeded with ``seed``: each chunk's Haar gates,
-then its left and then its right local dressing. Within a chunk every check
-is evaluated on whole arrays; the plain gates are evaluated once, as one
-``ClassData`` whose single det(U) and M(U) pass feeds the coordinates and
-the matrix-route invariants, and the dressed gates take one more. Each
-check is then a reduction over the chunks: the worst value and its global
-row, summed histogram and PE counts, the first offending row. So memory
-does not grow with ``samples``, and a (samples, seed) pair fixes the
-outcome bit for bit. A refusal raised inside a chunk keeps its type and
-its chunk-local rows, prefixed ``audit samples <first> to <last>: ``.
+The samples are drawn and checked in chunks of ``linops.CHUNK`` (1024), in
+turn from one generator seeded with ``seed``: each chunk's Haar gates, then
+its left and then its right local dressing, so the chunk size fixes the
+draws: audits of over 1024 samples drew other gates at 4096. Within a chunk
+every check is evaluated on whole arrays; the plain gates are evaluated
+once, as one ``ClassData`` whose single det(U) and M(U) pass feeds the
+coordinates and all three invariant routes, and the dressed gates take one
+more. Each check is then a reduction over the chunks: the worst value and
+its global row, summed histogram and PE counts, the first offending row. So
+memory does not grow with ``samples``, and a (samples, seed) pair fixes the
+outcome bit for bit. A refusal inside a chunk keeps its type and chunk-local
+rows, prefixed ``audit samples <first> to <last>: ``.
 """
 from __future__ import annotations
 
@@ -33,13 +34,9 @@ from .canonical import ClassData
 from .errors import NumericalError
 from .gates import Gate
 from .linops import DEFAULT_TOL, Check, Report, as_scalar, chunks
-from .invariants import (
-    invariants_from_unitary_array,
-    invariants_from_point_array,
-    invariants_from_z_array,
-)
+from .invariants import invariants_from_unitary_array, invariants_from_z_array
 from .sampling import haar_unitary, random_local_unitary
-from .schmidt import schmidt_coefficients_array, z_from_point_array
+from .schmidt import schmidt_coefficients_array
 
 __all__ = ["run_audit"]
 
@@ -62,25 +59,22 @@ def pe_fraction_tolerance(samples: int) -> float:
 
 
 def _chunk_rows(rng: np.random.Generator, n: int):
-    """The next ``n`` samples: their gates (drawn before the left and then
-    the right dressing), their Schmidt numbers, and each check's row values,
-    whose first NaN, else first largest, entry is the check's row: the route
-    and local deviations, and flags of a Schmidt number outside {1, 2, 4}
-    and of a gate that is no perfect entangler."""
+    """The next ``n`` samples: their gates (drawn before the left and then the
+    right dressing), their Schmidt numbers, and each check's row values (the
+    route and local deviations, and flags of a Schmidt number outside {1, 2, 4}
+    and of a non-PE gate), whose ``Check.worst_row`` is the check's row."""
     gates = haar_unitary(rng, 4, n)
-    k_left = random_local_unitary(rng, n)
-    k_right = random_local_unitary(rng, n)
+    # the left factor is drawn first: Python evaluates operands left to right
+    dressed = random_local_unitary(rng, n) @ gates @ random_local_unitary(rng, n)
 
-    # three-route invariant consistency
-    plain = ClassData.from_unitaries(gates)
+    # three-route invariant consistency; the point and z routes as extracted
+    plain, (g1_c, g2_c), z = ClassData._from_unitaries(gates)
     g1_u, g2_u = plain.g1, plain.g2
-    g1_c, g2_c = invariants_from_point_array(plain.points)
-    g1_z, g2_z = invariants_from_z_array(z_from_point_array(plain.points))
+    g1_z, g2_z = invariants_from_z_array(z)
     pairs = ((g1_u, g1_c), (g1_u, g1_z), (g1_c, g1_z), (g2_u, g2_c), (g2_u, g2_z), (g2_c, g2_z))
     route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
 
     # invariance of coefficients and invariants under local operations
-    dressed = k_left @ gates @ k_right
     coeff_dev = np.max(np.abs(plain.s - schmidt_coefficients_array(dressed)), axis=-1)
     g1_d, g2_d = invariants_from_unitary_array(dressed)
     inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - g2_d))
@@ -106,10 +100,8 @@ def run_audit(samples: int, seed: int) -> Report:
         except NumericalError as exc:
             raise type(exc)(f"audit samples {start} to {start + n - 1}: {exc}") from None
         for i, values in enumerate(rows):
-            row = int(np.argmax(values))
-            # Check.worst_row's rule (row values are >= 0 or NaN): the first
-            # NaN, then the first largest; a tie keeps the earlier row
-            if np.argmax((kept[i][0], values[row])):
+            row = Check.worse_row(kept[i][0], values)
+            if row is not None:
                 kept[i] = (float(values[row]), start + row, gates[row].copy())
         counts += np.bincount(numbers, minlength=5)
         pe_rows += n - int(np.count_nonzero(rows[3]))

@@ -160,7 +160,7 @@ def _eigenphases(m: np.ndarray) -> np.ndarray:
     return phases
 
 
-def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
+def points_from_bell_array(det, m, g1_ref, g2_ref):
     """Chamber-reduced canonical coordinates (..., 3) from the det(U) and M(U)
     of ``bell_matrix_array`` and their (G1, G2) from ``invariants_from_bell_array``.
 
@@ -169,8 +169,8 @@ def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
     of them, l0 <= l1 <= l2 here, give [l0+l1, l0+l2, l1+l2] / 2, which is
     [c1, c2, c3] up to sign flips of coordinate pairs, permutations and
     multiples of pi (a 2pi shift of one phase moves two coordinates by pi).
-    One Weyl reduction removes all of these. The point is then checked
-    against (G1, G2).
+    One Weyl reduction removes all of these. The point's own (G1, G2) are
+    then checked against the given pair, and returned second.
 
     Raises:
         ExtractionError: if a point misses (G1, G2) by more than ``invariant_tol``.
@@ -182,7 +182,7 @@ def points_from_bell_array(det, m, g1_ref, g2_ref) -> np.ndarray:
     residual = np.maximum(np.abs(g1 - g1_ref), np.abs(g2 - g2_ref))
     refuse_rows(ExtractionError, "canonical point misses the local invariants", residual,
                 "invariant_tol")
-    return points
+    return points, (g1, g2)
 
 
 def canonical_points_array(u: np.ndarray) -> np.ndarray:
@@ -227,21 +227,28 @@ class ClassData:
             NumericalError: a G2 residue, then a missed point (``ExtractionError``);
                 a failed numpy solver (det, eigh) raises numpy's error.
         """
+        return cls._from_unitaries(u)[0]
+
+    @classmethod
+    def _from_unitaries(cls, u):
+        """``from_unitaries`` and the points' own (G1, G2) and z(c), which the audit reads."""
         det, m = bell_matrix_array(np.asarray(u, dtype=complex))
         g1, g2 = invariants_from_bell_array(det, m)
-        points = points_from_bell_array(det, m, g1, g2)
-        return cls._with_tail(points, g1, g2, points)
+        points, point_invariants = points_from_bell_array(det, m, g1, g2)
+        z = z_from_point_array(points)
+        return cls._with_tail(points, g1, g2, points, z), point_invariants, z
 
     @classmethod
     def from_points(cls, c) -> ClassData:
         """Class data of coordinate triples (..., 3), kept as given: ``s`` is
         the sorted |z(c)| and the flag is taken on the reduced points."""
         c = np.asarray(c, dtype=float)
-        return cls._with_tail(c, *invariants_from_point_array(c), weyl_reduce_array(c))
+        return cls._with_tail(c, *invariants_from_point_array(c), weyl_reduce_array(c),
+                              z_from_point_array(c))
 
     @classmethod
-    def _with_tail(cls, points, g1, g2, reduced) -> ClassData:
-        s = s_from_point_array(points)
+    def _with_tail(cls, points, g1, g2, reduced, z) -> ClassData:
+        s = np.sort(np.abs(z), axis=-1)[..., ::-1]
         return cls(points, g1, g2, s, schmidt_strength_array(s), schmidt_numbers_array(s),
                    is_perfect_entangler_array(reduced))
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linops import chunks
+
 __all__ = ["line_plot"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -28,10 +30,10 @@ def _esc(text: str) -> str:
 def line_plot(series, title: str) -> str:
     """Render (label, parameter array, Schmidt strength array) series as an
     SVG document string."""
-    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
-    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
-    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    series = [(label, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+              for label, x, y in series]
+    x_lo, x_hi = (float(f([f(x) for _, x, _ in series])) for f in (np.min, np.max))
+    y_lo, y_hi = (float(f([f(y) for _, _, y in series])) for f in (np.min, np.max))
     if y_hi - y_lo < 1e-12:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.04 * (y_hi - y_lo)
@@ -96,8 +98,9 @@ def line_plot(series, title: str) -> str:
     for k, (label, x, y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         dash = _DASHES[k % len(_DASHES)]
-        xy = np.column_stack([px(np.asarray(x, dtype=float)), py(np.asarray(y, dtype=float))])
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+        pts = " ".join(" ".join(["%.2f,%.2f"] * (r.stop - r.start))
+                       % tuple(np.column_stack([px(x[r]), py(y[r])]).ravel().tolist())
+                       for r in chunks(len(x)))
         dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

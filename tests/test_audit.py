@@ -9,7 +9,7 @@ import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
 from twoqubit.audit import HAAR_PE_FRACTION, pe_fraction_tolerance, run_audit
 from twoqubit.canonical import ClassData
-from twoqubit.edges import write_sweep_csv
+from twoqubit.edges import edge_svg, sweep, verify_tables, write_sweep_csv
 from twoqubit.errors import ExtractionError, NumericalError
 from twoqubit.invariants import (
     invariants_from_point_array,
@@ -65,28 +65,43 @@ def test_one_realignment_svd_per_sample(monkeypatch):
     assert calls == [(CHUNK, 4, 4), (20, 4, 4)]
 
 
-def _plant_coefficients(monkeypatch, rows, size=None):
-    """Plant a count-3 row of coefficients at ``rows`` of every set of ``size``
-    rows (any size if None), through the plain gates' |z(c)| and the dressed
-    gates' SVD alike, so only the Schmidt-number check sees it."""
-    bad = np.array([0.8, 0.4, 0.4, 1e-20]) / np.linalg.norm([0.8, 0.4, 0.4])
+def test_each_kernel_runs_once_per_chunk(monkeypatch):
+    # the point and z routes read the (G1, G2) and z(c) that the extraction
+    # computed; every module's name for a kernel is counted
+    import twoqubit.schmidt as schmidt_mod
 
-    def planting(original):
-        def planted(x):
-            s = original(x)
-            if size is None or len(x) == size:
-                s[rows] = bad
-            return s
-        return planted
+    calls = {}
+    for name in ("invariants_from_point_array", "z_from_point_array", "invariants_from_z_array",
+                 "invariants_from_unitary_array", "schmidt_coefficients_array"):
+        calls[name] = []
+        for mod in (audit_mod, canonical_mod, invariants_mod, schmidt_mod):
+            if hasattr(mod, name):
+                def counted(x, _true=getattr(mod, name), _calls=calls[name]):
+                    _calls.append(len(x))
+                    return _true(x)
+                monkeypatch.setattr(mod, name, counted)
+    assert run_audit(CHUNK + 20, 3).passed
+    assert calls == dict.fromkeys(calls, [CHUNK, 20])
 
-    monkeypatch.setattr(canonical_mod, "s_from_point_array",
-                        planting(canonical_mod.s_from_point_array))
-    monkeypatch.setattr(audit_mod, "schmidt_coefficients_array",
-                        planting(audit_mod.schmidt_coefficients_array))
+
+def _plant_count_three(monkeypatch, rows, size=None):
+    """Count the plain gates' Schmidt coefficients as 3 at ``rows`` of every set
+    of ``size`` rows (any size if None); the coefficients themselves, which the
+    route and local checks read, stay as they are, so only the Schmidt-number
+    check sees it."""
+    true = canonical_mod.schmidt_numbers_array
+
+    def planted(s):
+        n = true(s)
+        if size is None or len(s) == size:
+            n[rows] = 3
+        return n
+
+    monkeypatch.setattr(canonical_mod, "schmidt_numbers_array", planted)
 
 
 def test_schmidt_count_of_three_fails_with_first_row(monkeypatch):
-    _plant_coefficients(monkeypatch, [7, 12])
+    _plant_count_three(monkeypatch, [7, 12])
     result = run_audit(20, 5)
     check = result.checks[2]
     assert not check.passed
@@ -142,7 +157,7 @@ def test_chunked_audit_equals_the_one_shot_checks():
 
 def test_fault_in_the_second_chunk_names_its_global_row(monkeypatch):
     # the second chunk holds the last 20 samples
-    _plant_coefficients(monkeypatch, [7, 12], size=20)
+    _plant_count_three(monkeypatch, [7, 12], size=20)
     result = run_audit(CHUNK + 20, 5)
     check = result.checks[2]
     assert not check.passed and check.where == CHUNK + 7
@@ -242,6 +257,23 @@ def test_sweep_memory_does_not_grow_with_rows(tmp_path):
     out = tmp_path / "pn.csv"
     small, large = (_traced_peak(write_sweep_csv, "PN", n, out) for n in (2 * CHUNK, 16 * CHUNK))
     assert (large - small) / (14 * CHUNK) <= 24, (small, large)
+
+
+def test_verify_tables_memory_grows_only_with_the_grid():
+    # one edge's grid, 8 B per row, is held whole; the rest lives for one chunk
+    small, large = (_traced_peak(verify_tables, n) for n in (2 * CHUNK + 1, 16 * CHUNK + 1))
+    assert (large - small) / (14 * CHUNK) <= 16, (small, large)
+
+
+def test_edge_svg_memory_per_row():
+    # the polyline text, 14 B a point, and its chunks' pieces; no tuple of every value
+    sw = sweep("PN", 200001)
+    assert _traced_peak(edge_svg, "PN", sw.param, sw.strength) / 200001 <= 80
+
+
+def test_benchmark_audit_memory():
+    # the 3000-sample audit of the benchmark's audit workload: three chunks
+    assert _traced_peak(run_audit, 3000, 1) <= 4e6
 
 
 def _density_integral(tets, n: int, integrand=None) -> float:

@@ -546,8 +546,8 @@ def test_audit_maps_dressed_svd_failure_to_exit_3(capsys, monkeypatch):
 def test_analyze_schmidt_count_of_three_exit_3(capsys, monkeypatch):
     import twoqubit.canonical as canonical_mod
 
-    monkeypatch.setattr(canonical_mod, "s_from_point_array",
-                        lambda c: np.array([3**-0.5] * 3 + [0.0]))
+    monkeypatch.setattr(canonical_mod, "z_from_point_array",
+                        lambda c: np.array([3**-0.5] * 3 + [0.0j]))
     code, out, err = run(capsys, "analyze", "cnot")
     assert code == 3 and out == ""
     assert err == ("error: coefficient count is 3 at rows [0] (1 in all); worst residual "

@@ -8,6 +8,7 @@ from twoqubit import ValidationError, edge, edge_names, emit_figure_data, figure
 from twoqubit import svgplot
 from twoqubit.canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
 from twoqubit.edges import FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, edge_svg, sweep_csv
+from twoqubit.linops import CHUNK
 from twoqubit.schmidt import schmidt_strength
 
 PI = np.pi
@@ -76,6 +77,42 @@ def test_verify_tables_catches_injected_fault(monkeypatch):
     monkeypatch.setattr(canonical_mod, "z_from_point_array", flipped)
     report = verify_tables(9)
     assert not report.passed
+
+
+def test_chunked_verify_tables_equals_the_one_shot_checks():
+    # ties among the deviations keep the earlier row across chunks too
+    n = 2 * CHUNK + 17
+    for name, check in zip(edge_names(), verify_tables(n).checks):
+        spec = edge(name)
+        t = np.linspace(*spec.param_range, n)
+        table = np.flip(np.sort(spec.closed_form_s(t), axis=-1), axis=-1)
+        deviation = np.max(np.abs(ClassData.from_points(spec.point_fn(t)).s - table), axis=-1)
+        row = int(np.argmax(deviation))
+        assert (check.name, check.value, check.where) == (name, deviation[row], t[row])
+
+
+def test_verify_tables_keeps_the_first_nan_over_the_chunks(monkeypatch):
+    # per edge, a large deviation in the first chunk and a NaN row in the
+    # second and in the third: the second chunk's NaN row is the one named
+    import twoqubit.canonical as canonical_mod
+
+    true_fn, calls = canonical_mod.z_from_point_array, []
+
+    def planted(c):
+        z, k = true_fn(c).copy(), len(calls) % 3
+        calls.append(k)
+        if k == 0:
+            z[7] *= 0.5
+        else:
+            z[3 + k] = np.nan
+        return z
+
+    monkeypatch.setattr(canonical_mod, "z_from_point_array", planted)
+    n = 3 * CHUNK
+    for name, check in zip(edge_names(), verify_tables(n).checks):
+        assert np.isnan(check.value) and not check.passed
+        assert check.where == np.linspace(*edge(name).param_range, n)[CHUNK + 4]
+    assert len(calls) == 45
 
 
 def test_a2m_matches_a2a1_restriction():
@@ -222,9 +259,10 @@ def _first_difference(got, expected):
     return None
 
 
-# a block holds 4096 rows, so these sizes stop one row short of a block, fill
-# one exactly, and put a single row in a second and in a third block
-@pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+# sizes one row short of a block edge, on it and one row past it, after one
+# block and after four, and a single row in a third and in a ninth block
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
+                               4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 1])
 @pytest.mark.parametrize("name", ["PN", "OA1"])
 def test_sweep_csv_equals_the_per_value_oracle(name, n):
     sw = sweep(name, n)

@@ -226,3 +226,19 @@ def test_check_and_refuse_rows_agree_at_the_tolerance(field, probe, others, inde
         assert check.value == tol and residual[check.where] == tol
     else:
         assert check.where == index and np.array_equal(check.value, value, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=st.lists(st.sampled_from([0.0, 0.5, 2.0, np.nan]), min_size=1, max_size=12),
+       cuts=st.lists(st.integers(1, 11), max_size=4))
+def test_worse_row_merges_chunks_to_the_worst_row(values, cuts):
+    # ties and NaNs anywhere, cut into chunks anywhere: merging each chunk into
+    # the kept value gives the row that worst_row finds in the whole array
+    values = np.array(values)
+    bounds = [0, *sorted({c for c in cuts if c < len(values)}), len(values)]
+    kept, where = -np.inf, None
+    for lo, hi in zip(bounds, bounds[1:]):
+        row = Check.worse_row(kept, values[lo:hi])
+        if row is not None:
+            kept, where = values[lo + row], lo + row
+    assert where == Check.worst_row("probe", values, "table_tol", DEFAULT_TOL).where

@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twoqubit
-import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
 from twoqubit import DEFAULT_TOL, ValidationError, canonical_gate, make_gate
@@ -262,14 +261,15 @@ def _z_route_g2(monkeypatch):
 
 
 def _audit_z_route_g2(monkeypatch):
-    # a common phase e^{i phi} on row 4 of the audit's z turns G2 into
-    # e^{4i phi} G2; only the z route reads audit.z_from_point_array
-    true = audit_mod.z_from_point_array
+    # a common phase e^{i phi} on row 4 of the z(c) that the extraction hands
+    # the audit turns G2 into e^{4i phi} G2; only the z route reads that z
+    true = twoqubit.ClassData._from_unitaries
 
-    def planted(c):
-        return true(c) * np.exp(1e-6j * (np.arange(len(c)) == 4))[:, None]
+    def planted(u):
+        data, point_invariants, z = true(u)
+        return data, point_invariants, z * np.exp(1e-6j * (np.arange(len(z)) == 4))[:, None]
 
-    monkeypatch.setattr(audit_mod, "z_from_point_array", planted)
+    monkeypatch.setattr(twoqubit.ClassData, "_from_unitaries", planted)
     twoqubit.run_audit(10, 1)
 
 

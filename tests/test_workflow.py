@@ -44,3 +44,18 @@ def test_chunk_smoke_step_spans_several_chunks():
     samples = int(re.search(r"audit --samples (\d+) --seed \d+ ", run).group(1))
     assert samples > 2 * CHUNK
     assert 'grep -qx "audit: PASS"' in run
+
+
+def test_million_row_sweep_step_checks_one_polyline_of_every_point():
+    run = _steps()["Smoke, a million-row sweep"]["run"]
+    assert "sweep PN --n 1000001 --out pn.csv --svg" in run
+    assert "len(p) == 1 and len(p[0].split()) == 1000001" in run
+
+
+def test_verify_tables_smoke_step_spans_many_chunks():
+    from twoqubit.linops import CHUNK
+
+    run = _steps()["Smoke, verify-tables over many chunks"]["run"]
+    n = int(re.search(r"verify-tables --n (\d+) ", run).group(1))
+    assert n > 2 * CHUNK
+    assert 'grep -q "^PASS:"' in run and "set -o pipefail" in run
