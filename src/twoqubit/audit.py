@@ -14,15 +14,14 @@ Checks, over ``samples`` Haar-random gates:
 The samples are drawn and checked in chunks of ``linops.CHUNK`` (1024), in
 turn from one generator seeded with ``seed``: each chunk's Haar gates, then
 its left and then its right local dressing, so the chunk size fixes the
-draws: audits of over 1024 samples drew other gates at 4096. Within a chunk
-every check is evaluated on whole arrays; the plain gates are evaluated
-once, as one ``ClassData`` whose single det(U) and M(U) pass feeds the
-coordinates and all three invariant routes, and the dressed gates take one
-more. Each check is then a reduction over the chunks: the worst value and
-its global row, summed histogram and PE counts, the first offending row. So
-memory does not grow with ``samples``, and a (samples, seed) pair fixes the
-outcome bit for bit. A refusal inside a chunk keeps its type and chunk-local
-rows, prefixed ``audit samples <first> to <last>: ``.
+draws. Within a chunk every check is evaluated on whole arrays; the plain
+gates are evaluated once, as one ``ClassData`` whose single det(U) and M(U)
+pass feeds the coordinates and all three invariant routes, and the dressed
+gates take one more. Each check is then a reduction over the chunks: the
+worst value and its global row, summed histogram and PE counts, the first
+offending row. So memory does not grow with ``samples``, and a (samples,
+seed) pair fixes the outcome bit for bit. A refusal inside a chunk keeps its
+type and chunk-local rows, prefixed ``audit samples <first> to <last>: ``.
 """
 from __future__ import annotations
 
@@ -33,7 +32,7 @@ import numpy as np
 from .canonical import ClassData
 from .errors import NumericalError
 from .gates import Gate
-from .linops import DEFAULT_TOL, Check, Report, as_scalar, chunks
+from .linops import Check, Report, as_scalar, chunks
 from .invariants import invariants_from_unitary_array, invariants_from_z_array
 from .sampling import haar_unitary, random_local_unitary
 from .schmidt import schmidt_coefficients_array
@@ -108,7 +107,7 @@ def run_audit(samples: int, seed: int) -> Report:
 
     def worst(name, i, field):
         value, row, _ = kept[i]
-        return replace(Check.worst_row(name, value, field, DEFAULT_TOL), where=row)
+        return replace(Check.worst_row(name, value, field), where=row)
 
     # the Schmidt-number check counts the rows outside {1, 2, 4}, which must be 0
     bad_rows = int(counts[0] + counts[3])

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .audit import run_audit
 from .canonical import ClassData
-from .edges import edge_svg, verify_tables, write_sweep_csv
+from .edges import verify_tables, write_edge_svg, write_sweep_csv
 from .errors import NumericalError, ParseError, ValidationError
 from .gates import Gate, catalog, catalog_names, gate_from_json_data, gate_to_json_data
 from .schmidt import refuse_count_three
@@ -123,7 +123,7 @@ def _cmd_sweep(args) -> int:
     try:
         params, strength = write_sweep_csv(args.edge, args.n, out)
         if args.svg:
-            out.with_suffix(".svg").write_text(edge_svg(args.edge, params, strength), newline="\n")
+            write_edge_svg(args.edge, params, strength, out.with_suffix(".svg"))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -4,14 +4,14 @@ perfect-entangler polyhedron.
 Each edge is the straight segment between two named vertices of
 :mod:`canonical` (O, A1, A2, A3 or L, M, N, P, Q, A2), traced linearly over
 a parameter range, together with closed-form Schmidt coefficients along
-it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`), and
-:func:`sweep_csv` renders that record. :func:`write_sweep_csv` evaluates and
-writes the same rows ``linops.CHUNK`` at a time, keeping only the grid and
-its strengths, which :func:`edge_svg` plots. Sweeps always compute
-coefficients through the expansion-coefficient engine (z_from_point); the
-closed forms are kept only as an independent oracle, checked by
-:func:`verify_tables`, which reads only the coefficients; it evaluates and
-reduces each edge a chunk at a time, holding only the grid.
+it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`).
+:func:`write_sweep_csv` writes the same rows as CSV, evaluated ``linops.CHUNK``
+at a time, keeping only the grid and its strengths, which
+:func:`write_edge_svg` writes as an SVG plot a chunk of points at a time.
+Sweeps always compute coefficients through the expansion-coefficient engine
+(z_from_point); the closed forms are kept only as an independent oracle,
+checked by :func:`verify_tables`, which reads only the coefficients; it
+evaluates and reduces each edge a chunk at a time, holding only the grid.
 
 The oracle compares sorted coefficients, and a chamber symmetry keeps
 them (Zhang et al., PRA 67, 042313 (2003)). So the fifteen edges have
@@ -32,6 +32,7 @@ parameter:
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -47,7 +48,6 @@ __all__ = [
     "edge",
     "edge_names",
     "sweep",
-    "sweep_csv",
     "verify_tables",
     "FIGURES",
     "emit_figure_data",
@@ -219,20 +219,9 @@ def _csv_blocks(columns, flags=None) -> Iterator[str]:
 _SWEEP_HEADER = "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe\n"
 
 
-def _sweep_rows(params: np.ndarray, data: ClassData) -> Iterator[str]:
-    """The sweep CSV's rows of ``data``, row i belonging to ``params[i]``."""
-    return _csv_blocks([params, data.points, data.s, data.strength,
-                        data.g1.real, data.g1.imag, data.g2], data.is_pe)
-
-
-def sweep_csv(sw: Sweep) -> str:
-    """CSV rendering of a sweep: 15 significant digits, LF line endings."""
-    return _SWEEP_HEADER + "".join(_sweep_rows(sw.param, sw))
-
-
 def write_sweep_csv(name: str, n_points: int, path) -> tuple[np.ndarray, np.ndarray]:
-    """Write ``sweep_csv(sweep(name, n_points))`` to ``path``, evaluating and
-    writing ``linops.CHUNK`` rows at a time, and return the grid and its
+    """Write the CSV of ``sweep(name, n_points)``'s rows to ``path``, evaluating
+    and writing ``linops.CHUNK`` rows at a time, and return the grid and its
     strengths, the only columns held whole. The name and the grid size are
     refused as :func:`sweep` refuses them, before ``path`` is opened."""
     spec = edge(name)
@@ -242,7 +231,8 @@ def write_sweep_csv(name: str, n_points: int, path) -> tuple[np.ndarray, np.ndar
         f.write(_SWEEP_HEADER)
         for rows in chunks(len(params)):
             data = ClassData.from_points(spec.point_fn(params[rows]))
-            f.writelines(_sweep_rows(params[rows], data))
+            f.writelines(_csv_blocks([params[rows], data.points, data.s, data.strength,
+                                      data.g1.real, data.g1.imag, data.g2], data.is_pe))
             strength[rows] = data.strength
     return params, strength
 
@@ -302,9 +292,13 @@ def emit_figure_data(figure: str, n_points: int) -> str:
 
 def figure_svg(figure: str, n_points: int) -> str:
     """SVG line plot of the same data emit_figure_data produces."""
-    return line_plot(_figure_series(figure, n_points)[1], title=figure)
+    f = io.StringIO()
+    line_plot(f, _figure_series(figure, n_points)[1], title=figure)
+    return f.getvalue()
 
 
-def edge_svg(name: str, param: np.ndarray, strength: np.ndarray) -> str:
-    """SVG line plot of one edge's strength profile over its grid."""
-    return line_plot([(name, param, strength)], title=f"edge {name}")
+def write_edge_svg(name: str, param: np.ndarray, strength: np.ndarray, path) -> None:
+    """Write the SVG line plot of one edge's strength profile over its grid to
+    ``path``, a chunk of points at a time; the twin of :func:`write_sweep_csv`."""
+    with open(path, "w", newline="\n") as f:
+        line_plot(f, [(name, param, strength)], title=f"edge {name}")

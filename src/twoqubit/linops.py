@@ -148,10 +148,10 @@ class Check:
         return self.value <= self.tolerance
 
     @classmethod
-    def worst_row(cls, name: str, residual: np.ndarray, field: str, table: Tolerance) -> Check:
-        """The check of the largest entry of ``residual`` (the first NaN, if
-        there is one) against the ``field`` of ``table``; ``where`` is its row."""
-        tol = getattr(table, field)
+    def worst_row(cls, name: str, residual: np.ndarray, field: str) -> Check:
+        """The check of the largest entry of ``residual`` (the first NaN, if there
+        is one) against the ``DEFAULT_TOL`` field named ``field``; ``where`` is its row."""
+        tol = getattr(DEFAULT_TOL, field)
         flat = np.ravel(residual)
         where = int(np.argmax(flat))
         value = float(flat[where])
@@ -183,7 +183,7 @@ def refuse_rows(error: type, what: str, residual: np.ndarray, field: str) -> Non
     within = residual <= getattr(DEFAULT_TOL, field)
     if not within.all():
         rows = np.flatnonzero(~within)
-        worst = Check.worst_row(what, residual, field, DEFAULT_TOL)
+        worst = Check.worst_row(what, residual, field)
         raise error(f"{what} at rows {rows[:10].tolist()}{' ...' if rows.size > 10 else ''} "
                     f"({rows.size} in all); worst residual {worst.value:.3e} "
                     f"exceeds tol {worst.tolerance:g} ({field})")

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -34,7 +33,7 @@ TABLES_FAULT_OUT = (
 TABLES_FAULT_ERR = "FAIL: edge A2A3 deviates by 5.000e-03 at parameter 0.589048623\n"
 AUDIT_FAULT_OUT = (
     "audit: samples=5 seed=1\n"
-    "  three-route invariant consistency: max deviation 1.332e-15 (tol 0)  FAIL\n"
+    "  three-route invariant consistency: max deviation 1.332e-06 (tol 1e-08)  FAIL\n"
     "  local invariance of schmidt coefficients: max deviation 6.661e-16 (tol 1e-09)  PASS\n"
     "  schmidt number in {1, 2, 4}: histogram {4: 5}  PASS\n"
     "  perfect-entangler fraction: fraction 0.6000 (expected 0.8488 +/- 0.6408)  PASS\n"
@@ -54,9 +53,15 @@ COUNTEREXAMPLE = (
 
 
 def _fail_route_check(monkeypatch, audit_mod):
-    # a zero invariant tolerance fails the three-route check on any sample
-    zero = dataclasses.replace(audit_mod.DEFAULT_TOL, invariant_tol=0.0)
-    monkeypatch.setattr(audit_mod, "DEFAULT_TOL", zero)
+    # route deviations scaled by 1e9 fail the three-route check on any sample
+    # and keep its worst row; a zero invariant_tol would refuse the extraction too
+    chunk_rows = audit_mod._chunk_rows
+
+    def scaled(rng, n):
+        gates, numbers, (route_dev, *rest) = chunk_rows(rng, n)
+        return gates, numbers, (route_dev * 1e9, *rest)
+
+    monkeypatch.setattr(audit_mod, "_chunk_rows", scaled)
 
 
 def run(capsys, *argv):

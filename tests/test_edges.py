@@ -7,7 +7,8 @@ import pytest
 from twoqubit import ValidationError, edge, edge_names, emit_figure_data, figure_svg, sweep, verify_tables
 from twoqubit import svgplot
 from twoqubit.canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
-from twoqubit.edges import FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, edge_svg, sweep_csv
+from twoqubit.edges import (FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, write_edge_svg,
+                            write_sweep_csv)
 from twoqubit.linops import CHUNK
 from twoqubit.schmidt import schmidt_strength
 
@@ -230,8 +231,10 @@ def test_polyhedron_edges_strength_range_and_pe():
         assert np.all(sw.is_pe), name
 
 
-def test_sweep_csv_format():
-    text = sweep_csv(sweep("A2A3", 3))
+def test_sweep_csv_format(tmp_path):
+    out = tmp_path / "a2a3.csv"
+    write_sweep_csv("A2A3", 3, out)
+    text = out.read_bytes().decode()
     lines = text.split("\n")
     assert lines[0] == "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe"
     assert len(lines) == 5 and lines[-1] == ""
@@ -259,19 +262,25 @@ def _first_difference(got, expected):
     return None
 
 
+def _sweep_oracle(sw):
+    """The sweep CSV of a :class:`Sweep`'s columns, formatted one value at a time."""
+    return _per_value_csv(
+        "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe",
+        [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2],
+        sw.is_pe.tolist(),
+    )
+
+
 # sizes one row short of a block edge, on it and one row past it, after one
 # block and after four, and a single row in a third and in a ninth block
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1,
                                4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 1])
 @pytest.mark.parametrize("name", ["PN", "OA1"])
-def test_sweep_csv_equals_the_per_value_oracle(name, n):
-    sw = sweep(name, n)
-    expected = _per_value_csv(
-        "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe",
-        [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2],
-        sw.is_pe.tolist(),
-    )
-    assert _first_difference(sweep_csv(sw), expected) is None
+def test_sweep_csv_equals_the_per_value_oracle(name, n, tmp_path):
+    sw, out = sweep(name, n), tmp_path / "sweep.csv"
+    params, strength = write_sweep_csv(name, n, out)
+    assert _first_difference(out.read_bytes().decode(), _sweep_oracle(sw)) is None
+    assert np.array_equal(params, sw.param) and np.array_equal(strength, sw.strength)
 
 
 def test_sweep_command_writes_sweep_csv(tmp_path, capsys):
@@ -280,9 +289,9 @@ def test_sweep_command_writes_sweep_csv(tmp_path, capsys):
     out = tmp_path / "pn.csv"
     assert main(["sweep", "PN", "--n", "4097", "--out", str(out), "--svg"]) == 0
     sw = sweep("PN", 4097)
-    assert _first_difference(out.read_bytes().decode(), sweep_csv(sw)) is None
-    svg = edge_svg("PN", sw.param, sw.strength)
-    assert _first_difference(out.with_suffix(".svg").read_bytes().decode(), svg) is None
+    assert _first_difference(out.read_bytes().decode(), _sweep_oracle(sw)) is None
+    assert (_polylines(out.with_suffix(".svg").read_bytes().decode())
+            == _per_point_polylines([("PN", sw.param, sw.strength)]))
 
 
 @pytest.mark.parametrize("figure", FIGURES)
@@ -321,9 +330,11 @@ def _polylines(svg):
     return re.findall(r'<polyline points="([^"]*)"', svg)
 
 
-def test_edge_svg_points_equal_the_per_point_oracle():
+def test_edge_svg_points_equal_the_per_point_oracle(tmp_path):
     sw = sweep("PN", 4097)
-    assert (_polylines(edge_svg("PN", sw.param, sw.strength))
+    out = tmp_path / "pn.svg"
+    write_edge_svg("PN", sw.param, sw.strength, out)
+    assert (_polylines(out.read_bytes().decode())
             == _per_point_polylines([("PN", sw.param, sw.strength)]))
 
 

@@ -214,7 +214,7 @@ def test_check_and_refuse_rows_agree_at_the_tolerance(field, probe, others, inde
     value = {"at": tol, "above": np.nextafter(tol, np.inf), "nan": np.nan}[probe]
     index = min(index, len(others))
     residual = np.insert(np.array(others) * tol, index, value)
-    check = Check.worst_row("probe", residual, field, DEFAULT_TOL)
+    check = Check.worst_row("probe", residual, field)
     try:
         refuse_rows(ValidationError, "probe", residual, field)
         refused = False
@@ -241,4 +241,4 @@ def test_worse_row_merges_chunks_to_the_worst_row(values, cuts):
         row = Check.worse_row(kept, values[lo:hi])
         if row is not None:
             kept, where = values[lo + row], lo + row
-    assert where == Check.worst_row("probe", values, "table_tol", DEFAULT_TOL).where
+    assert where == Check.worst_row("probe", values, "table_tol").where

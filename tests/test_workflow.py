@@ -52,6 +52,15 @@ def test_million_row_sweep_step_checks_one_polyline_of_every_point():
     assert "len(p) == 1 and len(p[0].split()) == 1000001" in run
 
 
+def test_million_row_sweep_step_bounds_the_svg_peak():
+    # the same sweep measured with and without --svg, each in its own child
+    run = _steps()["Smoke, a million-row sweep"]["run"]
+    assert "resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss" in run
+    sweep = "python -m twoqubit sweep PN --n 1000001 --out pn.csv"
+    assert f"svg=$(peak {sweep} --svg)" in run and f"plain=$(peak {sweep})" in run
+    assert "test $((svg * 100)) -le $((plain * 115))" in run
+
+
 def test_verify_tables_smoke_step_spans_many_chunks():
     from twoqubit.linops import CHUNK
 
