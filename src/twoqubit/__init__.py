@@ -17,7 +17,6 @@ from .errors import (
 )
 from .linops import DEFAULT_TOL, Check, Report, Tolerance, kron
 from .gates import (
-    Gate,
     PAULI_BASIS,
     Q_MAGIC,
     catalog,
@@ -31,7 +30,6 @@ from .invariants import (
     invariants_from_point,
     invariants_from_unitary,
     invariants_from_z,
-    locally_equivalent,
 )
 from .canonical import (
     ClassData,
@@ -41,6 +39,7 @@ from .canonical import (
     canonical_point,
     in_weyl_chamber,
     is_perfect_entangler,
+    locally_equivalent,
     weyl_reduce,
 )
 from .schmidt import (
@@ -74,7 +73,6 @@ __all__ = [
     "kron",
     "Check",
     "Report",
-    "Gate",
     "PAULI_BASIS",
     "Q_MAGIC",
     "make_gate",

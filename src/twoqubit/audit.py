@@ -31,7 +31,6 @@ import numpy as np
 
 from .canonical import ClassData
 from .errors import NumericalError
-from .gates import Gate
 from .linops import Check, Report, as_scalar, chunks
 from .invariants import invariants_from_unitary_array, invariants_from_z_array
 from .sampling import haar_unitary, random_local_unitary
@@ -123,6 +122,4 @@ def run_audit(samples: int, seed: int) -> Report:
               f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})"),
     )
     failed = next((i for i, c in enumerate(checks) if not c.passed), None)
-    counterexample = None if failed is None else Gate(matrix=kept[failed][2],
-                                                      name=f"sample_{checks[failed].where}")
-    return Report(checks, counterexample)
+    return Report(checks, None if failed is None else kept[failed][2])

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError
-from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, Gate
+from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .invariants import (
     bell_matrix_array, invariants_from_bell_array, invariants_from_point_array,
 )
-from .linops import DEFAULT_TOL, as_triple, kron, refuse_rows
+from .linops import DEFAULT_TOL, as_finite, as_triple, kron, refuse_rows
 from .schmidt import schmidt_numbers_array, schmidt_strength_array, z_from_point_array
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "canonical_point",
     "canonical_points_array",
     "ClassData",
+    "locally_equivalent",
     "s_from_point_array",
     "is_perfect_entangler",
     "canonical_gate",
@@ -253,15 +254,35 @@ class ClassData:
                    is_perfect_entangler_array(reduced))
 
 
+def locally_equivalent(a, b) -> bool:
+    """True iff gates a and b (4x4 matrices) differ only by single-qubit
+    operations and a global phase.
+
+    Decided at first order in the point: both chamber points, from one
+    ``ClassData.from_unitaries`` pass, agree within ``invariant_tol`` in each
+    coordinate, or, where c3 is within it of 0, one is within it of the other's
+    base-mirror image [pi - c1, c2, c3].
+
+    Raises:
+        ValidationError: as ``as_finite``, for anything but a finite 4x4 matrix.
+        NumericalError: as ``ClassData.from_unitaries``, an ``ExtractionError`` included.
+    """
+    u = np.stack([as_finite(g, (4, 4), "matrix", complex) for g in (a, b)])
+    ca, cb = ClassData.from_unitaries(u).points
+    tol = DEFAULT_TOL.invariant_tol
+    mirror = min(ca[2], cb[2]) <= tol and (np.abs(ca - [np.pi - cb[0], cb[1], cb[2]]) <= tol).all()
+    return bool((np.abs(ca - cb) <= tol).all() or mirror)
+
+
 def s_from_point_array(c) -> np.ndarray:
     """Schmidt coefficients of coordinate triples (..., 3): the |z(c)|, descending."""
     return np.sort(np.abs(z_from_point_array(c)), axis=-1)[..., ::-1]
 
 
-def canonical_point(g: Gate) -> np.ndarray:
-    """Extract the chamber-reduced canonical coordinates of a gate, as a
-    float array [c1, c2, c3] of shape (3,)."""
-    return canonical_points_array(g.matrix)
+def canonical_point(u) -> np.ndarray:
+    """The chamber-reduced canonical coordinates [c1, c2, c3] of one gate matrix,
+    as ``canonical_points_array``; a malformed matrix is refused as ``as_finite``."""
+    return canonical_points_array(as_finite(u, (4, 4), "matrix", complex))
 
 
 def is_perfect_entangler(c) -> bool:
@@ -287,8 +308,8 @@ _ZZ = kron(SIGMA_Z, SIGMA_Z)
 _II = kron(IDENTITY2, IDENTITY2)
 
 
-def canonical_gate(c, name: str | None = None) -> Gate:
-    """The canonical core exp(i/2 (c1 XX + c2 YY + c3 ZZ)) as a Gate.
+def canonical_gate(c) -> np.ndarray:
+    """The canonical core exp(i/2 (c1 XX + c2 YY + c3 ZZ)), a 4x4 complex matrix.
 
     The three factors commute and each squares to the identity, so the
     exponential is assembled in closed form.
@@ -297,4 +318,4 @@ def canonical_gate(c, name: str | None = None) -> Gate:
     u = _II
     for angle, pauli2 in zip(triple, (_XX, _YY, _ZZ)):
         u = u @ (np.cos(angle / 2) * _II + 1j * np.sin(angle / 2) * pauli2)
-    return Gate(matrix=u, name=name)
+    return u

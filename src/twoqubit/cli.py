@@ -23,7 +23,7 @@ from .audit import run_audit
 from .canonical import ClassData
 from .edges import verify_tables, write_edge_svg, write_sweep_csv
 from .errors import NumericalError, ParseError, ValidationError
-from .gates import Gate, catalog, catalog_names, gate_from_json_data, gate_to_json_data
+from .gates import catalog, catalog_names, gate_from_json_data, gate_to_json_data
 from .schmidt import refuse_count_three
 
 EXIT_OK = 0
@@ -35,10 +35,10 @@ EXIT_TABLES = 5
 EXIT_AUDIT = 6
 
 
-def analyze_gate(g: Gate) -> ClassData:
-    """The class data of one gate; refused, as ``refuse_count_three``, if its
-    Schmidt coefficients count 3."""
-    data = ClassData.from_unitaries(g.matrix)
+def analyze_gate(u: np.ndarray) -> ClassData:
+    """The class data of one gate matrix; refused, as ``refuse_count_three``, if
+    its Schmidt coefficients count 3."""
+    data = ClassData.from_unitaries(u)
     refuse_count_three(data.schmidt_number, data.s)
     return data
 
@@ -93,7 +93,7 @@ def report_text(data: ClassData, source: str, degrees: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_gate(source: str) -> Gate:
+def _load_gate(source: str) -> np.ndarray:
     """Resolve a gate source: a catalog name first, then a JSON file path."""
     if source in catalog_names():
         return catalog(source)
@@ -106,7 +106,7 @@ def _load_gate(source: str) -> Gate:
         ) from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"invalid JSON in {source}: {exc}") from None
-    return gate_from_json_data(data, name=source)
+    return gate_from_json_data(data)
 
 
 def _cmd_analyze(args) -> int:
@@ -179,7 +179,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_list_gates(args) -> int:
     names = catalog_names()
-    data = ClassData.from_unitaries([catalog(name).matrix for name in names])
+    data = ClassData.from_unitaries([catalog(name) for name in names])
     for name, point, is_pe in zip(names, data.points, data.is_pe):
         pe = "PE" if is_pe else "--"
         print(f"{name:11s} [{point[0]:.6f}, {point[1]:.6f}, {point[2]:.6f}]  {pe}")
@@ -250,7 +250,3 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,12 +1,10 @@
-"""Gate data model, Pauli operators, the Bell (magic) basis and a catalog
+"""Pauli operators, the Bell (magic) basis, gate validation and a catalog
 of named two-qubit gates.
 
-Matrix convention: 4x4 complex in the computational basis |q_A q_B> with
+A gate is its matrix: 4x4 complex in the computational basis |q_A q_B> with
 qubit A as the most significant bit, so row/column index = 2*a + b.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +18,6 @@ __all__ = [
     "SIGMA_Z",
     "PAULI_BASIS",
     "Q_MAGIC",
-    "Gate",
     "make_gate",
     "catalog",
     "catalog_names",
@@ -49,19 +46,8 @@ Q_MAGIC = (1 / np.sqrt(2)) * np.array(
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Gate:
-    """A two-qubit gate: a 4x4 unitary with an optional name."""
-
-    matrix: np.ndarray
-    name: str | None = None
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
-def make_gate(matrix, name: str | None = None) -> Gate:
-    """Validate ``matrix`` as a two-qubit unitary and wrap it in a Gate.
+def make_gate(matrix) -> np.ndarray:
+    """``matrix`` validated as a two-qubit unitary, as a new complex 4x4 array.
 
     Raises:
         ValidationError: as ``as_finite``, for anything but a finite 4x4
@@ -71,7 +57,7 @@ def make_gate(matrix, name: str | None = None) -> Gate:
     a = as_finite(matrix, (4, 4), "matrix", complex)
     refuse_rows(ValidationError, "matrix is not unitary: ||U^dag U - I||_F", unitarity_defect(a),
                 "unitarity_tol")
-    return Gate(matrix=a, name=name)
+    return a
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -118,17 +104,18 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(_CATALOG)
 
 
-def catalog(name: str) -> Gate:
-    """Return a named gate in the standard computational-basis convention.
+def catalog(name: str) -> np.ndarray:
+    """A fresh copy of the named gate's matrix, in the standard
+    computational-basis convention.
 
     Raises:
         ValidationError: for an unknown name; the message lists valid names.
     """
-    return Gate(matrix=lookup(_CATALOG, name, "gate").copy(), name=name)
+    return lookup(_CATALOG, name, "gate").copy()
 
 
-def gate_from_json_data(data, name: str | None = None) -> Gate:
-    """Build a Gate from the JSON wire format.
+def gate_from_json_data(data) -> np.ndarray:
+    """The gate matrix of the JSON wire format, validated as ``make_gate``.
 
     The format is a plain array of 4 rows of 4 entries, each entry a
     two-element array [re, im].
@@ -153,12 +140,9 @@ def gate_from_json_data(data, name: str | None = None) -> Gate:
                 entries.append(complex(*entry))
             except OverflowError:  # a huge integer, refused by make_gate as an infinity
                 entries.append(complex(np.inf))
-    return make_gate(np.array(entries).reshape(4, 4), name=name)
+    return make_gate(np.array(entries).reshape(4, 4))
 
 
-def gate_to_json_data(g: Gate) -> list:
-    """Serialize a gate to the JSON wire format (4 x 4 x [re, im])."""
-    return [
-        [[float(v.real), float(v.imag)] for v in row]
-        for row in np.asarray(g.matrix)
-    ]
+def gate_to_json_data(u) -> list:
+    """Serialize a gate matrix to the JSON wire format (4 x 4 x [re, im])."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(u)]

@@ -17,14 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gates import Gate, Q_MAGIC
+from .gates import Q_MAGIC
 from .linops import DEFAULT_TOL, as_finite, as_triple, refuse_rows
 
 __all__ = [
     "invariants_from_unitary",
     "invariants_from_point",
     "invariants_from_z",
-    "locally_equivalent",
 ]
 
 
@@ -64,13 +63,14 @@ def invariants_from_unitary_array(u: np.ndarray):
     return invariants_from_bell_array(*bell_matrix_array(u))
 
 
-def invariants_from_unitary(g: Gate) -> tuple[complex, float]:
-    """(G1, G2), G1 complex and G2 real, from the gate matrix via the Bell basis.
+def invariants_from_unitary(u) -> tuple[complex, float]:
+    """(G1, G2), G1 complex and G2 real, from a gate matrix via the Bell basis.
 
     det(U) enters the formulas directly, so the result is insensitive to a
-    global phase of the input; no prior normalization is required.
+    global phase of the input; no prior normalization is required. A
+    malformed matrix is refused as ``as_finite``, a G2 residue as ``_real_g2``.
     """
-    g1, g2 = invariants_from_unitary_array(g.matrix)
+    g1, g2 = invariants_from_unitary_array(as_finite(u, (4, 4), "matrix", complex))
     return complex(g1), float(g2)
 
 
@@ -116,12 +116,3 @@ def invariants_from_z(z) -> tuple[complex, float]:
     g1, g2 = invariants_from_z_array(z)
     return complex(g1), float(g2)
 
-
-def locally_equivalent(a: Gate, b: Gate) -> bool:
-    """True iff a and b differ only by single-qubit operations.
-
-    Decided by comparing (G1, G2) within ``DEFAULT_TOL.invariant_tol``.
-    """
-    tol = DEFAULT_TOL.invariant_tol
-    (g1_a, g2_a), (g1_b, g2_b) = invariants_from_unitary(a), invariants_from_unitary(b)
-    return abs(g1_a - g1_b) <= tol and abs(g2_a - g2_b) <= tol

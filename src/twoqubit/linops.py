@@ -170,7 +170,7 @@ class Report:
     """The checks of one command and, if one fails, the input that fails it."""
 
     checks: tuple[Check, ...]
-    counterexample: object = None  # a gates.Gate; gates imports this module
+    counterexample: np.ndarray | None = None  # the gate matrix of the failing row
 
     @property
     def passed(self) -> bool:

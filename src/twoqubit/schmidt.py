@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchmidtNumberError, ValidationError
-from .gates import Gate, IDENTITY2, SIGMA_X, make_gate
+from .gates import IDENTITY2, SIGMA_X, make_gate
 from .linops import DEFAULT_TOL, as_finite, as_scalar, as_triple, kron, refuse_rows
 
 __all__ = [
@@ -173,7 +173,7 @@ def schmidt_number_from_coefficients(s) -> int:
     return int(n)
 
 
-def schmidt_decompose(g: Gate) -> SchmidtData:
+def schmidt_decompose(u) -> SchmidtData:
     """Operator-Schmidt decomposition via realignment and SVD.
 
     The left/right singular vectors of the realigned matrix, reshaped to
@@ -185,7 +185,7 @@ def schmidt_decompose(g: Gate) -> SchmidtData:
         ValidationError: as ``as_finite``, if the matrix is not a finite 4x4
             matrix; an SVD that does not converge raises numpy's own error.
     """
-    left, sigma, vh = np.linalg.svd(_realign(as_finite(g.matrix, (4, 4), "matrix", complex)))
+    left, sigma, vh = np.linalg.svd(_realign(as_finite(u, (4, 4), "matrix", complex)))
     coefficients = sigma / 2.0
     factors_a = np.ascontiguousarray(left.T.reshape(4, 2, 2))
     factors_b = vh.reshape(4, 2, 2)
@@ -198,8 +198,9 @@ def schmidt_decompose(g: Gate) -> SchmidtData:
     )
 
 
-def controlled_unitary_gate(p: float) -> Gate:
-    """The Schmidt-number-2 normal form sqrt(1-p) I x I + i sqrt(p) sx x sx.
+def controlled_unitary_gate(p: float) -> np.ndarray:
+    """The Schmidt-number-2 normal form sqrt(1-p) I x I + i sqrt(p) sx x sx,
+    a 4x4 complex matrix validated as ``make_gate``.
 
     Every controlled unitary is locally equivalent to this gate for some
     p in [0, 1]; p = sin^2(theta/2) places it at [theta, 0, 0].
@@ -212,4 +213,4 @@ def controlled_unitary_gate(p: float) -> Gate:
     matrix = np.sqrt(1.0 - p) * kron(IDENTITY2, IDENTITY2) + 1j * np.sqrt(p) * kron(
         SIGMA_X, SIGMA_X
     )
-    return make_gate(matrix, name=f"controlled_unitary(p={p:g})")
+    return make_gate(matrix)

@@ -81,7 +81,7 @@ def test_criterion_2_named_gate_golden_values():
             failures.append(f"{label}: {value} != {expected}")
 
     cnot = catalog("cnot")
-    point = canonical_points_array(cnot.matrix)
+    point = canonical_points_array(cnot)
     check("cnot point", point, [PI / 2, 0, 0])
     g1, g2 = invariants_from_unitary(cnot)
     check("cnot G1", [g1.real, g1.imag], [0, 0])
@@ -93,7 +93,7 @@ def test_criterion_2_named_gate_golden_values():
         failures.append("cnot PE flag")
 
     swap = catalog("swap")
-    point = canonical_points_array(swap.matrix)
+    point = canonical_points_array(swap)
     check("swap point", point, [PI / 2, PI / 2, PI / 2])
     data = schmidt_decompose(swap)
     check("swap s", data.coefficients, [0.5, 0.5, 0.5, 0.5])
@@ -102,7 +102,7 @@ def test_criterion_2_named_gate_golden_values():
         failures.append("swap PE flag")
 
     dcnot = catalog("dcnot")
-    point = canonical_points_array(dcnot.matrix)
+    point = canonical_points_array(dcnot)
     check("dcnot point", point, [PI / 2, PI / 2, 0])
     check("dcnot K", schmidt_decompose(dcnot).strength, 2.0)
     if is_perfect_entangler(point) is not True:
@@ -188,7 +188,7 @@ def test_criterion_5_schmidt_number_classification():
     # theta uniform in (0, pi/2]; include the right endpoint explicitly
     thetas = np.append(rng.uniform(0.0, PI / 2, 999), PI / 2)
     thetas = np.where(thetas > 0.0, thetas, PI / 4)
-    line_gates = np.stack([canonical_gate((t, 0.0, 0.0)).matrix for t in thetas])
+    line_gates = np.stack([canonical_gate((t, 0.0, 0.0)) for t in thetas])
     line_numbers = [
         schmidt_number_from_coefficients(row)
         for row in schmidt_coefficients_array(line_gates)
@@ -201,7 +201,7 @@ def test_criterion_5_schmidt_number_classification():
         keep = np.hypot(c[:, 1], c[:, 2]) >= 0.1
         interior.extend(c[keep].tolist())
     interior = np.asarray(interior[:1000])
-    interior_gates = np.stack([canonical_gate(c).matrix for c in interior])
+    interior_gates = np.stack([canonical_gate(c) for c in interior])
     interior_numbers = [
         schmidt_number_from_coefficients(row)
         for row in schmidt_coefficients_array(interior_gates)

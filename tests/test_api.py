@@ -1,7 +1,10 @@
 """The exported names: every name in an ``__all__`` resolves, so a name
-deleted from a module cannot linger in its own or the package's list."""
+deleted from a module cannot linger in its own or the package's list, and
+every Python block of README.md runs."""
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,16 @@ def test_package_exports_every_readme_name():
     for name in ("canonical_point", "invariants_from_unitary", "is_perfect_entangler",
                  "schmidt_decompose", "SchmidtData", "locally_equivalent", "ClassData"):
         assert name in twoqubit.__all__
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    # the figure block writes fig5b.svg into the working directory
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) >= 2
+    monkeypatch.chdir(tmp_path)
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
+    assert capsys.readouterr().out.startswith("param,")

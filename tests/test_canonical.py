@@ -8,7 +8,6 @@ import twoqubit.invariants as invariants_mod
 import twoqubit.linops as linops
 from twoqubit import (
     ExtractionError,
-    Gate,
     NumericalError,
     canonical_gate,
     canonical_point,
@@ -18,6 +17,7 @@ from twoqubit import (
     invariants_from_point,
     invariants_from_unitary,
     is_perfect_entangler,
+    locally_equivalent,
     make_gate,
     weyl_reduce,
 )
@@ -171,7 +171,7 @@ def test_canonical_point_named(name, expected):
 
 def test_canonical_point_dressed_dcnot(rng):
     g = make_gate(
-        random_local_unitary(rng) @ catalog("dcnot").matrix @ random_local_unitary(rng)
+        random_local_unitary(rng) @ catalog("dcnot") @ random_local_unitary(rng)
     )
     assert np.allclose(tuple(canonical_point(g)), (PI / 2, PI / 2, 0.0), atol=1e-7)
 
@@ -189,10 +189,10 @@ def test_canonical_point_round_trip(rng):
 
 def test_canonical_point_local_invariance(rng):
     for _ in range(60):
-        g = Gate(haar_unitary(rng))
+        g = haar_unitary(rng)
         c = canonical_point(g)
         dressed = make_gate(
-            random_local_unitary(rng) @ g.matrix @ random_local_unitary(rng)
+            random_local_unitary(rng) @ g @ random_local_unitary(rng)
         )
         c2 = canonical_point(dressed)
         assert np.max(np.abs(c - c2)) <= 1e-7
@@ -219,7 +219,7 @@ def test_canonical_gate_matches_pauli_expansion(rng):
         + z[2] * kron(SIGMA_Y, SIGMA_Y)
         + z[3] * kron(SIGMA_Z, SIGMA_Z)
     )
-    assert np.allclose(canonical_gate(c).matrix, rebuilt, atol=1e-13)
+    assert np.allclose(canonical_gate(c), rebuilt, atol=1e-13)
 
 
 def test_extraction_failure_reports_residual(monkeypatch):
@@ -259,7 +259,7 @@ def test_schmidt_number_line():
 @pytest.mark.parametrize("c2", [3e-9, 1e-8, 3e-8])
 def test_schmidt_number_line_agrees_with_schmidt_number(c2):
     point = (1.0, c2, 0.0)
-    from_gate = ClassData.from_unitaries(canonical_gate(point).matrix)
+    from_gate = ClassData.from_unitaries(canonical_gate(point))
     assert from_gate.schmidt_number == 2 and from_gate.controlled_unitary
     assert ClassData.from_points(point).controlled_unitary
 
@@ -268,9 +268,32 @@ def test_mirror_line_equivalence():
     theta = 0.7
     a = canonical_gate((theta, 0.0, 0.0))
     b = canonical_gate((PI - theta, 0.0, 0.0))
-    from twoqubit import locally_equivalent
-
     assert locally_equivalent(a, b)
+
+
+# Each vertex gate with a direction into the chamber. At the vertices and along
+# the controlled-unitary line (G1, G2) move only quadratically with the point, so
+# a rule that compares them within invariant_tol calls these displacements equivalent.
+_VERTEX_GATES = [("identity", O, (1, 0, 0)), ("cnot", L, (0, 1, 0)), ("iswap", A2, (0, 0, 1)),
+                 ("swap", A3, (0, 0, -1))]
+
+
+def _dressed(rng, u):
+    return np.exp(2j * PI * rng.random()) * random_local_unitary(rng) @ u @ random_local_unitary(rng)
+
+
+@pytest.mark.parametrize("delta", [1e-7, 1e-6, 1e-5, 5e-5])
+@pytest.mark.parametrize("name, point, direction",
+                         _VERTEX_GATES + [(None, (1.1, 0.7, 0.3), (1, 1, 1))],
+                         ids=["O", "L", "A2", "A3", "generic"])
+def test_locally_equivalent_decides_at_first_order(name, point, direction, delta):
+    rng = np.random.default_rng(int(delta * 1e8))
+    u = canonical_gate(point) if name is None else catalog(name)
+    assert np.allclose(canonical_point(u), point, atol=1e-14)
+    moved = canonical_gate(np.add(point, delta * np.array(direction)))
+    for _ in range(5):
+        assert not locally_equivalent(_dressed(rng, u), _dressed(rng, moved))
+        assert locally_equivalent(_dressed(rng, u), _dressed(rng, u))
 
 
 def test_canonical_points_are_float_arrays():
@@ -292,9 +315,9 @@ def test_class_data_of_a_stack_equals_the_per_gate_records(monkeypatch):
     points = [*TETRAHEDRON_VERTICES.values(), *POLYHEDRON_VERTICES.values()]
     points += [[1.0, c2, 0.0] for c2 in (3e-9, 1e-8, 3e-8)]
     points += [[np.arctan(canonical_mod._MIX), 0.3, 0.1]]
-    dressed = [random_local_unitary(rng) @ canonical_gate(c).matrix @ random_local_unitary(rng)
+    dressed = [random_local_unitary(rng) @ canonical_gate(c) @ random_local_unitary(rng)
                for c in points]
-    u = np.concatenate([haar, [catalog(n).matrix for n in catalog_names()], dressed])
+    u = np.concatenate([haar, [catalog(n) for n in catalog_names()], dressed])
     fallback_rows = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: fallback_rows.append(len(m)) or eigvals(m))
@@ -323,7 +346,7 @@ def test_class_data_from_unitaries_columns():
         + [v + delta * np.array([0.6, 0.3, 0.1]) for v in vertices]
     ]
     dressed = [np.exp(2j * PI * rng.uniform()) * random_local_unitary(rng)
-               @ canonical_gate(c).matrix @ random_local_unitary(rng) for c in special + displaced]
+               @ canonical_gate(c) @ random_local_unitary(rng) for c in special + displaced]
     u = np.concatenate([haar_unitary(rng, 4, 30), dressed])
     data = ClassData.from_unitaries(u)
     assert np.array_equal(data.points, canonical_points_array(u))
@@ -341,7 +364,7 @@ def test_class_data_from_points_agrees_with_from_unitaries():
     rng = np.random.default_rng(33)
     points = weyl_reduce_array(rng.uniform(0, PI, (25, 3)))
     from_points = ClassData.from_points(points)
-    from_gates = ClassData.from_unitaries([canonical_gate(c).matrix for c in points])
+    from_gates = ClassData.from_unitaries([canonical_gate(c) for c in points])
     assert np.allclose(from_points.points, from_gates.points, atol=1e-9)
     assert np.allclose(from_points.s, from_gates.s, atol=1e-12)
     assert np.allclose(from_points.g1, from_gates.g1, atol=1e-12)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from twoqubit import Gate, canonical_gate, catalog, catalog_names, gate_to_json_data, make_gate
+from twoqubit import canonical_gate, catalog, catalog_names, gate_to_json_data, make_gate
 from twoqubit.cli import analyze_gate, main, report_json, report_text
 from twoqubit.sampling import haar_unitary, random_local_unitary
 
@@ -107,7 +107,7 @@ def test_analyze_degrees(capsys):
 
 
 def test_analyze_json_file(tmp_path, capsys, rng):
-    g = Gate(haar_unitary(rng))
+    g = haar_unitary(rng)
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(gate_to_json_data(g)))
     code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
@@ -230,12 +230,12 @@ def test_analyze_coefficients_are_the_realignment_singular_values(rng, capsys):
     from twoqubit.cli import _round15, report_json
     from twoqubit.schmidt import schmidt_coefficients_array
 
-    gates = [catalog(name) for name in catalog_names()] + [Gate(haar_unitary(rng)) for _ in range(10)]
+    gates = [catalog(name) for name in catalog_names()] + [haar_unitary(rng) for _ in range(10)]
     for g in gates:
         data = analyze_gate(g)
         s = s_from_point_array(data.points)
         assert np.array_equal(data.s, s)
-        assert np.max(np.abs(s - schmidt_coefficients_array(g.matrix))) <= 1e-14
+        assert np.max(np.abs(s - schmidt_coefficients_array(g))) <= 1e-14
         payload = json.loads(report_json(data, "g"))
         assert payload["schmidt_coefficients"] == [_round15(v) for v in s]
 
@@ -257,7 +257,7 @@ def test_analyze_numerical_failure_exit_3(capsys, monkeypatch):
 def test_near_line_controlled_unitary_agrees_with_schmidt_number(c2):
     # near [theta, 0, 0] the report must not claim K = 2 and "not controlled"
     rng = np.random.default_rng(11)
-    core = canonical_gate([1.0, c2, 0.0]).matrix
+    core = canonical_gate([1.0, c2, 0.0])
     gates = [core] + [
         random_local_unitary(rng) @ core @ random_local_unitary(rng) for _ in range(20)
     ]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoqubit.canonical as canonical_mod
-from twoqubit import ExtractionError, Gate, NumericalError, canonical_gate
+from twoqubit import ExtractionError, NumericalError, canonical_gate
 from twoqubit.canonical import (
     ClassData,
     POLYHEDRON_VERTICES,
@@ -43,7 +43,7 @@ def _dressed(point, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     k_left, k_right = random_local_unitary(rng), random_local_unitary(rng)
     phase = np.exp(1j * rng.uniform(0, 2 * PI))
-    return phase * k_left @ canonical_gate(point).matrix @ k_right
+    return phase * k_left @ canonical_gate(point) @ k_right
 
 
 def _snapped(c: np.ndarray) -> np.ndarray:
@@ -156,8 +156,7 @@ def test_every_route_refuses_a_near_unitary_gate_alike():
     rng = np.random.default_rng(3)
     u = haar_unitary(rng) + 1e-9 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     messages = []
-    for route in (canonical_points_array, ClassData.from_unitaries,
-                  lambda m: invariants_from_unitary(Gate(matrix=m))):
+    for route in (canonical_points_array, ClassData.from_unitaries, invariants_from_unitary):
         with pytest.raises(NumericalError) as info:
             route(u)
         messages.append((type(info.value), str(info.value)))

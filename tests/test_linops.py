@@ -13,17 +13,21 @@ from twoqubit import (
     Tolerance,
     ValidationError,
     canonical_gate,
+    canonical_point,
     catalog,
     controlled_unitary_gate,
     edge,
     emit_figure_data,
     in_weyl_chamber,
     invariants_from_point,
+    invariants_from_unitary,
     invariants_from_z,
     is_perfect_entangler,
     kron,
+    locally_equivalent,
     make_gate,
     run_audit,
+    schmidt_decompose,
     schmidt_strength,
     sweep,
     verify_tables,
@@ -132,6 +136,13 @@ def _outside_cases():
     one = [1.0, 0.0, 0.0, 0.0]
     arrays = [  # (name, entry point, an input it accepts, what its refusal names)
         ("make_gate", make_gate, np.eye(4), "matrix"),
+        ("canonical_point", canonical_point, np.eye(4), "matrix"),
+        ("invariants_from_unitary", invariants_from_unitary, np.eye(4), "matrix"),
+        ("schmidt_decompose", schmidt_decompose, np.eye(4), "matrix"),
+        ("locally_equivalent-first", lambda m: locally_equivalent(m, np.eye(4)), np.eye(4),
+         "matrix"),
+        ("locally_equivalent-second", lambda m: locally_equivalent(np.eye(4), m), np.eye(4),
+         "matrix"),
         ("kron", lambda m: kron(IDENTITY2, m), IDENTITY2, "2x2 matrix"),
         ("schmidt_strength", schmidt_strength, one, "Schmidt row [s1, s2, s3, s4]"),
         ("schmidt_number_from_coefficients", schmidt_number_from_coefficients, one,
@@ -195,7 +206,7 @@ def test_scalar_input_raises_validation_error(entry, bad, message):
 
 def test_scalar_check_accepts_numpy_numbers_and_any_seed():
     assert run_audit(np.int64(3), 2**70).passed
-    assert controlled_unitary_gate(np.float64(0.5)).name == "controlled_unitary(p=0.5)"
+    assert np.array_equal(controlled_unitary_gate(np.float64(0.5)), controlled_unitary_gate(0.5))
     assert sweep("OA1", np.int32(3)).param.size == 3
 
 

@@ -18,7 +18,6 @@ from twoqubit import (
     z_from_point,
 )
 from twoqubit.errors import SchmidtNumberError
-from twoqubit.gates import Gate
 from twoqubit.linops import kron
 from twoqubit.sampling import haar_unitary, random_local_unitary
 from twoqubit.canonical import ClassData
@@ -76,13 +75,13 @@ def test_schmidt_decompose_named(name, coeffs, number):
 
 def test_schmidt_decompose_reconstruction(rng):
     for _ in range(25):
-        g = Gate(haar_unitary(rng))
+        g = haar_unitary(rng)
         data = schmidt_decompose(g)
         rebuilt = sum(
             2 * data.coefficients[l] * kron(data.factors_a[l], data.factors_b[l])
             for l in range(4)
         )
-        assert np.linalg.norm(rebuilt - g.matrix) <= 1e-10
+        assert np.linalg.norm(rebuilt - g) <= 1e-10
         assert abs(np.sum(data.coefficients**2) - 1.0) <= 1e-10
         assert np.all(np.diff(data.coefficients) <= 1e-15)
 
@@ -91,11 +90,11 @@ def test_schmidt_decompose_rejects_nonfinite():
     m = np.eye(4, dtype=complex)
     m[0, 0] = np.nan
     with pytest.raises(ValidationError, match="finite"):
-        schmidt_decompose(Gate(matrix=m))
+        schmidt_decompose(m)
 
 
 def test_schmidt_factors_orthonormal(rng):
-    g = Gate(haar_unitary(rng))
+    g = haar_unitary(rng)
     data = schmidt_decompose(g)
     for side in (data.factors_a, data.factors_b):
         gram = np.einsum("lij,kij->lk", side.conj(), side)
@@ -104,9 +103,9 @@ def test_schmidt_factors_orthonormal(rng):
 
 def test_schmidt_coefficients_local_invariance(rng):
     for _ in range(50):
-        g = Gate(haar_unitary(rng))
-        dressed = random_local_unitary(rng) @ g.matrix @ random_local_unitary(rng)
-        s1 = schmidt_coefficients_array(g.matrix)
+        g = haar_unitary(rng)
+        dressed = random_local_unitary(rng) @ g @ random_local_unitary(rng)
+        s1 = schmidt_coefficients_array(g)
         s2 = schmidt_coefficients_array(dressed)
         assert np.max(np.abs(s1 - s2)) <= 1e-9
 
@@ -116,7 +115,7 @@ def test_analytic_numeric_agreement(rng):
     # values over random coordinate triples
     c = rng.uniform(-PI, PI, (1000, 3))
     analytic = np.flip(np.sort(np.abs(z_from_point_array(c)), axis=-1), axis=-1)
-    gates = np.stack([canonical_gate(row).matrix for row in c])
+    gates = np.stack([canonical_gate(row) for row in c])
     numeric = schmidt_coefficients_array(gates)
     assert np.max(np.abs(analytic - numeric)) <= 1e-9
 
@@ -165,15 +164,15 @@ def test_schmidt_scalars_refuse_a_row_not_of_four(scalar, shape):
 
 def test_schmidt_strength_bounds(rng):
     for _ in range(200):
-        s = schmidt_coefficients_array(Gate(haar_unitary(rng)).matrix)
+        s = schmidt_coefficients_array(haar_unitary(rng))
         k = schmidt_strength(s)
         assert 0.0 <= k <= 2.0
 
 
 def test_controlled_unitary_gate_endpoints():
-    assert np.allclose(controlled_unitary_gate(0.0).matrix, np.eye(4), atol=1e-15)
+    assert np.allclose(controlled_unitary_gate(0.0), np.eye(4), atol=1e-15)
     g = controlled_unitary_gate(1.0)
-    assert np.allclose(g.matrix, 1j * kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]), atol=1e-15)
+    assert np.allclose(g, 1j * kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]), atol=1e-15)
     g1, g2 = invariants_from_unitary(g)
     assert abs(g1 - 1.0) < 1e-12 and abs(g2 - 3.0) < 1e-12
 
@@ -198,8 +197,8 @@ def test_controlled_unitary_gate_domain():
         controlled_unitary_gate(1.1)
 
 
-def _schmidt_number(g: Gate) -> int:
-    return int(ClassData.from_unitaries(g.matrix).schmidt_number)
+def _schmidt_number(g: np.ndarray) -> int:
+    return int(ClassData.from_unitaries(g).schmidt_number)
 
 
 def test_schmidt_number_of_gates(rng):
@@ -213,7 +212,7 @@ def test_schmidt_number_of_gates(rng):
 
 def test_schmidt_number_never_three(rng):
     s = schmidt_coefficients_array(
-        np.stack([Gate(haar_unitary(rng)).matrix for _ in range(500)])
+        np.stack([haar_unitary(rng) for _ in range(500)])
     )
     for row in s:
         assert schmidt_number_from_coefficients(row) in (1, 2, 4)
@@ -282,7 +281,7 @@ def test_schmidt_numbers_array_shapes():
 
 
 def test_schmidt_data_consistency(rng):
-    g = Gate(haar_unitary(rng))
+    g = haar_unitary(rng)
     data = schmidt_decompose(g)
     assert abs(data.strength - schmidt_strength(data.coefficients)) <= 1e-12
     assert data.schmidt_number == _schmidt_number(g)

@@ -89,7 +89,7 @@ def _dressed_reports(point, seed: int, count: int):
     """analyze reports for canonical_gate(point), undressed and under
     ``count`` random local dressings, each with a global phase."""
     rng = np.random.default_rng(seed)
-    core = canonical_gate(point).matrix
+    core = canonical_gate(point)
     matrices = [core] + [
         np.exp(1j * rng.uniform(0, 2 * PI))
         * random_local_unitary(rng) @ core @ random_local_unitary(rng)
@@ -252,7 +252,7 @@ def _class_data_g2(monkeypatch):
 
 def _matrix_route_g2(monkeypatch):
     u = np.random.default_rng(11).standard_normal((4, 4)) + 1j
-    twoqubit.invariants_from_unitary(twoqubit.Gate(matrix=u))
+    twoqubit.invariants_from_unitary(u)
 
 
 def _z_route_g2(monkeypatch):
