@@ -12,7 +12,6 @@ from .errors import (
     ExtractionError,
     NumericalError,
     ParseError,
-    SchmidtNumberError,
     ValidationError,
 )
 from .linops import DEFAULT_TOL, Check, Report, Tolerance, kron
@@ -67,7 +66,6 @@ __all__ = [
     "ValidationError",
     "NumericalError",
     "ExtractionError",
-    "SchmidtNumberError",
     "Tolerance",
     "DEFAULT_TOL",
     "kron",

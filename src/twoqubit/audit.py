@@ -7,7 +7,8 @@ Checks, over ``samples`` Haar-random gates:
   * sorted Schmidt coefficients and invariants are unchanged by random
     single-qubit operations on both sides (``DEFAULT_TOL.local_invariance_tol``),
     the dressed gates' realignment SVD checked against |z(c)| at the plain points;
-  * Schmidt numbers take only the values 1, 2 or 4;
+  * Schmidt numbers are unchanged by those operations: the Schmidt number of
+    the dressed gates' SVD coefficients equals that of the plain gates' |z(c)|;
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.
 
@@ -18,9 +19,9 @@ draws. Within a chunk every check is evaluated on whole arrays; the plain
 gates are evaluated once, as one ``ClassData`` whose single det(U) and M(U)
 pass feeds the coordinates and all three invariant routes, and the dressed
 gates take one more. Each check is then a reduction over the chunks: the
-worst value and its global row, summed histogram and PE counts, the first
-offending row. So memory does not grow with ``samples``, and a (samples,
-seed) pair fixes the outcome bit for bit. A refusal inside a chunk keeps its
+worst value and its global row, summed histogram, mismatch and PE counts,
+the first offending row. So memory does not grow with ``samples``, and a
+(samples, seed) pair fixes the outcome bit for bit. A refusal inside a chunk keeps its
 type and chunk-local rows, prefixed ``audit samples <first> to <last>: ``.
 """
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import NumericalError
 from .linops import Check, Report, as_scalar, chunks
 from .invariants import invariants_from_unitary_array, invariants_from_z_array
 from .sampling import haar_unitary, random_local_unitary
-from .schmidt import schmidt_coefficients_array
+from .schmidt import schmidt_coefficients_array, schmidt_numbers_array
 
 __all__ = ["run_audit"]
 
@@ -59,8 +60,8 @@ def pe_fraction_tolerance(samples: int) -> float:
 def _chunk_rows(rng: np.random.Generator, n: int):
     """The next ``n`` samples: their gates (drawn before the left and then the
     right dressing), their Schmidt numbers, and each check's row values (the
-    route and local deviations, and flags of a Schmidt number outside {1, 2, 4}
-    and of a non-PE gate), whose ``Check.worst_row`` is the check's row."""
+    route and local deviations, and flags of a Schmidt number that the dressing
+    changes and of a non-PE gate), whose ``Check.worst_row`` is the check's row."""
     gates = haar_unitary(rng, 4, n)
     # the left factor is drawn first: Python evaluates operands left to right
     dressed = random_local_unitary(rng, n) @ gates @ random_local_unitary(rng, n)
@@ -73,13 +74,14 @@ def _chunk_rows(rng: np.random.Generator, n: int):
     route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
 
     # invariance of coefficients and invariants under local operations
-    coeff_dev = np.max(np.abs(plain.s - schmidt_coefficients_array(dressed)), axis=-1)
+    s_dressed = schmidt_coefficients_array(dressed)
+    coeff_dev = np.max(np.abs(plain.s - s_dressed), axis=-1)
     g1_d, g2_d = invariants_from_unitary_array(dressed)
     inv_dev = np.maximum(np.abs(g1_u - g1_d), np.abs(g2_u - g2_d))
 
     numbers = plain.schmidt_number
     return gates, numbers, (route_dev, np.maximum(coeff_dev, inv_dev),
-                            ~np.isin(numbers, (1, 2, 4)), ~plain.is_pe)
+                            numbers != schmidt_numbers_array(s_dressed), ~plain.is_pe)
 
 
 def run_audit(samples: int, seed: int) -> Report:
@@ -90,7 +92,8 @@ def run_audit(samples: int, seed: int) -> Report:
     as_scalar(seed, "seed", 0, None, below="seed must be non-negative")
     rng = np.random.default_rng(seed)
     kept = [(-np.inf, 0, None)] * 4  # (value, global row, gate) of each check
-    counts, pe_rows = np.zeros(5, dtype=np.int64), 0  # rows by Schmidt number, PE rows
+    counts = np.zeros(5, dtype=np.int64)  # rows by Schmidt number
+    changed_rows, pe_rows = 0, 0
     for chunk in chunks(samples):
         start, n = chunk.start, chunk.stop - chunk.start
         try:
@@ -102,22 +105,21 @@ def run_audit(samples: int, seed: int) -> Report:
             if row is not None:
                 kept[i] = (float(values[row]), start + row, gates[row].copy())
         counts += np.bincount(numbers, minlength=5)
+        changed_rows += int(np.count_nonzero(rows[2]))
         pe_rows += n - int(np.count_nonzero(rows[3]))
 
     def worst(name, i, field):
         value, row, _ = kept[i]
         return replace(Check.worst_row(name, value, field), where=row)
 
-    # the Schmidt-number check counts the rows outside {1, 2, 4}, which must be 0
-    bad_rows = int(counts[0] + counts[3])
     histogram = {k: int(v) for k, v in enumerate(counts) if v}
     fraction = pe_rows / samples
     band = pe_fraction_tolerance(samples)
     checks = (
         worst("three-route invariant consistency", 0, "invariant_tol"),
         worst("local invariance of schmidt coefficients", 1, "local_invariance_tol"),
-        Check("schmidt number in {1, 2, 4}", float(bad_rows), 0.0,
-              kept[2][1] if bad_rows else None, f"histogram {histogram}"),
+        Check("schmidt number unchanged by local operations", float(changed_rows), 0.0,
+              kept[2][1] if changed_rows else None, f"histogram {histogram}"),
         Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band, kept[3][1],
               f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})"),
     )

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError
-from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .gates import Q_MAGIC
 from .invariants import (
     bell_matrix_array, invariants_from_bell_array, invariants_from_point_array,
 )
-from .linops import DEFAULT_TOL, as_finite, as_triple, kron, refuse_rows
+from .linops import DEFAULT_TOL, as_finite, as_triple, refuse_rows
 from .schmidt import schmidt_numbers_array, schmidt_strength_array, z_from_point_array
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "s_from_point_array",
     "is_perfect_entangler",
     "canonical_gate",
+    "canonical_gates_array",
 ]
 
 
@@ -302,20 +303,23 @@ def is_perfect_entangler_array(c: np.ndarray) -> np.ndarray:
     return (np.asarray(c) @ a.T <= b + DEFAULT_TOL.pe_boundary_tol).all(axis=-1)
 
 
-_XX = kron(SIGMA_X, SIGMA_X)
-_YY = kron(SIGMA_Y, SIGMA_Y)
-_ZZ = kron(SIGMA_Z, SIGMA_Z)
-_II = kron(IDENTITY2, IDENTITY2)
+# Phases of the canonical core on the magic basis: column j of c @ _MAGIC_PHASES is
+# twice the phase of the core on column j of Q_MAGIC, for coordinate rows c.
+_MAGIC_PHASES = np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0]])
+
+
+def canonical_gates_array(c: np.ndarray) -> np.ndarray:
+    """The canonical cores exp(i/2 (c1 XX + c2 YY + c3 ZZ)) of coordinate
+    triples (..., 3), as (..., 4, 4) complex matrices; no validation.
+
+    XX, YY and ZZ are diagonal on the magic basis, so each core is
+    Q_MAGIC diag(exp(i/2 c @ _MAGIC_PHASES)) Q_MAGIC^dag.
+    """
+    phases = np.exp(0.5j * (np.asarray(c, dtype=float) @ _MAGIC_PHASES))
+    return (Q_MAGIC * phases[..., None, :]) @ Q_MAGIC.conj().T
 
 
 def canonical_gate(c) -> np.ndarray:
-    """The canonical core exp(i/2 (c1 XX + c2 YY + c3 ZZ)), a 4x4 complex matrix.
-
-    The three factors commute and each squares to the identity, so the
-    exponential is assembled in closed form.
-    """
-    triple = as_triple(c)
-    u = _II
-    for angle, pauli2 in zip(triple, (_XX, _YY, _ZZ)):
-        u = u @ (np.cos(angle / 2) * _II + 1j * np.sin(angle / 2) * pauli2)
-    return u
+    """The canonical core of one coordinate triple, a 4x4 complex matrix, as
+    ``canonical_gates_array``; the triple is checked as ``as_triple``."""
+    return canonical_gates_array(as_triple(c))

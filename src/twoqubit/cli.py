@@ -3,9 +3,10 @@
 Subcommands: analyze, sweep, verify-tables, audit, list-gates.
 
 Exit codes: 0 success, 1 parse error, 2 validation error (a count that
-no memory can hold included), 3 numerical error (``NumericalError`` or
-numpy's ``LinAlgError``), 4 I/O failure, 5 table verification failure,
-6 audit property violation.
+no memory can hold included), 3 numerical error (an extraction or G2
+residue beyond its tolerance, as ``NumericalError``, or numpy's
+``LinAlgError``), 4 I/O failure, 5 table verification failure, 6 audit
+property violation.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .canonical import ClassData
 from .edges import verify_tables, write_edge_svg, write_sweep_csv
 from .errors import NumericalError, ParseError, ValidationError
 from .gates import catalog, catalog_names, gate_from_json_data, gate_to_json_data
-from .schmidt import refuse_count_three
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -33,14 +33,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 EXIT_TABLES = 5
 EXIT_AUDIT = 6
-
-
-def analyze_gate(u: np.ndarray) -> ClassData:
-    """The class data of one gate matrix; refused, as ``refuse_count_three``, if
-    its Schmidt coefficients count 3."""
-    data = ClassData.from_unitaries(u)
-    refuse_count_three(data.schmidt_number, data.s)
-    return data
 
 
 def _round15(x: float) -> float:
@@ -110,7 +102,7 @@ def _load_gate(source: str) -> np.ndarray:
 
 
 def _cmd_analyze(args) -> int:
-    data = analyze_gate(_load_gate(args.source))
+    data = ClassData.from_unitaries(_load_gate(args.source))
     if args.format == "json":
         sys.stdout.write(report_json(data, args.source))
     else:

@@ -20,11 +20,3 @@ class NumericalError(RuntimeError):
 class ExtractionError(NumericalError):
     """Extracted canonical coordinates missed the gate's local invariants
     by more than ``invariant_tol``."""
-
-
-class SchmidtNumberError(NumericalError):
-    """Schmidt-coefficient counting returned 3 at every tolerance tried.
-
-    Two-qubit gates cannot have three nonvanishing Schmidt coefficients,
-    so a persistent count of 3 signals a numerical pathology.
-    """

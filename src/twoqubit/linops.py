@@ -38,7 +38,7 @@ class Tolerance:
     function from ``DEFAULT_TOL`` when it is called."""
 
     unitarity_tol: float = 1e-10  # make_gate: largest accepted ||U^dag U - I||_F
-    zero_tol: float = 1e-8  # Schmidt count: coefficients above this are nonzero
+    zero_tol: float = 1e-8  # Schmidt number: s2, then s3, above this are nonzero
     norm_tol: float = 1e-10  # allowed |sum |z|^2 - 1| and |sum s^2 - 1|
     negative_tol: float = 1e-12  # Schmidt coefficients below -this are rejected
     imag_residue_tol: float = 1e-9  # largest |Im G2| taken as rounding noise

@@ -10,9 +10,11 @@ that sum s_l^2 = 1 for unitaries, making s_l^2 a probability distribution; its
 Shannon entropy (base 2) is the Schmidt strength, an entanglement measure for
 the operator itself ranging from 0 (local gates) to 2.
 
-The count of nonvanishing coefficients, the Schmidt number, is 1 for local
-gates, 2 exactly on the controlled-unitary line, and 4 otherwise; 3 is
-impossible.
+The number of nonvanishing coefficients, the Schmidt number K, is 1 for
+local gates, 2 exactly on the controlled-unitary line, and 4 otherwise; 3
+is impossible. It is read from the second and third largest coefficients:
+s2 grows at first order with the distance to the local class and s3 with
+the distance to the line, where the smallest, s4, grows only at second order.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchmidtNumberError, ValidationError
+from .errors import ValidationError
 from .gates import IDENTITY2, SIGMA_X, make_gate
 from .linops import DEFAULT_TOL, as_finite, as_scalar, as_triple, kron, refuse_rows
 
@@ -131,46 +133,22 @@ def schmidt_strength_array(s: np.ndarray) -> np.ndarray:
 
 
 def schmidt_numbers_array(s: np.ndarray) -> np.ndarray:
-    """Count the coefficients above ``zero_tol`` in each row of s (..., 4).
-
-    A count of 3 is impossible for two-qubit gates, so rows that count 3
-    are recounted at 10x and then 0.1x the tolerance, and the first count
-    other than 3 wins; rows that count 3 at all three keep 3. One row gives a scalar.
-    """
-    s = np.asarray(s, dtype=float)
+    """The Schmidt number of each row of s (..., 4), in any order: 1 where the
+    second-largest coefficient s2 is at most ``zero_tol``, else 2 where the
+    third-largest s3 is, else 4. One row gives a scalar."""
+    s = np.sort(np.asarray(s, dtype=float), axis=-1)
     zero_tol = DEFAULT_TOL.zero_tol
-    n = np.count_nonzero(s > zero_tol, axis=-1)
-    if (n == 3).any():
-        n = np.array(n)
-        for t in (10 * zero_tol, 0.1 * zero_tol):
-            retry = n == 3
-            n[retry] = np.count_nonzero(s[retry] > t, axis=-1)
-        n = n[()]
-    return n
-
-
-def refuse_count_three(n, s) -> None:
-    """Raise ``SchmidtNumberError``, through ``refuse_rows``, for the rows of
-    s (..., 4) whose count n is 3; the residual is the row's third-largest
-    coefficient, which such a count puts above ``zero_tol``."""
-    three = n == 3
-    if three.any():
-        third = np.where(three, np.sort(s, axis=-1)[..., 1], 0.0)
-        refuse_rows(SchmidtNumberError, "coefficient count is 3", third, "zero_tol")
+    return np.where(s[..., 2] <= zero_tol, 1, np.where(s[..., 1] <= zero_tol, 2, 4))[()]
 
 
 def schmidt_number_from_coefficients(s) -> int:
-    """Count the nonvanishing coefficients of one row of four, as
-    ``schmidt_numbers_array`` does; the result is 1, 2 or 4.
+    """The Schmidt number of one row of four coefficients, in any order, as
+    ``schmidt_numbers_array`` decides it: 1, 2 or 4.
 
     Raises:
         ValidationError: as ``as_finite``, for anything but four finite reals.
-        SchmidtNumberError: as ``refuse_count_three``.
     """
-    s = as_finite(s, (4,), _S_ROW)
-    n = schmidt_numbers_array(s)
-    refuse_count_three(n, s)
-    return int(n)
+    return int(schmidt_numbers_array(as_finite(s, (4,), _S_ROW)))
 
 
 def schmidt_decompose(u) -> SchmidtData:

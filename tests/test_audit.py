@@ -18,7 +18,7 @@ from twoqubit.invariants import (
 )
 from twoqubit.linops import CHUNK, DEFAULT_TOL, Check
 from twoqubit.sampling import haar_unitary, random_local_unitary
-from twoqubit.schmidt import schmidt_coefficients_array, z_from_point_array
+from twoqubit.schmidt import schmidt_coefficients_array, schmidt_numbers_array, z_from_point_array
 
 
 def test_pe_band_is_four_binomial_sigma():
@@ -85,27 +85,34 @@ def test_each_kernel_runs_once_per_chunk(monkeypatch):
 
 
 def _plant_count_three(monkeypatch, rows, size=None):
-    """Count the plain gates' Schmidt coefficients as 3 at ``rows`` of every set
-    of ``size`` rows (any size if None); the coefficients themselves, which the
-    route and local checks read, stay as they are, so only the Schmidt-number
-    check sees it."""
-    true = canonical_mod.schmidt_numbers_array
+    """Give the dressed gates' SVD coefficients a Schmidt number of 3 at ``rows``
+    of every set of ``size`` rows (any size if None), where the plain gates' is
+    4; other inputs, the coefficients themselves, which the route and local
+    checks read, and the plain gates' histogram stay as they are, so only the
+    Schmidt-number check sees it, and only if it reads the dressed SVD."""
+    true_svd, true_numbers, dressed = (audit_mod.schmidt_coefficients_array,
+                                       audit_mod.schmidt_numbers_array, [])
+
+    def svd(u):
+        dressed.append(true_svd(u))
+        return dressed[-1]
 
     def planted(s):
-        n = true(s)
-        if size is None or len(s) == size:
+        n = true_numbers(s)
+        if any(s is d for d in dressed) and (size is None or len(s) == size):
             n[rows] = 3
         return n
 
-    monkeypatch.setattr(canonical_mod, "schmidt_numbers_array", planted)
+    monkeypatch.setattr(audit_mod, "schmidt_coefficients_array", svd)
+    monkeypatch.setattr(audit_mod, "schmidt_numbers_array", planted)
 
 
 def test_schmidt_count_of_three_fails_with_first_row(monkeypatch):
     _plant_count_three(monkeypatch, [7, 12])
     result = run_audit(20, 5)
     check = result.checks[2]
-    assert not check.passed
-    assert check.detail == "histogram {3: 2, 4: 18}"
+    assert not check.passed and check.value == 2
+    assert check.detail == "histogram {4: 20}"
     assert result.checks[1].passed
     assert check.where == 7
     gates, _ = _one_shot_checks(20, 5)
@@ -127,12 +134,13 @@ def _one_shot_checks(samples: int, seed: int):
              (plain.g2, g2_c), (plain.g2, g2_z), (g2_c, g2_z))
     route_dev = np.max([np.abs(a - b) for a, b in pairs], axis=0)
     dressed = k_left @ gates @ k_right
+    s_dressed = schmidt_coefficients_array(dressed)
     g1_d, g2_d = invariants_from_unitary_array(dressed)
     local_dev = np.maximum(
-        np.max(np.abs(plain.s - schmidt_coefficients_array(dressed)), axis=-1),
+        np.max(np.abs(plain.s - s_dressed), axis=-1),
         np.maximum(np.abs(plain.g1 - g1_d), np.abs(plain.g2 - g2_d)))
     numbers = plain.schmidt_number
-    bad = np.flatnonzero(~np.isin(numbers, (1, 2, 4)))
+    bad = np.flatnonzero(numbers != schmidt_numbers_array(s_dressed))
     histogram = dict(zip(*(a.tolist() for a in np.unique(numbers, return_counts=True))))
     fraction = float(np.mean(plain.is_pe))
     band = pe_fraction_tolerance(samples)
@@ -140,7 +148,7 @@ def _one_shot_checks(samples: int, seed: int):
         Check.worst_row("three-route invariant consistency", route_dev, "invariant_tol"),
         Check.worst_row("local invariance of schmidt coefficients", local_dev,
                         "local_invariance_tol"),
-        Check("schmidt number in {1, 2, 4}", float(bad.size), 0.0,
+        Check("schmidt number unchanged by local operations", float(bad.size), 0.0,
               int(bad[0]) if bad.size else None, f"histogram {histogram}"),
         Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band,
               int(np.argmin(plain.is_pe)),
@@ -161,8 +169,8 @@ def test_fault_in_the_second_chunk_names_its_global_row(monkeypatch):
     _plant_count_three(monkeypatch, [7, 12], size=20)
     result = run_audit(CHUNK + 20, 5)
     check = result.checks[2]
-    assert not check.passed and check.where == CHUNK + 7
-    assert check.detail == f"histogram {{3: 2, 4: {CHUNK + 18}}}"
+    assert not check.passed and check.where == CHUNK + 7 and check.value == 2
+    assert check.detail == f"histogram {{4: {CHUNK + 20}}}"
     gates, _ = _one_shot_checks(CHUNK + 20, 5)
     assert np.array_equal(result.counterexample, gates[CHUNK + 7])
 

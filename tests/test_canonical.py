@@ -258,10 +258,13 @@ def test_schmidt_number_line():
 
 @pytest.mark.parametrize("c2", [3e-9, 1e-8, 3e-8])
 def test_schmidt_number_line_agrees_with_schmidt_number(c2):
+    # s3 = sin(c2/2) cos(1/2) is at most zero_tol = 1e-8 for c2 up to 2.28e-8:
+    # K = 2 and a controlled unitary below that, K = 4 and none above
     point = (1.0, c2, 0.0)
-    from_gate = ClassData.from_unitaries(canonical_gate(point))
-    assert from_gate.schmidt_number == 2 and from_gate.controlled_unitary
-    assert ClassData.from_points(point).controlled_unitary
+    on_line = c2 < 2e-8
+    for data in (ClassData.from_unitaries(canonical_gate(point)), ClassData.from_points(point)):
+        assert data.schmidt_number == (2 if on_line else 4)
+        assert data.controlled_unitary == on_line
 
 
 def test_mirror_line_equivalence():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from twoqubit import canonical_gate, catalog, catalog_names, gate_to_json_data, make_gate
-from twoqubit.cli import analyze_gate, main, report_json, report_text
+from twoqubit.canonical import ClassData
+from twoqubit.cli import main, report_json, report_text
 from twoqubit.sampling import haar_unitary, random_local_unitary
 
 
@@ -35,7 +36,7 @@ AUDIT_FAULT_OUT = (
     "audit: samples=5 seed=1\n"
     "  three-route invariant consistency: max deviation 1.332e-06 (tol 1e-08)  FAIL\n"
     "  local invariance of schmidt coefficients: max deviation 6.661e-16 (tol 1e-09)  PASS\n"
-    "  schmidt number in {1, 2, 4}: histogram {4: 5}  PASS\n"
+    "  schmidt number unchanged by local operations: histogram {4: 5}  PASS\n"
     "  perfect-entangler fraction: fraction 0.6000 (expected 0.8488 +/- 0.6408)  PASS\n"
     "audit: FAIL\n"
 )
@@ -172,7 +173,7 @@ def test_json_report_is_what_json_dumps_writes(source):
     gates = [catalog(n) for n in catalog_names()]
     gates += [make_gate(u) for u in haar_unitary(np.random.default_rng(35), 4, 10)]
     for g in gates:
-        out = report_json(analyze_gate(g), source)
+        out = report_json(ClassData.from_unitaries(g), source)
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert json.loads(out)["source"] == source
 
@@ -232,7 +233,7 @@ def test_analyze_coefficients_are_the_realignment_singular_values(rng, capsys):
 
     gates = [catalog(name) for name in catalog_names()] + [haar_unitary(rng) for _ in range(10)]
     for g in gates:
-        data = analyze_gate(g)
+        data = ClassData.from_unitaries(g)
         s = s_from_point_array(data.points)
         assert np.array_equal(data.s, s)
         assert np.max(np.abs(s - schmidt_coefficients_array(g))) <= 1e-14
@@ -262,14 +263,14 @@ def test_near_line_controlled_unitary_agrees_with_schmidt_number(c2):
         random_local_unitary(rng) @ core @ random_local_unitary(rng) for _ in range(20)
     ]
     for matrix in gates:
-        text = report_text(analyze_gate(make_gate(matrix)), "near-line")
+        text = report_text(ClassData.from_unitaries(make_gate(matrix)), "near-line")
         number = int(re.search(r"schmidt number: (\d)", text)[1])
         assert (number <= 2) == ("controlled unitary: yes" in text)
 
 
 def test_controlled_unitary_flag_on_and_off_the_line():
-    on = report_text(analyze_gate(canonical_gate([1.0, 0.0, 0.0])), "on")
-    off = report_text(analyze_gate(canonical_gate([1.0, 0.1, 0.0])), "off")
+    on = report_text(ClassData.from_unitaries(canonical_gate([1.0, 0.0, 0.0])), "on")
+    off = report_text(ClassData.from_unitaries(canonical_gate([1.0, 0.1, 0.0])), "off")
     assert "controlled unitary: yes" in on and "controlled unitary: no" in off
 
 
@@ -371,7 +372,6 @@ def test_sweep_unwritable_path_exit_4(capsys, tmp_path):
 
 
 def test_sweep_evaluates_edge_once(tmp_path, capsys, monkeypatch):
-    from twoqubit.canonical import ClassData
     from twoqubit.linops import CHUNK
 
     true_from_points = ClassData.from_points.__func__
@@ -548,12 +548,11 @@ def test_audit_maps_dressed_svd_failure_to_exit_3(capsys, monkeypatch):
     assert err == "error: SVD did not converge\n"
 
 
-def test_analyze_schmidt_count_of_three_exit_3(capsys, monkeypatch):
-    import twoqubit.canonical as canonical_mod
-
-    monkeypatch.setattr(canonical_mod, "z_from_point_array",
-                        lambda c: np.array([3**-0.5] * 3 + [0.0j]))
-    code, out, err = run(capsys, "analyze", "cnot")
-    assert code == 3 and out == ""
-    assert err == ("error: coefficient count is 3 at rows [0] (1 in all); worst residual "
-                   "5.774e-01 exceeds tol 1e-08 (zero_tol)\n")
+def test_analyze_near_line_gate_has_schmidt_number_4(tmp_path, capsys):
+    # |z(c)| about [1, 5e-4, 5e-7, 2.5e-10]: three above zero_tol, and s3 is
+    # above it, so K = 4
+    path = tmp_path / "near_line.json"
+    path.write_text(json.dumps(gate_to_json_data(canonical_gate([1e-3, 1e-6, 0.0]))))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert "schmidt number: 4\n" in out and "controlled unitary: no\n" in out

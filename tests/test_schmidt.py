@@ -17,8 +17,7 @@ from twoqubit import (
     schmidt_strength,
     z_from_point,
 )
-from twoqubit.errors import SchmidtNumberError
-from twoqubit.linops import kron
+from twoqubit.linops import DEFAULT_TOL, kron
 from twoqubit.sampling import haar_unitary, random_local_unitary
 from twoqubit.canonical import ClassData
 from twoqubit.schmidt import (
@@ -218,20 +217,28 @@ def test_schmidt_number_never_three(rng):
         assert schmidt_number_from_coefficients(row) in (1, 2, 4)
 
 
-def test_schmidt_number_tri_tolerance_escape():
-    # a coefficient parked exactly at the base tolerance is re-judged at
-    # the coarser tolerance, where the count is an admissible 2
-    s = np.array([np.sqrt(1 - 2e-8), 1e-4, 2e-8, 0.0])
-    s = s / np.linalg.norm(s)
-    assert schmidt_number_from_coefficients(s) == 2
+def test_schmidt_number_is_decided_by_s2_and_s3_at_zero_tol():
+    # a third-largest coefficient above zero_tol gives 4 whatever the fourth, so
+    # the rows that a count above zero_tol calls 3 give 4; at or below it, the
+    # second-largest decides between 2 and 1; the row may be in any order
+    tol = DEFAULT_TOL.zero_tol
+    rows = {
+        4: [[1.0, 1e-4, 2 * tol, 0.0], [0.8, 0.4, 0.4, 1e-20], [1.0, 5e-4, 5e-7, 2.5e-10],
+            [0.4, 0.8, 1e-20, 0.4]],
+        2: [[1.0, 1e-4, tol, tol], [1.0, 2 * tol, tol, 0.0], [1e-20, 0.8, 1e-9, 0.6]],
+        1: [[1.0, tol, tol, tol], [1e-9, 1.0, 0.0, 5e-9]],
+    }
+    for number, group in rows.items():
+        assert [schmidt_number_from_coefficients(row) for row in group] == [number] * len(group)
+        assert schmidt_numbers_array(group).tolist() == [number] * len(group)
 
 
-def test_schmidt_number_error_is_raisable():
-    # engineered multiset that counts 3 at all three tolerances
-    s = np.array([0.8, 0.4, 0.4, 1e-20])
-    s = s / np.linalg.norm(s)
-    with pytest.raises(SchmidtNumberError):
-        schmidt_number_from_coefficients(s)
+def test_identity_class_near_a1_has_schmidt_number_1():
+    # [pi - 1e-12, 1e-12, 1e-12] is 1e-12 from A1, the identity class, and the
+    # base mirror does not fold it onto O, since c3 is above base_mirror_tol
+    u = canonical_gate([PI - 1e-12, 1e-12, 1e-12])
+    assert int(ClassData.from_unitaries(u).schmidt_number) == 1
+    assert schmidt_decompose(u).schmidt_number == 1
 
 
 def test_schmidt_number_rejects_nonfinite():
@@ -239,20 +246,18 @@ def test_schmidt_number_rejects_nonfinite():
         schmidt_number_from_coefficients([np.nan] * 4)
 
 
-def _count_one_row(s, zero_tol):
-    # the rule row by row: count, then recount a 3 at 10x and 0.1x
-    for t in (zero_tol, 10 * zero_tol, 0.1 * zero_tol):
-        n = int(np.sum(np.asarray(s) > t))
-        if n != 3:
-            return n
-    return 3
+def _number_one_row(s, zero_tol):
+    # the rule row by row: s2 and s3 of the row sorted descending against zero_tol
+    s2, s3 = sorted(s, reverse=True)[1:3]
+    return 1 if s2 <= zero_tol else 2 if s3 <= zero_tol else 4
 
 
-_near_tolerance = st.sampled_from([1e-9, 1e-8, 1e-7]).flatmap(
-    lambda t: st.floats(0.3 * t, 3 * t) | st.just(t)
+_near_tolerance = st.floats(0.3 * DEFAULT_TOL.zero_tol, 3 * DEFAULT_TOL.zero_tol) | st.just(
+    DEFAULT_TOL.zero_tol
 )
+# rows of four in any order, each entry generic or near zero_tol
 _rows = st.lists(
-    st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 1.0), _near_tolerance, _near_tolerance),
+    st.lists(st.floats(0.0, 1.0) | _near_tolerance, min_size=4, max_size=4),
     min_size=1,
     max_size=20,
 )
@@ -263,20 +268,16 @@ _rows = st.lists(
 def test_schmidt_numbers_array_matches_row_rule(rows):
     s = np.array(rows)
     numbers = schmidt_numbers_array(s)
-    expected = [_count_one_row(row, 1e-8) for row in s]
+    expected = [_number_one_row(row, DEFAULT_TOL.zero_tol) for row in s]
     assert numbers.tolist() == expected
     for row, n in zip(s, expected):
-        if n == 3:
-            with pytest.raises(SchmidtNumberError):
-                schmidt_number_from_coefficients(row)
-        else:
-            assert schmidt_number_from_coefficients(row) == n
+        assert schmidt_number_from_coefficients(row) == n
 
 
 def test_schmidt_numbers_array_shapes():
     assert schmidt_numbers_array([0.5, 0.5, 0.5, 0.5]).shape == ()
-    s = np.array([[1.0, 0.0, 0.0, 0.0], [0.8, 0.4, 0.4, 1e-20], [0.9, 0.4, 2e-8, 0.0]])
-    assert schmidt_numbers_array(s).tolist() == [1, 3, 2]
+    s = np.array([[1.0, 0.0, 0.0, 0.0], [0.8, 0.4, 0.4, 1e-20], [0.9, 0.4, 5e-9, 0.0]])
+    assert schmidt_numbers_array(s).tolist() == [1, 4, 2]
     assert schmidt_numbers_array(s.reshape(3, 1, 4)).shape == (3, 1)
 
 

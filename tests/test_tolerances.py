@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twoqubit
@@ -25,13 +25,14 @@ from twoqubit.canonical import (
     POLYHEDRON_VERTICES,
     TETRAHEDRON_VERTICES,
     ClassData,
+    canonical_gates_array,
     is_perfect_entangler,
     weyl_reduce_array,
 )
-from twoqubit.cli import analyze_gate, report_text
+from twoqubit.cli import report_text
 from twoqubit.invariants import invariants_from_point
 from twoqubit.sampling import haar_unitary, random_local_unitary
-from twoqubit.schmidt import schmidt_number_from_coefficients, schmidt_numbers_array, z_from_point
+from twoqubit.schmidt import schmidt_coefficients_array, schmidt_numbers_array, z_from_point
 
 PI = np.pi
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -95,15 +96,14 @@ def _dressed_reports(point, seed: int, count: int):
         * random_local_unitary(rng) @ core @ random_local_unitary(rng)
         for _ in range(count)
     ]
-    return [analyze_gate(make_gate(u)) for u in matrices]
+    return [ClassData.from_unitaries(make_gate(u)) for u in matrices]
 
 
-def _clear_of_count_thresholds(point) -> bool:
-    """True iff no Schmidt coefficient of the point lies within BAND of a
-    threshold of the count (zero_tol and its 10x and 0.1x retries)."""
+def _clear_of_zero_tol(point) -> bool:
+    """True iff no Schmidt coefficient of the point lies within BAND of
+    zero_tol, the one threshold of the Schmidt number."""
     s = np.abs(z_from_point(point))
-    t = DEFAULT_TOL.zero_tol
-    return bool(np.all(np.abs(s[:, None] - np.array([t, 10 * t, 0.1 * t])) >= BAND))
+    return bool(np.all(np.abs(s - DEFAULT_TOL.zero_tol) >= BAND))
 
 
 def test_base_mirror_threshold_gives_one_of_two_images():
@@ -123,25 +123,55 @@ def test_base_mirror_threshold_gives_one_of_two_images():
     assert len({(r.is_pe, r.schmidt_number) for r in reports}) == 1
 
 
-# c2 a small multiple of a count threshold: the two small coefficients,
+# c2 a small multiple of zero_tol: the two small coefficients,
 # sin(c2/2) |cos(theta/2)| and sin(c2/2) |sin(theta/2)|, straddle it
-near_line_c2 = st.builds(
-    lambda t, m: t * m,
-    st.sampled_from([0.1, 1.0, 10.0]).map(lambda k: k * DEFAULT_TOL.zero_tol),
-    st.floats(0.3, 6.0),
-)
+near_line_c2 = st.floats(0.3, 6.0).map(lambda m: m * DEFAULT_TOL.zero_tol)
 
 
 @SETTINGS
 @given(st.floats(0.05, PI - 0.05), near_line_c2, seeds)
 def test_near_line_schmidt_number_matches_line_test(theta, c2, seed):
     point = [theta, c2, 0.0]
-    assume(_clear_of_count_thresholds(point))
+    assume(_clear_of_zero_tol(point))
     on_line = ClassData.from_points(point).controlled_unitary
     for report in _dressed_reports(point, seed, count=3):
         assert report.controlled_unitary == on_line
         assert ("controlled unitary: yes" in report_text(report, "dressed")) == on_line
         assert ClassData.from_points(report.points).controlled_unitary == on_line
+
+
+# On [theta, delta, 0] with delta <= theta <= pi/2, s3 = sin(delta/2) cos(theta/2)
+# and cos(theta/2) lies in [cos(pi/4), 1]. So delta alone decides K below
+# 2 asin(zero_tol) (K = 2) and above 2 asin(sqrt2 zero_tol) (K = 4); within this
+# band, widened by BAND on s3, theta decides.
+DELTA_BAND = (2 * np.arcsin(DEFAULT_TOL.zero_tol - BAND),
+              2 * np.arcsin(np.sqrt(2) * (DEFAULT_TOL.zero_tol + BAND)))
+
+
+@SETTINGS
+@given(
+    st.lists(st.floats(0.0, PI / 2, exclude_min=True), min_size=1, max_size=16),
+    st.floats(-10.0, -4.0).map(lambda x: 10.0**x),
+    seeds,
+)
+@example(np.linspace(PI / 4000, PI / 2, 2000).tolist(), 1e-7, 0)
+def test_near_line_schmidt_number_follows_delta(thetas, delta, seed):
+    # dressed gates at [theta, delta, 0]: K of |z(c)| at the extracted points
+    # equals K of the SVD where both s2 and s3 are BAND clear of zero_tol, and
+    # away from O (theta >= 1e-3) and outside DELTA_BAND it does not depend on theta
+    theta = np.array(thetas)
+    n = len(theta)
+    points = np.column_stack([theta, np.full(n, delta), np.zeros(n)])
+    rng = np.random.default_rng(seed)
+    u = (np.exp(2j * PI * rng.random(n))[:, None, None] * random_local_unitary(rng, n)
+         @ canonical_gates_array(points) @ random_local_unitary(rng, n))
+    from_z = ClassData.from_unitaries(u).schmidt_number
+    s = schmidt_coefficients_array(u)
+    clear = np.all(np.abs(s[:, 1:3] - DEFAULT_TOL.zero_tol) >= BAND, axis=-1)
+    assert np.array_equal(from_z[clear], schmidt_numbers_array(s)[clear])
+    low, high = DELTA_BAND
+    if not low <= delta <= high:
+        assert (from_z[theta >= 1e-3] == (2 if delta < low else 4)).all()
 
 
 def _surfaces():
@@ -186,7 +216,7 @@ def test_pe_flag_and_schmidt_number_stable_at_facets(surface, weights, offset, s
     point = (w / w.sum()) @ vertices + offset * a / (a @ a)
     facet_values = PE_HALFSPACES[0] @ weyl_reduce_array(point) - PE_HALFSPACES[1]
     assume(np.all(np.abs(facet_values - DEFAULT_TOL.pe_boundary_tol) >= BAND))
-    assume(_clear_of_count_thresholds(point))
+    assume(_clear_of_zero_tol(point))
     pe = is_perfect_entangler(point)
     count = int(schmidt_numbers_array(np.abs(z_from_point(point))))
     for report in _dressed_reports(point, seed, count=3):
@@ -218,7 +248,7 @@ def test_make_gate_unitarity_threshold(seed, weights):
     u, v = haar_unitary(rng, 4, 2)
     tol = DEFAULT_TOL.unitarity_tol
     accepted = make_gate(u @ v @ np.diag(np.sqrt(1 + 0.5 * tol * w)) @ v.conj().T)
-    analyze_gate(accepted)  # the later thresholds hold too
+    ClassData.from_unitaries(accepted)  # the later thresholds hold too
     with pytest.raises(ValidationError, match="not unitary"):
         make_gate(u @ v @ np.diag(np.sqrt(1 + 2 * tol * w)) @ v.conj().T)
 
@@ -294,13 +324,9 @@ def _audit_dressed_g2(monkeypatch):
         (lambda mp: twoqubit.schmidt_strength([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
         (lambda mp: twoqubit.schmidt_strength([-0.5, 0.5, 0.5, 0.5]), ValidationError,
          "negative_tol", "[0]"),
-        # unsorted, so the residual must be the third-largest coefficient, not s[2]
-        (lambda mp: schmidt_number_from_coefficients([0.4, 0.8, 1e-20, 0.4]),
-         twoqubit.SchmidtNumberError, "zero_tol", "[0]"),
     ],
     ids=["extraction", "class-data-g2", "matrix-route-g2", "z-route-g2", "audit-z-route-g2",
-         "audit-dressed-g2", "z-norm", "unitarity", "unitarity-overflow", "s-norm", "s-negative",
-         "schmidt-count-3"],
+         "audit-dressed-g2", "z-norm", "unitarity", "unitarity-overflow", "s-norm", "s-negative"],
 )
 def test_refusal_names_rows_residual_tolerance_and_field(monkeypatch, site, error, field, rows):
     tol = getattr(DEFAULT_TOL, field)

@@ -68,3 +68,11 @@ def test_verify_tables_smoke_step_spans_many_chunks():
     n = int(re.search(r"verify-tables --n (\d+) ", run).group(1))
     assert n > 2 * CHUNK
     assert 'grep -q "^PASS:"' in run and "set -o pipefail" in run
+
+
+def test_near_line_smoke_step_requires_schmidt_number_4():
+    run = _steps()["Smoke, a gate near the controlled-unitary line has Schmidt number 4"]["run"]
+    assert "gate_to_json_data(twoqubit.canonical_gate([1e-3, 1e-6, 0]))" in run
+    assert "> near_line.json" in run
+    assert "out=$(PYTHONPATH=src python -m twoqubit analyze near_line.json)" in run
+    assert 'grep -qx "schmidt number: 4" <<< "$out"' in run
