@@ -233,6 +233,27 @@ def test_schmidt_number_is_decided_by_s2_and_s3_at_zero_tol():
         assert schmidt_numbers_array(group).tolist() == [number] * len(group)
 
 
+def test_schmidt_number_tri_tolerance_escape():
+    # a third coefficient at twice zero_tol is judged once, at zero_tol, and
+    # is nonzero: there is no coarser tolerance to re-judge it at
+    s = np.array([np.sqrt(1 - 2e-8), 1e-4, 2e-8, 0.0])
+    s = s / np.linalg.norm(s)
+    assert schmidt_number_from_coefficients(s) == 4
+    tol = DEFAULT_TOL.zero_tol
+    assert schmidt_number_from_coefficients([1.0, 1e-4, tol, 0.0]) == 2
+    assert schmidt_number_from_coefficients([1.0, 1e-4, np.nextafter(tol, 1.0), 0.0]) == 4
+
+
+def test_schmidt_number_error_is_raisable():
+    # the multiset that a count above zero_tol calls 3 has a Schmidt number,
+    # 4; the error the rule still raises is ValidationError, for a bad row
+    s = np.array([0.8, 0.4, 0.4, 1e-20])
+    s = s / np.linalg.norm(s)
+    assert schmidt_number_from_coefficients(s) == 4
+    with pytest.raises(ValidationError, match="finite"):
+        schmidt_number_from_coefficients([0.8, 0.4, 0.4, np.nan])
+
+
 def test_identity_class_near_a1_has_schmidt_number_1():
     # [pi - 1e-12, 1e-12, 1e-12] is 1e-12 from A1, the identity class, and the
     # base mirror does not fold it onto O, since c3 is above base_mirror_tol

@@ -32,7 +32,12 @@ from twoqubit.canonical import (
 from twoqubit.cli import report_text
 from twoqubit.invariants import invariants_from_point
 from twoqubit.sampling import haar_unitary, random_local_unitary
-from twoqubit.schmidt import schmidt_coefficients_array, schmidt_numbers_array, z_from_point
+from twoqubit.schmidt import (
+    schmidt_coefficients_array,
+    schmidt_number_from_coefficients,
+    schmidt_numbers_array,
+    z_from_point,
+)
 
 PI = np.pi
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -308,6 +313,15 @@ def _audit_dressed_g2(monkeypatch):
     twoqubit.run_audit(10, 1)
 
 
+def _count_three_row(monkeypatch):
+    # an unsorted row that a count above zero_tol calls 3: the Schmidt number
+    # reads s2 and s3 of the sorted row and answers 4 without a refusal, while
+    # the row's norm, 0.96, is what schmidt_strength refuses
+    row = [0.4, 0.8, 1e-20, 0.4]
+    assert schmidt_number_from_coefficients(row) == 4
+    twoqubit.schmidt_strength(row)
+
+
 @pytest.mark.parametrize(
     "site,error,field,rows",
     [
@@ -324,9 +338,11 @@ def _audit_dressed_g2(monkeypatch):
         (lambda mp: twoqubit.schmidt_strength([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
         (lambda mp: twoqubit.schmidt_strength([-0.5, 0.5, 0.5, 0.5]), ValidationError,
          "negative_tol", "[0]"),
+        (_count_three_row, ValidationError, "norm_tol", "[0]"),
     ],
     ids=["extraction", "class-data-g2", "matrix-route-g2", "z-route-g2", "audit-z-route-g2",
-         "audit-dressed-g2", "z-norm", "unitarity", "unitarity-overflow", "s-norm", "s-negative"],
+         "audit-dressed-g2", "z-norm", "unitarity", "unitarity-overflow", "s-norm", "s-negative",
+         "schmidt-count-3"],
 )
 def test_refusal_names_rows_residual_tolerance_and_field(monkeypatch, site, error, field, rows):
     tol = getattr(DEFAULT_TOL, field)
