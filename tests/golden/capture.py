@@ -64,16 +64,22 @@ COMMANDS = [
 def _gate_files() -> dict[str, str]:
     """Gate files by name: four seeded Haar gates, and three that make_gate
     refuses (a NaN entry, an entry of 10**400, and the non-unitary
-    diag(1, 1, 1, 2))."""
+    diag(1, 1, 1, 2)). The Haar gates come from LAPACK's QR of the seeded
+    Ginibre matrix with R's diagonal rephased, the arithmetic they were first
+    written with, so their bytes do not follow the sampler's rounding."""
     import numpy as np
 
-    from twoqubit.sampling import haar_unitary
+    def haar(seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr((rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+                            / np.sqrt(2))
+        d = np.diagonal(r)
+        return q * (d / np.abs(d))
 
     def dump(matrix) -> str:
         return json.dumps([[[v.real, v.imag] for v in row] for row in matrix.tolist()]) + "\n"
 
-    files = {f"haar{seed}.json": dump(haar_unitary(np.random.default_rng(seed)))
-             for seed in range(4)}
+    files = {f"haar{seed}.json": dump(haar(seed)) for seed in range(4)}
     diag = [[[float(i == j) * (2 if i == 3 else 1), 0.0] for j in range(4)] for i in range(4)]
     files["nonunitary.json"] = json.dumps(diag) + "\n"
     files["nan.json"] = files["nonunitary.json"].replace("2.0", "NaN", 1)

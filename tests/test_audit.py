@@ -342,7 +342,7 @@ def test_haar_mean_strength_is_the_density_integral():
 
 
 def test_haar_sample_mean_strength_within_four_standard_errors():
-    # a sampler that skips the rephasing of R's diagonal in haar_unitary is
+    # a sampler whose QR leaves R's diagonal complex (LAPACK's, unrephased) is
     # not Haar, and lands about 8 standard errors low here
     strength = ClassData.from_unitaries(haar_unitary(np.random.default_rng(5), 4, 50000)).strength
     error = strength.std(ddof=1) / np.sqrt(strength.size)

@@ -34,22 +34,22 @@ TABLES_FAULT_OUT = (
 TABLES_FAULT_ERR = "FAIL: edge A2A3 deviates by 5.000e-03 at parameter 0.589048623\n"
 AUDIT_FAULT_OUT = (
     "audit: samples=5 seed=1\n"
-    "  three-route invariant consistency: max deviation 1.332e-06 (tol 1e-08)  FAIL\n"
-    "  local invariance of schmidt coefficients: max deviation 6.661e-16 (tol 1e-09)  PASS\n"
+    "  three-route invariant consistency: max deviation 1.110e-06 (tol 1e-08)  FAIL\n"
+    "  local invariance of schmidt coefficients: max deviation 1.110e-15 (tol 1e-09)  PASS\n"
     "  schmidt number unchanged by local operations: histogram {4: 5}  PASS\n"
     "  perfect-entangler fraction: fraction 0.6000 (expected 0.8488 +/- 0.6408)  PASS\n"
     "audit: FAIL\n"
 )
 COUNTEREXAMPLE = (
-    "[[[0.30085593152359613, -0.4259989870253093], [0.4945425213405801, -0.32511266309166"
-    "775], [0.3959658715987053, -0.07599678628051187], [0.32099163497419275, 0.3348729754"
-    "470071]], [[0.3707328745128757, -0.20536928923219366], [-0.16517010742926005, 0.0974"
-    "2955534898981], [0.5343023136106315, 0.02385403542482148], [-0.22175691868217437, -0"
-    ".669613918488]], [[0.4633663590983916, -0.16205800283213662], [0.08470949635940266, "
-    "-0.4846056882049626], [-0.6068504964342248, 0.12299984585684666], [-0.33083821762508"
-    "61, -0.15543498903166547]], [[0.027413969410301664, -0.5537765411890379], [0.1436221"
-    "9924184522, 0.591869969090101], [-0.40565936447632844, 0.058579284544779564], [0.338"
-    "3383866415759, -0.19793611050981588]]]\n"
+    "[[[0.3008559315235962, -0.42599898702530936], [0.4945425213405801, -0.325112663091667"
+    "75], [0.39596587159870517, -0.07599678628051182], [0.3209916349741927, 0.334872975447"
+    "00695]], [[0.3707328745128757, -0.20536928923219366], [-0.1651701074292601, 0.0974295"
+    "553489898], [0.5343023136106314, 0.02385403542482162], [-0.2217569186821747, -0.66961"
+    "3918488]], [[0.4633663590983916, -0.16205800283213662], [0.08470949635940254, -0.4846"
+    "0568820496247], [-0.6068504964342247, 0.1229998458568467], [-0.3308382176250861, -0.1"
+    "5543498903166533]], [[0.02741396941030163, -0.5537765411890379], [0.1436221992418452,"
+    " 0.591869969090101], [-0.40565936447632844, 0.0585792845447795], [0.33833838664157595"
+    ", -0.19793611050981605]]]\n"
 )
 
 

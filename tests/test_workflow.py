@@ -46,6 +46,12 @@ def test_chunk_smoke_step_spans_several_chunks():
     assert 'grep -qx "audit: PASS"' in run
 
 
+def test_large_audit_step_requires_a_pass():
+    run = _steps()["Smoke, a 100000-sample audit passes"]["run"]
+    assert "python -m twoqubit audit --samples 100000 --seed 3 | tail -n 1" in run
+    assert 'grep -qx "audit: PASS"' in run and "set -o pipefail" in run
+
+
 def test_million_row_sweep_step_checks_one_polyline_of_every_point():
     run = _steps()["Smoke, a million-row sweep"]["run"]
     assert "sweep PN --n 1000001 --out pn.csv --svg" in run
