@@ -36,6 +36,7 @@ from .canonical import (
     TETRAHEDRON_VERTICES,
     canonical_gate,
     canonical_point,
+    controlled_unitary_gate,
     in_weyl_chamber,
     is_perfect_entangler,
     locally_equivalent,
@@ -43,7 +44,6 @@ from .canonical import (
 )
 from .schmidt import (
     SchmidtData,
-    controlled_unitary_gate,
     schmidt_decompose,
     schmidt_strength,
     z_from_point,

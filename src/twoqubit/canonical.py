@@ -25,7 +25,7 @@ from .gates import Q_MAGIC
 from .invariants import (
     bell_matrix_array, invariants_from_bell_array, invariants_from_point_array,
 )
-from .linops import DEFAULT_TOL, as_finite, as_triple, refuse_rows
+from .linops import DEFAULT_TOL, as_finite, as_scalar, as_triple, refuse_rows
 from .schmidt import schmidt_numbers_array, schmidt_strength_array, z_from_point_array
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "is_perfect_entangler",
     "canonical_gate",
     "canonical_gates_array",
+    "controlled_unitary_gate",
 ]
 
 
@@ -323,3 +324,12 @@ def canonical_gate(c) -> np.ndarray:
     """The canonical core of one coordinate triple, a 4x4 complex matrix, as
     ``canonical_gates_array``; the triple is checked as ``as_triple``."""
     return canonical_gates_array(as_triple(c))
+
+
+def controlled_unitary_gate(p: float) -> np.ndarray:
+    """The Schmidt-number-2 normal form sqrt(1-p) I x I + i sqrt(p) sx x sx: the
+    canonical core at [theta, 0, 0], p = sin^2(theta/2), to which every
+    controlled unitary is locally equivalent for some p in [0, 1]. A p that is
+    not a real number in [0, 1] raises ValidationError, as ``as_scalar`` does."""
+    as_scalar(p, "p", 0, 1, integer=False)
+    return canonical_gates_array([2 * np.arcsin(np.sqrt(p)), 0.0, 0.0])

@@ -5,15 +5,18 @@ Subcommands: analyze, sweep, verify-tables, audit, list-gates.
 Exit codes: 0 success, 1 parse error, 2 validation error (a count that
 no memory can hold included), 3 numerical error (an extraction or G2
 residue beyond its tolerance, as ``NumericalError``, or numpy's
-``LinAlgError``), 4 I/O failure, 5 table verification failure, 6 audit
-property violation.
+``LinAlgError``), 4 output that cannot be written, stdout included, 5
+table verification failure, 6 audit property violation. ``main`` alone maps
+errors to codes, and it flushes stdout, so a failed write to it exits 4 too.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -112,18 +115,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = Path(args.out)
-    try:
-        params, strength = write_sweep_csv(args.edge, args.n, out)
-        if args.svg:
-            write_edge_svg(args.edge, params, strength, out.with_suffix(".svg"))
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.svg and out.suffix == ".svg":
+        raise ValidationError(f"the CSV path {out} and the SVG path {out} are one file; "
+                              "give --out a suffix other than .svg")
+    params, strength = write_sweep_csv(args.edge, args.n, out)
+    if args.svg:
+        write_edge_svg(args.edge, params, strength, out.with_suffix(".svg"))
     written = str(out) + (f" and {out.with_suffix('.svg')}" if args.svg else "")
-    print(
-        f"edge {args.edge}: {args.n} points, strength range "
-        f"[{strength.min():.6f}, {strength.max():.6f}], wrote {written}"
-    )
+    print(f"edge {args.edge}: {args.n} points, strength range "
+          f"[{strength.min():.6f}, {strength.max():.6f}], wrote {written}")
     return EXIT_OK
 
 
@@ -132,18 +132,13 @@ def _cmd_verify_tables(args) -> int:
     for check in report.checks:
         print(f"edge {check.name:4s}: {check.detail}  {'ok' if check.passed else 'FAIL'}")
     if report.passed:
-        print(
-            f"PASS: {len(report.checks)} edges within {report.checks[0].tolerance:g} "
-            f"on {args.n}-point grids"
-        )
+        print(f"PASS: {len(report.checks)} edges within {report.checks[0].tolerance:g} "
+              f"on {args.n}-point grids")
         return EXIT_OK
     # the largest deviation, the first NaN if there is one, as in Check.worst_row
     worst = report.checks[int(np.argmax([c.value for c in report.checks]))]
-    print(
-        f"FAIL: edge {worst.name} deviates by {worst.value:.3e} "
-        f"at parameter {worst.where:.9f}",
-        file=sys.stderr,
-    )
+    print(f"FAIL: edge {worst.name} deviates by {worst.value:.3e} at parameter {worst.where:.9f}",
+          file=sys.stderr)
     return EXIT_TABLES
 
 
@@ -158,13 +153,8 @@ def _cmd_audit(args) -> int:
     print("audit: FAIL")
     if report.counterexample is not None:
         path = Path(args.dump) if args.dump else Path("audit_counterexample.json")
-        try:
-            path.write_text(
-                json.dumps(gate_to_json_data(report.counterexample)) + "\n", newline="\n"
-            )
-        except OSError as exc:
-            print(f"error: cannot write counterexample: {exc}", file=sys.stderr)
-            return EXIT_IO
+        path.write_text(json.dumps(gate_to_json_data(report.counterexample)) + "\n",
+                        newline="\n")
         print(f"counterexample gate written to {path}")
     return EXIT_AUDIT
 
@@ -231,7 +221,9 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -242,3 +234,14 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # any output, stdout included; _load_gate's read failure is a ParseError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # text a failed write left buffered goes to devnull, not to a second
+            # failure and exit 120 at exit; a stdout with no descriptor is kept
+            with contextlib.suppress(OSError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_IO

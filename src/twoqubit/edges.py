@@ -6,8 +6,9 @@ Each edge is the straight segment between two named vertices of
 a parameter range, together with closed-form Schmidt coefficients along
 it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`).
 :func:`write_sweep_csv` writes the same rows as CSV, evaluated ``linops.CHUNK``
-at a time, keeping only the grid and its strengths, which
-:func:`write_edge_svg` writes as an SVG plot a chunk of points at a time.
+at a time, each chunk (flags included) formatted by one %-format call, keeping
+only the grid and its strengths, which :func:`write_edge_svg` writes as an SVG
+plot a chunk of points at a time.
 Sweeps always compute coefficients through the expansion-coefficient engine
 (z_from_point); the closed forms are kept only as an independent oracle,
 checked by :func:`verify_tables`, which reads only the coefficients; it
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -202,18 +203,17 @@ def sweep(name: str, n_points: int) -> Sweep:
     return Sweep(**vars(ClassData.from_points(spec.point_fn(params))), name=name, param=params)
 
 
-def _csv_blocks(columns, flags=None) -> Iterator[str]:
-    """CSV rows in blocks of up to ``linops.CHUNK``, each one %-format call over
-    its values, so the text of a large table is never held whole. Each row holds
-    the columns' values at 15 significant digits and, if ``flags`` is given,
-    ``true`` or ``false``; LF line endings."""
-    for rows in chunks(len(columns[0])):
-        table = np.column_stack([c[rows] for c in columns])
-        row = ",".join(["%.15g"] * table.shape[1])
-        if flags is not None:
-            table = np.column_stack([table.astype(object), np.where(flags[rows], "true", "false")])
-            row += ",%s"
-        yield ((row + "\n") * len(table)) % tuple(table.ravel().tolist())
+def _csv_rows(columns, flags=None) -> str:
+    """CSV rows of equal-length columns, formatted by one %-format call: each
+    row holds the values at 15 significant digits and, if ``flags`` is given,
+    ``true`` or ``false``, put in that row's format; LF line endings."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.15g"] * table.shape[1])
+    if flags is None:
+        rows = (row + "\n") * len(table)
+    else:
+        rows = "".join(np.where(flags, row + ",true\n", row + ",false\n").tolist())
+    return rows % tuple(table.ravel().tolist())
 
 
 _SWEEP_HEADER = "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe\n"
@@ -231,8 +231,8 @@ def write_sweep_csv(name: str, n_points: int, path) -> tuple[np.ndarray, np.ndar
         f.write(_SWEEP_HEADER)
         for rows in chunks(len(params)):
             data = ClassData.from_points(spec.point_fn(params[rows]))
-            f.writelines(_csv_blocks([params[rows], data.points, data.s, data.strength,
-                                      data.g1.real, data.g1.imag, data.g2], data.is_pe))
+            f.write(_csv_rows([params[rows], data.points, data.s, data.strength,
+                               data.g1.real, data.g1.imag, data.g2], data.is_pe))
             strength[rows] = data.strength
     return params, strength
 
@@ -287,7 +287,9 @@ def emit_figure_data(figure: str, n_points: int) -> str:
     parameter grid."""
     params, series = _figure_series(figure, n_points)
     header = "param," + ",".join(name for name, _, _ in series) + "\n"
-    return header + "".join(_csv_blocks([params] + [vals for _, _, vals in series]))
+    columns = [params] + [vals for _, _, vals in series]
+    return header + "".join([_csv_rows([c[rows] for c in columns])
+                             for rows in chunks(len(params))])
 
 
 def figure_svg(figure: str, n_points: int) -> str:

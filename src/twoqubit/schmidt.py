@@ -8,7 +8,9 @@ singular values 2 s_l gives them numerically, for the factors of
 ``schmidt_decompose`` and as the audit's witness. Normalization is chosen so
 that sum s_l^2 = 1 for unitaries, making s_l^2 a probability distribution; its
 Shannon entropy (base 2) is the Schmidt strength, an entanglement measure for
-the operator itself ranging from 0 (local gates) to 2.
+the operator itself ranging from 0 (local gates) to 2. This module reads
+gates and builds none: the controlled-unitary normal form is
+``canonical.controlled_unitary_gate``, a canonical core.
 
 The number of nonvanishing coefficients, the Schmidt number K, is 1 for
 local gates, 2 exactly on the controlled-unitary line, and 4 otherwise; 3
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gates import IDENTITY2, SIGMA_X, make_gate
-from .linops import DEFAULT_TOL, as_finite, as_scalar, as_triple, kron, refuse_rows
+from .linops import DEFAULT_TOL, as_finite, as_triple, refuse_rows
 
 __all__ = [
     "SchmidtData",
@@ -36,7 +37,6 @@ __all__ = [
     "schmidt_strength_array",
     "schmidt_number_from_coefficients",
     "schmidt_numbers_array",
-    "controlled_unitary_gate",
 ]
 
 
@@ -174,21 +174,3 @@ def schmidt_decompose(u) -> SchmidtData:
         schmidt_number=schmidt_number_from_coefficients(coefficients),
         strength=schmidt_strength(coefficients),
     )
-
-
-def controlled_unitary_gate(p: float) -> np.ndarray:
-    """The Schmidt-number-2 normal form sqrt(1-p) I x I + i sqrt(p) sx x sx,
-    a 4x4 complex matrix validated as ``make_gate``.
-
-    Every controlled unitary is locally equivalent to this gate for some
-    p in [0, 1]; p = sin^2(theta/2) places it at [theta, 0, 0].
-
-    Raises:
-        ValidationError: if p is not a real number in [0, 1], as
-            ``as_scalar`` raises it.
-    """
-    as_scalar(p, "p", 0, 1, integer=False)
-    matrix = np.sqrt(1.0 - p) * kron(IDENTITY2, IDENTITY2) + 1j * np.sqrt(p) * kron(
-        SIGMA_X, SIGMA_X
-    )
-    return make_gate(matrix)

@@ -1,10 +1,17 @@
+import errno
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twoqubit
 from twoqubit import canonical_gate, catalog, catalog_names, gate_to_json_data, make_gate
 from twoqubit.canonical import ClassData
 from twoqubit.cli import main, report_json, report_text
@@ -371,6 +378,16 @@ def test_sweep_unwritable_path_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+def test_sweep_svg_out_path_refused_exit_2(capsys, tmp_path):
+    # the SVG would overwrite the CSV written to the same name
+    target = tmp_path / "x.svg"
+    code, out, err = run(capsys, "sweep", "OA1", "--n", "5", "--out", str(target), "--svg")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.count(str(target)) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_evaluates_edge_once(tmp_path, capsys, monkeypatch):
     from twoqubit.linops import CHUNK
 
@@ -492,8 +509,47 @@ def test_audit_counterexample_unwritable_exit_4(tmp_path, capsys, monkeypatch):
     assert "audit: FAIL" in out
     assert "error: cannot write" in err
     assert out == AUDIT_FAULT_OUT
-    assert err == ("error: cannot write counterexample: [Errno 2] No such file or directory: "
+    assert err == ("error: cannot write output: [Errno 2] No such file or directory: "
                    f"{str(target)!r}\n")
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: every write and flush fails, and it has no
+    file descriptor to redirect."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        self.write("")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "cnot"], ["analyze", "cnot", "--format", "json"],
+                                  ["list-gates"], ["verify-tables", "--n", "5"],
+                                  ["audit", "--samples", "5"]])
+def test_failed_stdout_write_exit_4(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("stdio", ["buffered", "unbuffered"])
+def test_stdout_on_full_device_exit_4_without_traceback(stdio):
+    # buffered, the text stays in stdout's buffer after the failed flush, and the
+    # flush at exit must neither print a second error nor make the exit code 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(twoqubit.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    if stdio == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "twoqubit", "analyze", "cnot"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_parser_built_once(capsys, monkeypatch):

@@ -189,6 +189,14 @@ def test_controlled_unitary_invariant_curve():
         assert abs(g2 - (2 * np.cos(theta) ** 2 + 1)) < 1e-12
 
 
+def test_controlled_unitary_gate_is_the_closed_form():
+    # the canonical core at [2 arcsin(sqrt p), 0, 0] is sqrt(1-p) I + i sqrt(p) sx x sx
+    xx = kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+    for p in np.linspace(0, 1, 1001):
+        closed = np.sqrt(1 - p) * np.eye(4) + 1j * np.sqrt(p) * xx
+        assert np.max(np.abs(controlled_unitary_gate(p) - closed)) <= 1e-14
+
+
 def test_controlled_unitary_gate_domain():
     with pytest.raises(ValidationError):
         controlled_unitary_gate(-0.1)

@@ -30,11 +30,17 @@ def test_tier1_step_runs_the_roadmap_command():
     ("twoqubit verify-tables --n 1", 2),
     (f"twoqubit audit --samples {10**30}", 2),
     (f"twoqubit verify-tables --n {10**17}", 2),
+    ("twoqubit analyze cnot > /dev/full", 4),
 ])
 def test_failing_path_step_expects_its_exit_code(command, code):
     runs = [step["run"] for name, step in _steps().items() if name.startswith("Failing path")]
     assert [f"python -m {command} || code=$?" in run and f'test "$code" -eq {code}' in run
             for run in runs].count(True) == 1
+
+
+def test_full_device_step_requires_the_write_error():
+    run = _steps()["Failing path, output to a full device exits 4"]["run"]
+    assert "|| code=$?; } 2> err.txt" in run and 'grep -qF "cannot write output" err.txt' in run
 
 
 def test_chunk_smoke_step_spans_several_chunks():
