@@ -48,7 +48,6 @@ __all__ = [
     "canonical_points_array",
     "ClassData",
     "locally_equivalent",
-    "s_from_point_array",
     "is_perfect_entangler",
     "canonical_gate",
     "canonical_gates_array",
@@ -274,11 +273,6 @@ def locally_equivalent(a, b) -> bool:
     tol = DEFAULT_TOL.invariant_tol
     mirror = min(ca[2], cb[2]) <= tol and (np.abs(ca - [np.pi - cb[0], cb[1], cb[2]]) <= tol).all()
     return bool((np.abs(ca - cb) <= tol).all() or mirror)
-
-
-def s_from_point_array(c) -> np.ndarray:
-    """Schmidt coefficients of coordinate triples (..., 3): the |z(c)|, descending."""
-    return np.sort(np.abs(z_from_point_array(c)), axis=-1)[..., ::-1]
 
 
 def canonical_point(u) -> np.ndarray:

@@ -39,8 +39,9 @@ from typing import Callable
 
 import numpy as np
 
-from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData, s_from_point_array
+from .canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
 from .linops import DEFAULT_TOL, Check, Report, as_scalar, chunks, lookup
+from .schmidt import z_from_point_array
 from .svgplot import line_plot
 
 __all__ = [
@@ -251,8 +252,8 @@ def verify_tables(n_points: int) -> Report:
         value, where = -np.inf, 0
         for rows in chunks(len(params)):
             t = params[rows]
-            table = np.flip(np.sort(spec.closed_form_s(t), axis=-1), axis=-1)
-            deviation = np.max(np.abs(s_from_point_array(spec.point_fn(t)) - table), axis=-1)
+            engine = np.sort(np.abs(z_from_point_array(spec.point_fn(t))), axis=-1)
+            deviation = np.max(np.abs(engine - np.sort(spec.closed_form_s(t), axis=-1)), axis=-1)
             row = Check.worse_row(value, deviation)
             if row is not None:
                 value, where = float(deviation[row]), rows.start + row

@@ -99,23 +99,20 @@ def as_triple(c) -> np.ndarray:
 INDEX_MAX = 2**63 - 1
 
 
-def as_scalar(x, what: str, low, high=INDEX_MAX, integer: bool = True,
-              below: str | None = None):
+def as_scalar(x, what: str, low, high=INDEX_MAX, integer: bool = True):
     """``x`` if it is an integer (or, unless ``integer``, a float) from ``low``
     to ``high``, no bound when None; a bool is neither, and NaN is in no range.
 
     Raises:
-        ValidationError: ``below``, if given, for a number below ``low``;
-            ``<what> must be at most <high>, got <repr>`` for a larger integer;
-            else ``<what> must be an integer of at least <low>, got <repr>`` or,
-            unless ``integer``, ``<what> must lie in [<low>, <high>], got <repr>``.
+        ValidationError: ``<what> must be at most <high>, got <repr>`` for an
+            integer above ``high``; else ``<what> must be an integer of at least
+            <low>, got <repr>`` or, unless ``integer``, ``<what> must lie in
+            [<low>, <high>], got <repr>``.
     """
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
     if isinstance(x, kinds) and not isinstance(x, bool):
         if low <= x and (high is None or x <= high):
             return x
-        if below is not None and x < low:
-            raise ValidationError(below)
         if integer and x >= low:
             raise ValidationError(f"{what} must be at most {high}, got {x!r}")
     rule = f"be an integer of at least {low}" if integer else f"lie in [{low}, {high}]"

@@ -43,3 +43,14 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
     assert capsys.readouterr().out.startswith("param,")
+
+
+def test_readme_audit_quote_is_the_call():
+    # the quick tour's comment on run_audit(1000, 42).checks[0]
+    from twoqubit import run_audit
+
+    text = README.read_text()
+    quote = re.search(r"value=(\S+),\s+#\s+tolerance=1e-08, where=(\d+), detail='max\s+#\s+"
+                      r"deviation (\S+) \(tol", text[text.index("audit.checks[0]"):])
+    check = run_audit(1000, 42).checks[0]
+    assert quote.groups() == (f"{check.value:.2e}", str(check.where), f"{check.value:.3e}")

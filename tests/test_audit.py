@@ -33,6 +33,18 @@ def test_pe_band_passes_the_tested_seeds():
     for samples, seed in ((300, 42), (1000, 42), (5, 1), (1, 7)):
         check = run_audit(samples, seed).checks[-1]
         assert check.name == "perfect-entangler fraction" and check.passed, check.detail
+        assert check.where is None
+
+
+def test_fraction_failure_names_no_row_and_no_counterexample(monkeypatch):
+    # the fraction belongs to the whole draw: no one gate breaks it
+    monkeypatch.setattr(audit_mod, "HAAR_PE_FRACTION", 0.5)
+    report = run_audit(3000, 1)
+    check = report.checks[3]
+    assert not check.passed and check.where is None
+    assert check.detail == "fraction 0.8547 (expected 0.5000 +/- 0.0365)"
+    assert all(c.passed for c in report.checks[:3])
+    assert not report.passed and report.counterexample is None
 
 
 def test_bell_matrix_formed_once_per_gate_set(monkeypatch):
@@ -150,8 +162,7 @@ def _one_shot_checks(samples: int, seed: int):
                         "local_invariance_tol"),
         Check("schmidt number unchanged by local operations", float(bad.size), 0.0,
               int(bad[0]) if bad.size else None, f"histogram {histogram}"),
-        Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band,
-              int(np.argmin(plain.is_pe)),
+        Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band, None,
               f"fraction {fraction:.4f} (expected {HAAR_PE_FRACTION:.4f} +/- {band:.4f})"),
     )
 

@@ -354,7 +354,7 @@ def test_class_data_from_unitaries_columns():
     data = ClassData.from_unitaries(u)
     assert np.array_equal(data.points, canonical_points_array(u))
     # one s kernel, |z(c)| at the extracted points, and the realignment SVD agrees
-    assert np.array_equal(data.s, canonical_mod.s_from_point_array(data.points))
+    assert np.array_equal(data.s, ClassData.from_points(data.points).s)
     s_svd = schmidt_coefficients_array(u)
     assert np.max(np.abs(data.s - s_svd)) <= 1e-14
     assert np.array_equal(data.schmidt_number, schmidt_numbers_array(s_svd))

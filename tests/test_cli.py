@@ -66,8 +66,8 @@ def _fail_route_check(monkeypatch, audit_mod):
     chunk_rows = audit_mod._chunk_rows
 
     def scaled(rng, n):
-        gates, numbers, (route_dev, *rest) = chunk_rows(rng, n)
-        return gates, numbers, (route_dev * 1e9, *rest)
+        gates, numbers, pe, (route_dev, *rest) = chunk_rows(rng, n)
+        return gates, numbers, pe, (route_dev * 1e9, *rest)
 
     monkeypatch.setattr(audit_mod, "_chunk_rows", scaled)
 
@@ -234,14 +234,13 @@ def test_analyze_maps_linalg_error_to_exit_3(capsys, monkeypatch, solver):
 
 
 def test_analyze_coefficients_are_the_realignment_singular_values(rng, capsys):
-    from twoqubit.canonical import s_from_point_array
     from twoqubit.cli import _round15, report_json
     from twoqubit.schmidt import schmidt_coefficients_array
 
     gates = [catalog(name) for name in catalog_names()] + [haar_unitary(rng) for _ in range(10)]
     for g in gates:
         data = ClassData.from_unitaries(g)
-        s = s_from_point_array(data.points)
+        s = ClassData.from_points(data.points).s
         assert np.array_equal(data.s, s)
         assert np.max(np.abs(s - schmidt_coefficients_array(g))) <= 1e-14
         payload = json.loads(report_json(data, "g"))
@@ -420,16 +419,16 @@ def test_verify_tables_endpoints(capsys):
 
 
 def test_verify_tables_fault_exit_5(capsys, monkeypatch):
-    import twoqubit.canonical as canonical_mod
+    import twoqubit.edges as edges_mod
 
-    true_fn = canonical_mod.z_from_point_array
+    true_fn = edges_mod.z_from_point_array
 
     def faulted(c):
         z = true_fn(c).copy()
         z[..., 3] = -z[..., 3] * 1.01
         return z
 
-    monkeypatch.setattr(canonical_mod, "z_from_point_array", faulted)
+    monkeypatch.setattr(edges_mod, "z_from_point_array", faulted)
     code, out, err = run(capsys, "verify-tables", "--n", "9")
     assert code == 5
     assert "FAIL" in err
@@ -439,10 +438,10 @@ def test_verify_tables_fault_exit_5(capsys, monkeypatch):
 def test_verify_tables_nan_deviation_exit_5(capsys, monkeypatch):
     # a NaN in one row of edge LQ's z fails that edge alone, and the closing
     # line names it, not the largest finite deviation
-    import twoqubit.canonical as canonical_mod
+    import twoqubit.edges as edges_mod
     from twoqubit.canonical import L, Q
 
-    true_fn = canonical_mod.z_from_point_array
+    true_fn = edges_mod.z_from_point_array
 
     def planted(c):
         z = true_fn(c)
@@ -451,7 +450,7 @@ def test_verify_tables_nan_deviation_exit_5(capsys, monkeypatch):
             z[3] = np.nan
         return z
 
-    monkeypatch.setattr(canonical_mod, "z_from_point_array", planted)
+    monkeypatch.setattr(edges_mod, "z_from_point_array", planted)
     code, out, err = run(capsys, "verify-tables", "--n", "9")
     assert code == 5
     failed = [line for line in out.splitlines() if line.endswith("FAIL")]
@@ -476,7 +475,7 @@ def test_audit_single_sample(capsys):
 def test_audit_negative_seed_exit_2(capsys):
     code, out, err = run(capsys, "audit", "--seed", "-1")
     assert code == 2 and out == ""
-    assert err == "error: seed must be non-negative\n"
+    assert err == "error: seed must be an integer of at least 0, got -1\n"
 
 
 def test_audit_counterexample_round_trip(tmp_path, capsys, rng, monkeypatch):
@@ -511,6 +510,20 @@ def test_audit_counterexample_unwritable_exit_4(tmp_path, capsys, monkeypatch):
     assert out == AUDIT_FAULT_OUT
     assert err == ("error: cannot write output: [Errno 2] No such file or directory: "
                    f"{str(target)!r}\n")
+
+
+def test_audit_fraction_failure_writes_no_counterexample(tmp_path, capsys, monkeypatch):
+    # a failing PE fraction alone exits 6 with no gate to write
+    import twoqubit.audit as audit_mod
+
+    monkeypatch.setattr(audit_mod, "HAAR_PE_FRACTION", 0.5)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "audit", "--samples", "3000", "--seed", "1")
+    assert code == 6 and err == ""
+    assert out.endswith("perfect-entangler fraction: fraction 0.8547 (expected 0.5000 +/- "
+                        "0.0365)  FAIL\naudit: FAIL\n")
+    assert "counterexample" not in out
+    assert list(tmp_path.iterdir()) == []
 
 
 class _FullStdout(io.StringIO):

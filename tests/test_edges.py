@@ -65,9 +65,9 @@ def test_verify_tables_endpoints_only():
 
 
 def test_verify_tables_catches_injected_fault(monkeypatch):
-    import twoqubit.canonical as canonical_mod
+    import twoqubit.edges as edges_mod
 
-    true_fn = canonical_mod.z_from_point_array
+    true_fn = edges_mod.z_from_point_array
 
     def flipped(c):
         z = true_fn(c)
@@ -75,7 +75,7 @@ def test_verify_tables_catches_injected_fault(monkeypatch):
         z[..., 1] = np.conj(z[..., 1])  # corrupt the relative phase
         return 0.9 * z  # and the normalization
 
-    monkeypatch.setattr(canonical_mod, "z_from_point_array", flipped)
+    monkeypatch.setattr(edges_mod, "z_from_point_array", flipped)
     report = verify_tables(9)
     assert not report.passed
 
@@ -95,9 +95,9 @@ def test_chunked_verify_tables_equals_the_one_shot_checks():
 def test_verify_tables_keeps_the_first_nan_over_the_chunks(monkeypatch):
     # per edge, a large deviation in the first chunk and a NaN row in the
     # second and in the third: the second chunk's NaN row is the one named
-    import twoqubit.canonical as canonical_mod
+    import twoqubit.edges as edges_mod
 
-    true_fn, calls = canonical_mod.z_from_point_array, []
+    true_fn, calls = edges_mod.z_from_point_array, []
 
     def planted(c):
         z, k = true_fn(c).copy(), len(calls) % 3
@@ -108,7 +108,7 @@ def test_verify_tables_keeps_the_first_nan_over_the_chunks(monkeypatch):
             z[3 + k] = np.nan
         return z
 
-    monkeypatch.setattr(canonical_mod, "z_from_point_array", planted)
+    monkeypatch.setattr(edges_mod, "z_from_point_array", planted)
     n = 3 * CHUNK
     for name, check in zip(edge_names(), verify_tables(n).checks):
         assert np.isnan(check.value) and not check.passed

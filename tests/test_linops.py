@@ -189,9 +189,9 @@ COUNT_MAX = 2**63 - 1
         (controlled_unitary_gate, True, "p must lie in [0, 1], got True"),
         (lambda x: sweep("OA1", x), 2**63, f"n_points must be at most {COUNT_MAX}, got {2**63}"),
         (verify_tables, 10**26, f"n_points must be at most {COUNT_MAX}, got {10**26}"),
-        # a number of the right kind but out of range keeps its own text
-        (lambda x: run_audit(x, 1), 0, "samples must be at least 1"),
-        (lambda x: run_audit(1, x), -1, "seed must be non-negative"),
+        # a number of the right kind but out of range gets the same rule
+        (lambda x: run_audit(x, 1), 0, "samples must be an integer of at least 1, got 0"),
+        (lambda x: run_audit(1, x), -1, "seed must be an integer of at least 0, got -1"),
         (controlled_unitary_gate, 1.1, "p must lie in [0, 1], got 1.1"),
         (controlled_unitary_gate, np.nan, "p must lie in [0, 1], got nan"),
     ],

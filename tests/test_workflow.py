@@ -43,6 +43,12 @@ def test_full_device_step_requires_the_write_error():
     assert "|| code=$?; } 2> err.txt" in run and 'grep -qF "cannot write output" err.txt' in run
 
 
+def test_zero_sample_step_requires_the_count_rule():
+    run = _steps()["Failing path, an audit of zero samples exits 2"]["run"]
+    assert "|| code=$?; } 2> err.txt" in run
+    assert 'grep -qF "samples must be an integer of at least 1, got 0" err.txt' in run
+
+
 def test_chunk_smoke_step_spans_several_chunks():
     from twoqubit.linops import CHUNK
 
