@@ -150,13 +150,18 @@ _PAIR_A, _PAIR_B = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 def _eigenphases(m: np.ndarray) -> np.ndarray:
     """Eigenphases of stacked symmetric unitaries m (..., 4, 4): the commuting
-    Re m and Im m share the eigenbasis P of Re m + x Im m; rows whose P^T m P
-    keeps an off-diagonal entry above ``eigh_offdiag_tol`` use ``eigvals``."""
-    # cast P once, not once in each product with the complex m
-    p = np.linalg.eigh(m.real + _MIX * m.imag)[1].astype(complex)
-    d = p.swapaxes(-1, -2) @ m @ p
-    phases = np.angle(d.diagonal(axis1=-2, axis2=-1))
-    fallback = np.abs(d[..., _OFF_ROWS, _OFF_COLS]).max(axis=-1) > DEFAULT_TOL.eigh_offdiag_tol
+    Re m and Im m share the real eigenbasis P of Re m + x Im m, so each phase
+    is the arctan2 of the diagonals of P^T (Im m) P and P^T (Re m) P. Rows where
+    an off-diagonal entry of P^T m P exceeds ``eigh_offdiag_tol`` in modulus
+    use ``eigvals``."""
+    # P is real, so the products stay in real arithmetic, half the flops of complex ones
+    re, im = m.real, m.imag
+    p = np.linalg.eigh(re + _MIX * im)[1]
+    pt = p.swapaxes(-1, -2)
+    d_re, d_im = pt @ re @ p, pt @ im @ p
+    phases = np.arctan2(d_im.diagonal(axis1=-2, axis2=-1), d_re.diagonal(axis1=-2, axis2=-1))
+    off = np.hypot(d_re[..., _OFF_ROWS, _OFF_COLS], d_im[..., _OFF_ROWS, _OFF_COLS])
+    fallback = off.max(axis=-1) > DEFAULT_TOL.eigh_offdiag_tol
     if fallback.any():
         phases[fallback] = np.angle(np.linalg.eigvals(m[fallback]))
     return phases

@@ -115,9 +115,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     out = Path(args.out)
-    if args.svg and out.suffix == ".svg":
-        raise ValidationError(f"the CSV path {out} and the SVG path {out} are one file; "
-                              "give --out a suffix other than .svg")
+    # lowercased: x.SVG and x.svg are one file on a case-insensitive filesystem
+    if args.svg and out.suffix.lower() == ".svg":
+        raise ValidationError(f"the CSV path {out} and the SVG path {out.with_suffix('.svg')} "
+                              "can be one file; give --out a suffix other than .svg")
     params, strength = write_sweep_csv(args.edge, args.n, out)
     if args.svg:
         write_edge_svg(args.edge, params, strength, out.with_suffix(".svg"))

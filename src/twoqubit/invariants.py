@@ -34,18 +34,43 @@ def _real_g2(g2: np.ndarray) -> np.ndarray:
     return g2.real
 
 
+# Entry [f, p, q] is factor f of product p of minor q in det(U)'s Laplace expansion
+# along rows 0-1: minor q is u[r, a] u[s, b] - u[r, b] u[s, a] on rows (r, s) and
+# columns (a, b). Bottom minor q + 6 takes top minor q's complementary columns, in
+# the order that carries the term's sign, so det(U) is the sum of their six products.
+_MINOR = np.array([[[4 * r + a, 4 * r + b], [4 * s + b, 4 * s + a]]
+                   for (r, s), pairs in (((0, 1), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+                                         ((2, 3), ((2, 3), (3, 1), (1, 2), (0, 3), (2, 0), (0, 1))))
+                   for a, b in pairs]).transpose(1, 2, 0)
+
+
+def _det(u: np.ndarray) -> np.ndarray:
+    """det(U) for a stack (..., 4, 4) by ``_MINOR``, the six terms added left to
+    right. Each step overwrites the gathered entries, so the gather is the one
+    temporary, and it is freed on return."""
+    e = u.reshape(u.shape[:-2] + (16,))[..., _MINOR]
+    products = e[..., 0, :, :]
+    products *= e[..., 1, :, :]
+    minors = products[..., 0, :]
+    minors -= products[..., 1, :]
+    t = minors[..., :6]
+    t *= minors[..., 6:]
+    return t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3] + t[..., 4] + t[..., 5]
+
+
 def bell_matrix_array(u: np.ndarray):
     """det(U) and M(U) = U_B^T U_B for a stack of unitaries, shape (..., 4, 4),
     where U_B = Q^T U Q (the transpose of Q, not its adjoint) is U in the Bell basis.
 
-    Each product with Q is one (4N, 4) @ (4, 4) product over the flattened
-    stack, not one per gate: Q^T U is taken as (U^T Q)^T. Its entries are the
-    same sums as those of ``Q_MAGIC.T @ u @ Q_MAGIC``; the tests hold them equal
-    bit for bit."""
-    shape = u.shape
+    det(U) is the closed form of ``_det``, with no LAPACK call. Each product with
+    Q is one (4N, 4) @ (4, 4) product over the flattened stack, not one per gate:
+    Q^T U is taken as (U^T Q)^T. Its entries are the same sums as those of
+    ``Q_MAGIC.T @ u @ Q_MAGIC``; the tests hold them, and each gate's det(U),
+    equal bit for bit to those of the gate alone."""
+    det, shape = _det(u), u.shape
     qu = (u.swapaxes(-1, -2).reshape(-1, 4) @ Q_MAGIC).reshape(shape).swapaxes(-1, -2)
     ub = (qu.reshape(-1, 4) @ Q_MAGIC).reshape(shape)
-    return np.linalg.det(u), ub.swapaxes(-1, -2) @ ub
+    return det, ub.swapaxes(-1, -2) @ ub
 
 
 def invariants_from_bell_array(det: np.ndarray, m: np.ndarray):

@@ -18,7 +18,10 @@ def haar_unitary(rng: np.random.Generator, dim: int = 4, size: int | None = None
     Returns shape (dim, dim), or (size, dim, dim) when ``size`` is given.
     """
     shape = (dim, dim) if size is None else (size, dim, dim)
-    q = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    q = np.empty(shape, dtype=complex)  # filled in place: no complex temporaries
+    q.real = rng.standard_normal(shape)
+    q.imag = rng.standard_normal(shape)
+    q /= np.sqrt(2)
     for j in range(dim):
         v, p = q[..., :, j], q[..., :, :j]
         for _ in range(2 if j else 0):

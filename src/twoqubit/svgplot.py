@@ -39,8 +39,6 @@ def line_plot(f, series, title: str) -> None:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    if x_hi - x_lo < 1e-300:
-        x_hi = x_lo + 1.0
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B

@@ -41,8 +41,8 @@ TABLES_FAULT_OUT = (
 TABLES_FAULT_ERR = "FAIL: edge A2A3 deviates by 5.000e-03 at parameter 0.589048623\n"
 AUDIT_FAULT_OUT = (
     "audit: samples=5 seed=1\n"
-    "  three-route invariant consistency: max deviation 1.110e-06 (tol 1e-08)  FAIL\n"
-    "  local invariance of schmidt coefficients: max deviation 1.110e-15 (tol 1e-09)  PASS\n"
+    "  three-route invariant consistency: max deviation 1.332e-06 (tol 1e-08)  FAIL\n"
+    "  local invariance of schmidt coefficients: max deviation 4.441e-16 (tol 1e-09)  PASS\n"
     "  schmidt number unchanged by local operations: histogram {4: 5}  PASS\n"
     "  perfect-entangler fraction: fraction 0.6000 (expected 0.8488 +/- 0.6408)  PASS\n"
     "audit: FAIL\n"
@@ -221,7 +221,7 @@ def test_analyze_overflowing_matrix_exit_2(tmp_path, capsys, scale):
     assert err.startswith("error: matrix is not unitary") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("solver", ["det", "eigh"])
+@pytest.mark.parametrize("solver", ["eigh"])
 def test_analyze_maps_linalg_error_to_exit_3(capsys, monkeypatch, solver):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError(f"{solver} did not converge")
@@ -231,6 +231,17 @@ def test_analyze_maps_linalg_error_to_exit_3(capsys, monkeypatch, solver):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "did not converge" in err
+
+
+@pytest.mark.parametrize("argv", [["analyze", "cnot"], ["audit", "--samples", "1030"]])
+def test_no_command_calls_the_lapack_determinant(capsys, monkeypatch, argv):
+    # det(U) is taken in closed form, in chunks of one gate and of a full stack
+    def no_det(*args, **kwargs):
+        raise np.linalg.LinAlgError("det called")
+
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 def test_analyze_coefficients_are_the_realignment_singular_values(rng, capsys):
@@ -378,13 +389,15 @@ def test_sweep_unwritable_path_exit_4(capsys, tmp_path):
 
 
 def test_sweep_svg_out_path_refused_exit_2(capsys, tmp_path):
-    # the SVG would overwrite the CSV written to the same name
-    target = tmp_path / "x.svg"
-    code, out, err = run(capsys, "sweep", "OA1", "--n", "5", "--out", str(target), "--svg")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.count(str(target)) == 2
-    assert list(tmp_path.iterdir()) == []
+    # the SVG would overwrite the CSV written to the same name, or to one that
+    # differs only in letter case, which a case-insensitive filesystem merges
+    for name in ("x.svg", "x.SVG"):
+        target = tmp_path / name
+        code, out, err = run(capsys, "sweep", "OA1", "--n", "5", "--out", str(target), "--svg")
+        assert (code, out) == (2, "")
+        assert err == (f"error: the CSV path {target} and the SVG path {tmp_path / 'x.svg'} "
+                       "can be one file; give --out a suffix other than .svg\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_evaluates_edge_once(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from twoqubit import (
 from twoqubit.gates import PAULI_BASIS, Q_MAGIC
 from twoqubit.invariants import bell_matrix_array
 from twoqubit.sampling import haar_unitary
+
+EPS = np.finfo(float).eps
 
 
 def test_pauli_basis_orthonormal():
@@ -94,12 +98,59 @@ def _bits_equal(a, b) -> bool:
 @pytest.mark.parametrize("n", [1, 7, 4097])
 def test_bell_transform_of_a_stack_is_the_per_gate_product_bit_for_bit(n):
     # the stack is flattened into one product with Q per side; each gate
-    # still gets exactly the entries of its own Q^T U Q and det(U)
+    # still gets exactly the entries of its own Q^T U Q and the det(U) it
+    # gets alone
     u = haar_unitary(np.random.default_rng(n), 4, n)
     det, m = bell_matrix_array(u)
     ub = [Q_MAGIC.T @ g @ Q_MAGIC for g in u]
     assert _bits_equal(m, np.stack([b.T @ b for b in ub]))
-    assert _bits_equal(det, np.stack([np.linalg.det(g) for g in u]))
+    assert _bits_equal(det, np.stack([bell_matrix_array(g)[0] for g in u]))
+
+
+def test_bell_transform_determinant_of_signed_permutations_is_exact():
+    # one nonzero term of the expansion, a product of +-1 and +-i entries
+    for perm in itertools.permutations(range(4)):
+        parity = np.linalg.det(np.eye(4)[list(perm)]).round()
+        for signs in itertools.product((1, -1, 1j, -1j), repeat=4):
+            u = np.zeros((4, 4), dtype=complex)
+            u[range(4), perm] = signs
+            assert bell_matrix_array(u)[0] == parity * np.prod(signs)
+
+
+def test_bell_transform_determinant_of_diagonal_phases_is_their_product(rng):
+    # the one nonzero term is (d0 d1)(d2 d3); the zero terms add nothing
+    d = np.exp(1j * rng.uniform(-np.pi, np.pi, (1000, 4)))
+    u = np.zeros((1000, 4, 4), dtype=complex)
+    u[:, range(4), range(4)] = d
+    assert _bits_equal(bell_matrix_array(u)[0], (d[:, 0] * d[:, 1]) * (d[:, 2] * d[:, 3]))
+
+
+def test_bell_transform_determinant_of_the_catalog():
+    # exact wherever the entries are: all but sqrt_iswap, whose 1/sqrt2 is rounded
+    expected = {"identity": 1, "cnot": -1, "cz": -1, "swap": -1, "dcnot": 1, "iswap": 1,
+                "sqrt_swap": 1j, "sqrt_iswap": 1}
+    for name in catalog_names():
+        det = bell_matrix_array(catalog(name))[0]
+        assert abs(det - expected[name]) <= (2 * EPS if name == "sqrt_iswap" else 0.0), name
+
+
+def test_bell_transform_determinant_agrees_with_lapack_on_any_matrix():
+    # not only unitaries: within a few ulps of the Hadamard bound prod_i |row i|,
+    # the scale both expansions round at
+    rng = np.random.default_rng(30)
+    u = rng.standard_normal((10000, 4, 4)) + 1j * rng.standard_normal((10000, 4, 4))
+    scale = np.prod(np.linalg.norm(u, axis=-1), axis=-1)
+    assert np.max(np.abs(bell_matrix_array(u)[0] - np.linalg.det(u)) / scale) <= 8 * EPS
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_bell_transform_determinant_takes_any_stack_shape(shape):
+    u = haar_unitary(np.random.default_rng(31), 4, int(np.prod(shape))).reshape(shape + (4, 4))
+    det, m = bell_matrix_array(u)
+    assert det.shape == shape and m.shape == shape + (4, 4)
+    flat = bell_matrix_array(u.reshape(-1, 4, 4))[0]
+    assert _bits_equal(det.reshape(-1), flat)
+    assert np.max(np.abs(det - np.linalg.det(u)), initial=0.0) <= 1e-15
 
 
 def test_bell_transform_preserves_unitarity_and_norm(rng):

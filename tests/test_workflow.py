@@ -26,6 +26,7 @@ def test_tier1_step_runs_the_roadmap_command():
     ("twoqubit analyze nonunitary.json", 2),
     ("twoqubit analyze nan.json", 2),
     ("twoqubit sweep OA1 --n 1 --out one.csv", 2),
+    ("twoqubit sweep PN --n 11 --out pn.SVG --svg", 2),
     ("twoqubit audit --samples 0", 2),
     ("twoqubit verify-tables --n 1", 2),
     (f"twoqubit audit --samples {10**30}", 2),
