@@ -6,9 +6,10 @@ Checks, over ``samples`` Haar-random gates:
     coefficients) agree pairwise within ``DEFAULT_TOL.invariant_tol``;
   * sorted Schmidt coefficients and invariants are unchanged by random
     single-qubit operations on both sides (``DEFAULT_TOL.local_invariance_tol``),
-    the dressed gates' realignment SVD checked against |z(c)| at the plain points;
+    the dressed gates' realigned coefficients (``schmidt_coefficients_array``,
+    one Gram ``eigvalsh`` per chunk) checked against |z(c)| at the plain points;
   * Schmidt numbers are unchanged by those operations: the Schmidt number of
-    the dressed gates' SVD coefficients equals that of the plain gates' |z(c)|;
+    the dressed gates' realigned coefficients equals that of the plain gates' |z(c)|;
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.
 
@@ -43,13 +44,14 @@ __all__ = ["run_audit"]
 
 # Haar-measure weight of the perfect-entangler polyhedron. It fills exactly
 # half the chamber by flat volume, but the Haar-induced density on the
-# chamber is not flat. Gauss-Legendre integration of the density
+# chamber is not flat. Its closed form is 8/(3 pi) = 0.8488263631567751;
+# Gauss-Legendre integration of the density
 # |sin(c2-c3) sin(c1-c2) sin(c1+c3) sin(c1-c3) sin(c1+c2) sin(c2+c3)|
-# over the polyhedron gives 0.848826363 (converged to 9 digits; see
+# over the polyhedron agrees to 3.3e-16 at n = 16 (see
 # test_audit.py::test_haar_pe_fraction_is_the_density_integral), and
 # direct sampling agrees (0.8491 +/- 0.0008 at 2e5 gates). See Musz, Kus,
 # Zyczkowski, PRA 87, 022111 (2013) for the same figure.
-HAAR_PE_FRACTION = 0.848826363
+HAAR_PE_FRACTION = 8 / (3 * np.pi)
 
 
 def pe_fraction_tolerance(samples: int) -> float:

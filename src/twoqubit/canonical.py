@@ -228,7 +228,8 @@ class ClassData:
     def from_unitaries(cls, u) -> ClassData:
         """Class data of unitaries (..., 4, 4): the points and (G1, G2) of
         one det(U) and M(U) pass, then ``points_from_bell_array``, and ``s``
-        as the sorted |z(c)| there, which the audit checks against the SVD.
+        as the sorted |z(c)| there, which the audit checks against the dressed
+        gates' realigned coefficients (``schmidt_coefficients_array``).
 
         Raises:
             NumericalError: a G2 residue, then a missed point (``ExtractionError``);

@@ -3,9 +3,11 @@
 A gate expands as U = sum_l s_l A_l (x) B_l with Hilbert-Schmidt orthonormal
 single-qubit factors. Gates in one local class share their coefficients, the
 |z_l| of the closed-form two-sided Pauli expansion at the canonical
-coordinates, which ``ClassData`` takes. Realigning U into a 4x4 matrix with
-singular values 2 s_l gives them numerically, for the factors of
-``schmidt_decompose`` and as the audit's witness. Normalization is chosen so
+coordinates, which ``ClassData`` takes. Realigning U into a 4x4 matrix R with
+singular values 2 s_l gives them numerically: ``schmidt_decompose`` takes the
+SVD of R for its factors, and the audit's witness ``schmidt_coefficients_array``
+takes the eigenvalues 4 s_l^2 of R^dag R, with the SVD kept for rows whose
+smallest coefficient is too small for them. Normalization is chosen so
 that sum s_l^2 = 1 for unitaries, making s_l^2 a probability distribution; its
 Shannon entropy (base 2) is the Schmidt strength, an entanglement measure for
 the operator itself ranging from 0 (local gates) to 2. This module reads
@@ -99,9 +101,23 @@ def _realign(u: np.ndarray) -> np.ndarray:
 
 
 def schmidt_coefficients_array(u: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients, descending, for a stack of 4x4 unitaries."""
+    """Schmidt coefficients, descending, for a stack of 4x4 unitaries: half the
+    square roots of the eigenvalues of R^dag R for the realigned R. Their error
+    grows like 1.5e-16 / s4, so rows whose smallest coefficient is below
+    ``svd_fallback_tol`` take half the singular values of R instead, as
+    ``schmidt_decompose`` does.
+
+    Raises:
+        numpy.linalg.LinAlgError: if ``eigvalsh`` or a fallback SVD does not converge.
+    """
     r = _realign(np.asarray(u, dtype=complex))
-    return np.linalg.svd(r, compute_uv=False) / 2.0
+    w = np.linalg.eigvalsh(np.swapaxes(r, -1, -2).conj() @ r)
+    # rounding can leave the smallest eigenvalue below 0; its row falls back
+    s = np.sqrt(np.maximum(w[..., ::-1], 0.0)) / 2.0
+    fallback = ~(s[..., 3] >= DEFAULT_TOL.svd_fallback_tol)  # a NaN row falls back too
+    if fallback.any():
+        s[fallback] = np.linalg.svd(r[fallback], compute_uv=False) / 2.0
+    return s
 
 
 _S_ROW = "Schmidt row [s1, s2, s3, s4]"

@@ -63,18 +63,17 @@ def test_bell_matrix_formed_once_per_gate_set(monkeypatch):
     assert calls == [(50, 4, 4), (50, 4, 4)]
 
 
-def test_one_realignment_svd_per_sample(monkeypatch):
-    # the dressed gates' SVD is the only one: the plain gates' s is |z(c)|
-    calls = []
-    original = np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+def test_one_gram_eigvalsh_per_chunk_and_no_svd_for_haar_draws(monkeypatch):
+    # the dressed gates' Gram eigenvalues are the only ones: the plain gates' s
+    # is |z(c)|, and no Haar draw here has a coefficient below svd_fallback_tol
+    calls = {"eigvalsh": [], "svd": []}
+    for name in calls:
+        def counted(a, *args, _true=getattr(np.linalg, name), _calls=calls[name], **kwargs):
+            _calls.append(a.shape)
+            return _true(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
     assert run_audit(CHUNK + 20, 3).passed
-    assert calls == [(CHUNK, 4, 4), (20, 4, 4)]
+    assert calls == {"eigvalsh": [(CHUNK, 4, 4), (20, 4, 4)], "svd": []}
 
 
 def test_each_kernel_runs_once_per_chunk(monkeypatch):
@@ -332,7 +331,7 @@ def test_haar_pe_fraction_is_the_density_integral():
 
     assert abs(volume(pe_tets) / volume(chamber) - 0.5) <= 1e-12
     ratio = _density_integral(pe_tets, 16) / _density_integral(chamber, 16)
-    assert abs(ratio - HAAR_PE_FRACTION) <= 1e-9
+    assert abs(ratio - HAAR_PE_FRACTION) <= 1e-14
 
 
 # Haar mean of the Schmidt strength: its integral against the chamber density,

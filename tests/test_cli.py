@@ -616,18 +616,19 @@ def test_list_gates(capsys):
     assert any(line.startswith("swap") and line.rstrip().endswith("--") for line in lines)
 
 
-def test_audit_maps_dressed_svd_failure_to_exit_3(capsys, monkeypatch):
-    # the dressed set's SVD is the audit's only one; the plain set's s is |z(c)|
+def test_audit_maps_dressed_eigvalsh_failure_to_exit_3(capsys, monkeypatch):
+    # the dressed set's Gram eigenvalues are the audit's only ones; the plain
+    # set's s is |z(c)|
     calls = []
 
     def first_fails(*args, **kwargs):
         calls.append(1)
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", first_fails)
+    monkeypatch.setattr(np.linalg, "eigvalsh", first_fails)
     code, out, err = run(capsys, "audit", "--samples", "20", "--seed", "1")
     assert code == 3 and out == "" and len(calls) == 1
-    assert err == "error: SVD did not converge\n"
+    assert err == "error: Eigenvalues did not converge\n"
 
 
 def test_analyze_near_line_gate_has_schmidt_number_4(tmp_path, capsys):

@@ -54,6 +54,7 @@ def test_tolerance_defaults():
         "base_mirror_tol": 1e-13,
         "pe_boundary_tol": 1e-10,
         "table_tol": 1e-10,
+        "svd_fallback_tol": 2e-2,
     }
 
 

@@ -19,7 +19,7 @@ from twoqubit import (
 )
 from twoqubit.linops import DEFAULT_TOL, kron
 from twoqubit.sampling import haar_unitary, random_local_unitary
-from twoqubit.canonical import ClassData
+from twoqubit.canonical import ClassData, canonical_gates_array
 from twoqubit.schmidt import (
     schmidt_coefficients_array,
     schmidt_number_from_coefficients,
@@ -315,3 +315,80 @@ def test_schmidt_data_consistency(rng):
     data = schmidt_decompose(g)
     assert abs(data.strength - schmidt_strength(data.coefficients)) <= 1e-12
     assert data.schmidt_number == _schmidt_number(g)
+
+
+def _dressed_line_gates(rng, c2) -> np.ndarray:
+    """Gates at [1, c2, 0] for each c2, locally dressed with a global phase;
+    the smallest Schmidt coefficient of each is sin(1/2) sin(c2/2)."""
+    n = len(c2)
+    points = np.column_stack([np.ones(n), c2, np.zeros(n)])
+    return (np.exp(2j * PI * rng.random(n))[:, None, None] * random_local_unitary(rng, n)
+            @ canonical_gates_array(points) @ random_local_unitary(rng, n))
+
+
+def _svd_coefficients(u) -> np.ndarray:
+    return np.array([schmidt_decompose(g).coefficients for g in u])
+
+
+def _count_svd_rows(monkeypatch) -> list:
+    """The row counts that ``np.linalg.svd`` is called with, from now on."""
+    rows, true_svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return true_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return rows
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.99, 1.01, 2.0])
+def test_coefficients_match_the_svd_about_the_fallback_tol(rng, monkeypatch, scale):
+    # s4 at scale * svd_fallback_tol: rows below it take the SVD, rows above it
+    # the Gram eigenvalues, and either way the SVD agrees within 1e-14
+    s4 = scale * DEFAULT_TOL.svd_fallback_tol
+    u = _dressed_line_gates(rng, np.full(50, 2 * np.arcsin(s4 / np.sin(0.5))))
+    expected = _svd_coefficients(u)
+    rows = _count_svd_rows(monkeypatch)
+    s = schmidt_coefficients_array(u)
+    assert rows == ([50] if scale < 1 else [])
+    assert np.max(np.abs(s - expected)) <= 1e-14
+    assert np.max(np.abs(s[:, 3] - s4)) <= 1e-14
+
+
+def test_near_line_gates_keep_the_svd_schmidt_number(rng, monkeypatch):
+    # s3 and s4 are about c2 / 2: K = 2 at c2 = 1e-9, else 4; the Gram
+    # eigenvalues alone would put them near sqrt(1e-16)
+    c2 = np.repeat([1e-9, 3e-8, 1e-5, 1e-3], 10)
+    u = _dressed_line_gates(rng, c2)
+    expected = _svd_coefficients(u)
+    rows = _count_svd_rows(monkeypatch)
+    s = schmidt_coefficients_array(u)
+    assert rows == [40]
+    assert np.max(np.abs(s - expected)) <= 1e-15
+    numbers = schmidt_numbers_array(s)
+    assert np.array_equal(numbers, schmidt_numbers_array(expected))
+    assert numbers.tolist() == [2] * 10 + [4] * 30
+
+
+def test_svd_failure_on_a_fallback_row_raises(rng, monkeypatch):
+    haar = haar_unitary(rng, 4, 5)
+    u = np.concatenate([haar, _dressed_line_gates(rng, [1e-5])])
+
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fails)
+    assert schmidt_coefficients_array(haar).shape == (5, 4)  # no fallback row, no SVD
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        schmidt_coefficients_array(u)
+
+
+@pytest.mark.parametrize("n", [1, 7, 4097])
+def test_stack_coefficients_equal_the_per_gate_ones_bit_for_bit(n):
+    # the first five rows are near-line gates, which take the SVD
+    rng = np.random.default_rng(n)
+    near = _dressed_line_gates(rng, [1e-9, 3e-8, 1e-5, 1e-3, 1e-2])
+    u = np.concatenate([near, haar_unitary(rng, 4, n)])[:n]
+    assert np.array_equal(schmidt_coefficients_array(u),
+                          np.array([schmidt_coefficients_array(g) for g in u]))

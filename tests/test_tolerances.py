@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twoqubit
+import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
 from twoqubit import DEFAULT_TOL, ValidationError, canonical_gate, make_gate
@@ -356,3 +357,58 @@ def test_refusal_names_rows_residual_tolerance_and_field(monkeypatch, site, erro
     assert match, str(info.value)
     worst = float(match.group(1))
     assert np.isnan(worst) or worst > tol
+
+
+def _counting_svd(mp, rows: list) -> None:
+    """Record in ``rows`` the row count of every ``np.linalg.svd`` call under ``mp``."""
+    true_svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return true_svd(a, *args, **kwargs)
+
+    mp.setattr(np.linalg, "svd", counted)
+
+
+# svd_fallback_tol (2e-2) decides a route, not a refusal. The smallest s4 of the
+# 1e5 dressed Haar draws of the audits at seeds 3 and 42 is 1.35e-2 and 1.29e-2,
+# with 9 and 7 rows below the tol; the Gram error at the tol is up to 7.3e-15,
+# so an s4 10 BAND from it takes the route of its side
+@SETTINGS
+@given(st.floats(0.2, PI / 2), st.sampled_from([-1.0, 1.0]), seeds)
+def test_svd_fallback_decided_at_its_tol(theta, side, seed):
+    # on [theta, delta, 0] with theta, delta <= pi/2, s4 = sin(theta/2) sin(delta/2)
+    s4 = DEFAULT_TOL.svd_fallback_tol + side * 10 * BAND
+    point = [theta, 2 * np.arcsin(s4 / np.sin(theta / 2)), 0.0]
+    rng = np.random.default_rng(seed)
+    u = (np.exp(2j * PI * rng.random(3))[:, None, None] * random_local_unitary(rng, 3)
+         @ canonical_gate(point) @ random_local_unitary(rng, 3))
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting_svd(mp, rows)
+        s = schmidt_coefficients_array(u)
+    assert rows == ([3] if side < 0 else [])
+    assert np.max(np.abs(s - np.sort(np.abs(z_from_point(point)))[::-1])) <= 1e-14
+
+
+# local_invariance_tol (1e-9) against the audit's own deviation: 1.3e-15 at
+# 1000 samples (seed 42), 3.3e-15 and 4.0e-15 at 1e5 (seeds 3 and 42); so a
+# deviation planted 10 BAND from the tol decides the check alone
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 29), st.sampled_from([-1.0, 1.0]), seeds)
+def test_local_invariance_decided_at_its_tol(row, side, seed):
+    shift = DEFAULT_TOL.local_invariance_tol + side * 10 * BAND
+    true = audit_mod.schmidt_coefficients_array
+
+    def planted(u):
+        s = true(u)
+        s[row, 0] += shift
+        return s
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audit_mod, "schmidt_coefficients_array", planted)
+        report = twoqubit.run_audit(30, seed)
+    check = report.checks[1]
+    assert check.passed is (side < 0) and check.where == row, check.detail
+    assert check.detail.endswith(f"(tol {DEFAULT_TOL.local_invariance_tol:g})")
+    assert (report.counterexample is None) is (side < 0)

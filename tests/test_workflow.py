@@ -60,9 +60,17 @@ def test_chunk_smoke_step_spans_several_chunks():
 
 
 def test_large_audit_step_requires_a_pass():
+    # the audit runs once; a failing command substitution fails the step
     run = _steps()["Smoke, a 100000-sample audit passes"]["run"]
-    assert "python -m twoqubit audit --samples 100000 --seed 3 | tail -n 1" in run
-    assert 'grep -qx "audit: PASS"' in run and "set -o pipefail" in run
+    assert "out=$(PYTHONPATH=src python -m twoqubit audit --samples 100000 --seed 3)\n" in run
+    assert 'tail -n 1 <<< "$out" | grep -qx "audit: PASS"' in run
+
+
+@pytest.mark.parametrize("line, bound", [("local invariance of schmidt coefficients", "1e-13")])
+def test_large_audit_step_bounds_a_deviation(line, bound):
+    run = _steps()["Smoke, a 100000-sample audit passes"]["run"]
+    assert f"re.search(r'{line}: max deviation (\\S+)', sys.stdin.read())" in run
+    assert f'assert d < {bound}, d" <<< "$out"' in run
 
 
 def test_million_row_sweep_step_checks_one_polyline_of_every_point():
