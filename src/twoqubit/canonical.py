@@ -94,6 +94,7 @@ PE_HALFSPACES = (
     ),
     np.array([0.0, 0.0, 0.0, -np.pi / 2, np.pi / 2, np.pi, np.pi / 2]),
 )
+_CHAMBER_FACES = [0, 1, 2, 5]  # the facets that lie in faces of the chamber
 
 
 _SWAP_01 = np.array([1, 0, 2])
@@ -130,13 +131,11 @@ def weyl_reduce(c) -> np.ndarray:
 
 
 def in_weyl_chamber(c) -> bool:
-    """True iff the triple satisfies the fundamental-domain inequalities."""
-    c1, c2, c3 = as_triple(c)
-    tol = DEFAULT_TOL.chamber_tol
-    ordered = c3 >= -tol and c2 >= c3 - tol and c1 >= c2 - tol
-    closed = c1 + c2 <= np.pi + tol
-    base = c3 > DEFAULT_TOL.base_mirror_tol or c1 <= np.pi / 2 + tol
-    return bool(ordered and closed and base)
+    """True iff the triple meets the chamber faces, rows ``_CHAMBER_FACES`` of
+    ``PE_HALFSPACES``, and the base condition, each within ``facet_tol``."""
+    c, (a, b), tol = as_triple(c), PE_HALFSPACES, DEFAULT_TOL.facet_tol
+    base = c[2] > DEFAULT_TOL.base_mirror_tol or c[0] <= np.pi / 2 + tol
+    return bool((a[_CHAMBER_FACES] @ c <= b[_CHAMBER_FACES] + tol).all() and base)
 
 
 # Mix x for the eigenbasis of Re M + x Im M. Distinct phases a, b of M collide
@@ -244,21 +243,21 @@ class ClassData:
         g1, g2 = invariants_from_bell_array(det, m)
         points, point_invariants = points_from_bell_array(det, m, g1, g2)
         z = z_from_point_array(points)
-        return cls._with_tail(points, g1, g2, points, z), point_invariants, z
+        return _class_data(points, g1, g2, points, z), point_invariants, z
 
     @classmethod
     def from_points(cls, c) -> ClassData:
         """Class data of coordinate triples (..., 3), kept as given: ``s`` is
         the sorted |z(c)| and the flag is taken on the reduced points."""
         c = np.asarray(c, dtype=float)
-        return cls._with_tail(c, *invariants_from_point_array(c), weyl_reduce_array(c),
-                              z_from_point_array(c))
+        return _class_data(c, *invariants_from_point_array(c), weyl_reduce_array(c),
+                           z_from_point_array(c))
 
-    @classmethod
-    def _with_tail(cls, points, g1, g2, reduced, z) -> ClassData:
-        s = np.sort(np.abs(z), axis=-1)[..., ::-1]
-        return cls(points, g1, g2, s, schmidt_strength_array(s), schmidt_numbers_array(s),
-                   is_perfect_entangler_array(reduced))
+
+def _class_data(points, g1, g2, reduced, z) -> ClassData:
+    s = np.sort(np.abs(z), axis=-1)[..., ::-1]
+    return ClassData(points, g1, g2, s, schmidt_strength_array(s), schmidt_numbers_array(s),
+                     is_perfect_entangler_array(reduced))
 
 
 def locally_equivalent(a, b) -> bool:
@@ -301,7 +300,7 @@ def is_perfect_entangler(c) -> bool:
 def is_perfect_entangler_array(c: np.ndarray) -> np.ndarray:
     """Vectorized perfect-entangler test for chamber-reduced triples (..., 3)."""
     a, b = PE_HALFSPACES
-    return (np.asarray(c) @ a.T <= b + DEFAULT_TOL.pe_boundary_tol).all(axis=-1)
+    return (np.asarray(c) @ a.T <= b + DEFAULT_TOL.facet_tol).all(axis=-1)
 
 
 # Phases of the canonical core on the magic basis: column j of c @ _MAGIC_PHASES is

@@ -133,11 +133,11 @@ def invariants_from_z(z) -> tuple[complex, float]:
     Raises:
         ValidationError: as ``as_finite``, for anything but four finite
             complex numbers; or if sum |z_l|^2 differs from 1 by more than
-            ``DEFAULT_TOL.norm_tol``.
+            ``DEFAULT_TOL.unitarity_tol``.
         NumericalError: as ``_real_g2``.
     """
     z = as_finite(z, (4,), "coefficient row [z1, z2, z3, z4]", complex)
-    refuse_rows(ValidationError, "z not normalized", abs(np.sum(np.abs(z) ** 2) - 1), "norm_tol")
+    refuse_rows(ValidationError, "z not normalized", abs(np.sum(abs(z) ** 2) - 1), "unitarity_tol")
     g1, g2 = invariants_from_z_array(z)
     return complex(g1), float(g2)
 

@@ -37,9 +37,8 @@ class Tolerance:
     """Every threshold of the package, one field per meaning, read by each
     function from ``DEFAULT_TOL`` when it is called."""
 
-    unitarity_tol: float = 1e-10  # make_gate: largest accepted ||U^dag U - I||_F
+    unitarity_tol: float = 1e-10  # largest ||U^dag U - I||_F, |sum s^2 - 1|, |sum |z|^2 - 1|
     zero_tol: float = 1e-8  # Schmidt number: s2, then s3, above this are nonzero
-    norm_tol: float = 1e-10  # allowed |sum |z|^2 - 1| and |sum s^2 - 1|
     negative_tol: float = 1e-12  # Schmidt coefficients below -this are rejected
     imag_residue_tol: float = 1e-9  # largest |Im G2| taken as rounding noise
     invariant_tol: float = 1e-8  # two (G1, G2) evaluations of one class agree
@@ -47,11 +46,10 @@ class Tolerance:
     # audit: allowed change under local dressing; the 1e5-sample audits at
     # seeds 3 and 42 read 3.3e-15 and 4.0e-15, and 1000 samples at seed 42 1.3e-15
     local_invariance_tol: float = 1e-9
-    chamber_tol: float = 1e-12  # in_weyl_chamber: slack on each inequality
     # base mirror c1 -> pi - c1 when c3 <= this; a c3 within extraction noise of
     # it may reduce to either mirror image, and both have the same invariants
     base_mirror_tol: float = 1e-13
-    pe_boundary_tol: float = 1e-10  # PE test: slack on each polyhedron facet
+    facet_tol: float = 1e-10  # in_weyl_chamber and the PE test: slack on each face
     table_tol: float = 1e-10  # verify_tables: closed form vs engine deviation
     # Schmidt coefficients: rows with s4 below this take the SVD, not the Gram
     # eigenvalues, whose error grows like 1.5e-16 / s4: up to 7.3e-15 against the

@@ -17,8 +17,9 @@ gates and builds none: the controlled-unitary normal form is
 The number of nonvanishing coefficients, the Schmidt number K, is 1 for
 local gates, 2 exactly on the controlled-unitary line, and 4 otherwise; 3
 is impossible. It is read from the second and third largest coefficients:
-s2 grows at first order with the distance to the local class and s3 with
-the distance to the line, where the smallest, s4, grows only at second order.
+s2 grows at first order with the distance to the local class, and s3 with
+the distance to the line; on [theta, c2, 0], s3 = cos(theta/2) sin(c2/2)
+and s4 = sin(theta/2) sin(c2/2) is first order too, but K does not read it.
 """
 from __future__ import annotations
 
@@ -131,11 +132,11 @@ def schmidt_strength(s) -> float:
     Raises:
         ValidationError: as ``as_finite``, for anything but four finite reals;
             if a coefficient is below -``DEFAULT_TOL.negative_tol``; or if
-            sum s_l^2 differs from 1 by more than ``DEFAULT_TOL.norm_tol``.
+            sum s_l^2 differs from 1 by more than ``DEFAULT_TOL.unitarity_tol``.
     """
     s = as_finite(s, (4,), _S_ROW)
     refuse_rows(ValidationError, "negative Schmidt coefficient", np.max(-s), "negative_tol")
-    refuse_rows(ValidationError, "s not normalized", abs(np.sum(s**2) - 1), "norm_tol")
+    refuse_rows(ValidationError, "s not normalized", abs(np.sum(s**2) - 1), "unitarity_tol")
     return float(schmidt_strength_array(s))
 
 
@@ -177,7 +178,8 @@ def schmidt_decompose(u) -> SchmidtData:
 
     Raises:
         ValidationError: as ``as_finite``, if the matrix is not a finite 4x4
-            matrix; an SVD that does not converge raises numpy's own error.
+            matrix, and as ``schmidt_strength``, if its coefficients are not
+            normalized; an SVD that does not converge raises numpy's own error.
     """
     left, sigma, vh = np.linalg.svd(_realign(as_finite(u, (4, 4), "matrix", complex)))
     coefficients = sigma / 2.0

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from itertools import zip_longest
 
@@ -6,8 +7,9 @@ import pytest
 
 from twoqubit import ValidationError, edge, edge_names, emit_figure_data, figure_svg, sweep, verify_tables
 from twoqubit import svgplot
-from twoqubit.canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
-from twoqubit.edges import (FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, write_edge_svg,
+from twoqubit.canonical import (POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData,
+                                canonical_gates_array)
+from twoqubit.edges import (FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, Sweep, write_edge_svg,
                             write_sweep_csv)
 from twoqubit.linops import CHUNK
 from twoqubit.schmidt import schmidt_strength
@@ -157,6 +159,19 @@ def test_sweep_columns_are_class_data_of_its_points(name):
     data = ClassData.from_points(edge(name).point_fn(sw.param))
     for column in ("points", "g1", "g2", "s", "strength", "schmidt_number", "is_pe"):
         assert np.array_equal(getattr(sw, column), getattr(data, column)), column
+
+
+def test_sweep_inherits_the_class_data_builders():
+    # Sweep adds a name and a grid to ClassData; the builders it inherits give
+    # the plain ClassData columns, with neither of them
+    points = sweep("QP", 5).points
+    u = canonical_gates_array(points)
+    built = [(Sweep.from_points(points), ClassData.from_points(points)),
+             (Sweep.from_unitaries(u), ClassData.from_unitaries(u))]
+    for data, expected in built:
+        assert type(data) is ClassData
+        for field in dataclasses.fields(ClassData):
+            assert np.array_equal(getattr(data, field.name), getattr(expected, field.name))
 
 
 def test_sweep_rows_consistent():

@@ -44,15 +44,13 @@ def test_tolerance_defaults():
     assert dataclasses.asdict(DEFAULT_TOL) == {
         "unitarity_tol": 1e-10,
         "zero_tol": 1e-8,
-        "norm_tol": 1e-10,
         "negative_tol": 1e-12,
         "imag_residue_tol": 1e-9,
         "invariant_tol": 1e-8,
         "eigh_offdiag_tol": 1e-8,
         "local_invariance_tol": 1e-9,
-        "chamber_tol": 1e-12,
         "base_mirror_tol": 1e-13,
-        "pe_boundary_tol": 1e-10,
+        "facet_tol": 1e-10,
         "table_tol": 1e-10,
         "svd_fallback_tol": 2e-2,
     }

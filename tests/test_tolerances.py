@@ -6,6 +6,7 @@ global phase, so each example checks that the decision does not depend on
 which representative of the class the extraction sees.
 """
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import twoqubit
 import twoqubit.audit as audit_mod
 import twoqubit.canonical as canonical_mod
+import twoqubit.edges as edges_mod
 import twoqubit.invariants as invariants_mod
 from twoqubit import DEFAULT_TOL, ValidationError, canonical_gate, make_gate
 from twoqubit.canonical import (
@@ -27,7 +29,9 @@ from twoqubit.canonical import (
     TETRAHEDRON_VERTICES,
     ClassData,
     canonical_gates_array,
+    in_weyl_chamber,
     is_perfect_entangler,
+    is_perfect_entangler_array,
     weyl_reduce_array,
 )
 from twoqubit.cli import report_text
@@ -92,6 +96,26 @@ def test_only_linops_assigns_tolerance_names():
     assert offenders == []
 
 
+def _names(source: str) -> set:
+    """The attribute names and the whole string constants of Python source."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.value
+            for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_tolerance_field_is_read_and_probed():
+    # a field that no module reads decides nothing; one that this file never names
+    # (as DEFAULT_TOL.<field> or as the field string a refusal names) is unprobed
+    fields = {f.name for f in dataclasses.fields(twoqubit.Tolerance)}
+    read = set().union(*(_names(inspect.getsource(m)) for m in MODULES
+                         if m.__name__ != "twoqubit.linops"))
+    with open(__file__) as f:
+        probed = _names(f.read())
+    assert {"unread": sorted(fields - read), "unprobed": sorted(fields - probed)} == {
+        "unread": [], "unprobed": []}
+
+
 def _dressed_reports(point, seed: int, count: int):
     """analyze reports for canonical_gate(point), undressed and under
     ``count`` random local dressings, each with a global phase."""
@@ -117,7 +141,7 @@ def test_base_mirror_threshold_gives_one_of_two_images():
     # base mirror c1 -> pi - c1 applies; either image is the same class
     images = np.array([[1.0, 1.0, 0.0], [PI - 1.0, 1.0, 0.0]])
     ref_g1, ref_g2 = invariants_from_point(images[0])
-    reports = _dressed_reports([PI - 1.0, 1.0, 1e-13], seed=7, count=40)[1:]
+    reports = _dressed_reports([PI - 1.0, 1.0, DEFAULT_TOL.base_mirror_tol], seed=7, count=40)[1:]
     assert len(reports) == 40
     for report in reports:
         point = np.array(report.points)
@@ -201,7 +225,7 @@ SURFACES = _surfaces()
 offsets = st.one_of(
     st.builds(lambda s, x: s * 10.0**x, st.sampled_from([-1.0, 1.0]), st.floats(-14, -6)),
     st.builds(
-        lambda s, x: DEFAULT_TOL.pe_boundary_tol + s * 10.0**x,
+        lambda s, x: DEFAULT_TOL.facet_tol + s * 10.0**x,
         st.sampled_from([-1.0, 1.0]),
         st.floats(-13, -11),
     ),
@@ -221,7 +245,7 @@ def test_pe_flag_and_schmidt_number_stable_at_facets(surface, weights, offset, s
     assume(w.sum() > 0.1)
     point = (w / w.sum()) @ vertices + offset * a / (a @ a)
     facet_values = PE_HALFSPACES[0] @ weyl_reduce_array(point) - PE_HALFSPACES[1]
-    assume(np.all(np.abs(facet_values - DEFAULT_TOL.pe_boundary_tol) >= BAND))
+    assume(np.all(np.abs(facet_values - DEFAULT_TOL.facet_tol) >= BAND))
     assume(_clear_of_zero_tol(point))
     pe = is_perfect_entangler(point)
     count = int(schmidt_numbers_array(np.abs(z_from_point(point))))
@@ -236,7 +260,7 @@ def test_pe_facet_decided_at_boundary_tol(facet, side):
     # the facets inside the chamber, at their centroids: BAND inside the
     # tolerance is PE, BAND outside is not, for every dressing
     a, b, vertices = SURFACES[facet]
-    offset = DEFAULT_TOL.pe_boundary_tol + side * BAND
+    offset = DEFAULT_TOL.facet_tol + side * BAND
     point = vertices.mean(axis=0) + offset * a / (a @ a)
     assert is_perfect_entangler(point) is (side < 0)
     reports = _dressed_reports(point, seed=facet, count=10)
@@ -332,14 +356,16 @@ def _count_three_row(monkeypatch):
         (_z_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[0]"),
         (_audit_z_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[4]"),
         (_audit_dressed_g2, twoqubit.NumericalError, "imag_residue_tol", "[1]"),
-        (lambda mp: twoqubit.invariants_from_z([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
+        (lambda mp: twoqubit.invariants_from_z([1, 1, 0, 0]), ValidationError, "unitarity_tol",
+         "[0]"),
         (lambda mp: make_gate(np.diag([1, 1, 1, 2])), ValidationError, "unitarity_tol", "[0]"),
         # ||U^dag U - I||_F overflows to NaN, which is refused too
         (lambda mp: make_gate(np.full((4, 4), 1e200)), ValidationError, "unitarity_tol", "[0]"),
-        (lambda mp: twoqubit.schmidt_strength([1, 1, 0, 0]), ValidationError, "norm_tol", "[0]"),
+        (lambda mp: twoqubit.schmidt_strength([1, 1, 0, 0]), ValidationError, "unitarity_tol",
+         "[0]"),
         (lambda mp: twoqubit.schmidt_strength([-0.5, 0.5, 0.5, 0.5]), ValidationError,
          "negative_tol", "[0]"),
-        (_count_three_row, ValidationError, "norm_tol", "[0]"),
+        (_count_three_row, ValidationError, "unitarity_tol", "[0]"),
     ],
     ids=["extraction", "class-data-g2", "matrix-route-g2", "z-route-g2", "audit-z-route-g2",
          "audit-dressed-g2", "z-norm", "unitarity", "unitarity-overflow", "s-norm", "s-negative",
@@ -412,3 +438,83 @@ def test_local_invariance_decided_at_its_tol(row, side, seed):
     assert check.passed is (side < 0) and check.where == row, check.detail
     assert check.detail.endswith(f"(tol {DEFAULT_TOL.local_invariance_tol:g})")
     assert (report.counterexample is None) is (side < 0)
+
+
+# Probes that plant a value at tol * (1 -+ EPS): EPS * tol is at least 1e-13, far
+# above the rounding of each planted quantity, so the tol alone decides the two sides
+EPS = 1e-3
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_eigh_fallback_decided_at_its_tol(monkeypatch, side):
+    # eigh_offdiag_tol (1e-8): a basis of diag(exp(i phi)) turned by alpha in the
+    # (1, 3) plane leaves the off-diagonal entry sin(alpha) cos(alpha)
+    # |exp(i phi3) - exp(i phi1)| in P^T m P, and its own phases on the diagonal
+    phi = np.array([0.3, 1.1, -0.5, -0.9])
+    off = DEFAULT_TOL.eigh_offdiag_tol * (1 + side * EPS)
+    alpha = 0.5 * np.arcsin(2 * off / abs(np.exp(1j * phi[3]) - np.exp(1j * phi[1])))
+    p = np.eye(4)
+    p[[1, 3, 1, 3], [1, 3, 3, 1]] = np.cos(alpha), np.cos(alpha), -np.sin(alpha), np.sin(alpha)
+    rows, true_eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (None, np.broadcast_to(p, a.shape)))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or true_eigvals(a))
+    phases = canonical_mod._eigenphases(np.diag(np.exp(1j * phi))[None])
+    assert rows == ([] if side < 0 else [1])
+    assert np.max(np.abs(np.sort(phases[0]) - np.sort(phi))) <= 1e-16
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_table_check_decided_at_its_tol(monkeypatch, side):
+    # table_tol (1e-10): one closed-form row of QP shifted by the planted amount in
+    # every coefficient, which keeps its order; the engine agrees to about 1e-16
+    spec, n, at = edges_mod.edge("QP"), 11, 4
+    t_star = np.linspace(*spec.param_range, n)[at]
+    shift = DEFAULT_TOL.table_tol * (1 + side * EPS)
+
+    def planted(t):
+        return spec.closed_form_s(t) + shift * (t == t_star)[..., None]
+
+    monkeypatch.setitem(edges_mod._EDGES, "QP", dataclasses.replace(spec, closed_form_s=planted))
+    report = twoqubit.verify_tables(n)
+    check = next(c for c in report.checks if c.name == "QP")
+    assert check.where == t_star, check.detail
+    assert [c.name for c in report.checks if not c.passed] == ([] if side < 0 else ["QP"])
+
+
+# facet_tol (1e-10) through in_weyl_chamber: a point of each chamber face that is
+# also a PE facet, moved off it along the face normal, and a point of the base
+# line c1 = pi/2 (c3 = 0) moved along c1, which no PE facet bounds
+CHAMBER_FACE_POINTS = {
+    0: [1.4, 0.6, 0.0],
+    1: [PI / 2, PI / 6, PI / 6],
+    2: [PI / 3, PI / 3, PI / 12],
+    5: [2 * PI / 3, PI / 3, PI / 12],
+}
+
+
+@pytest.mark.parametrize("face", [*CHAMBER_FACE_POINTS, "base"])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_chamber_face_decided_at_facet_tol(face, side):
+    offset = DEFAULT_TOL.facet_tol * (1 + side * EPS)
+    if face == "base":
+        assert in_weyl_chamber([PI / 2 + offset, 0.5, 0.0]) is (side < 0)
+        return
+    a = PE_HALFSPACES[0][face]
+    point = np.array(CHAMBER_FACE_POINTS[face]) + offset * a / (a @ a)
+    assert in_weyl_chamber(point) is (side < 0)
+    assert bool(is_perfect_entangler_array(point)) is (side < 0)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_row_norm_decided_at_unitarity_tol(sign, side):
+    # unitarity_tol (1e-10) on a coefficient row: sum |z|^2 - 1 and sum s^2 - 1
+    # planted at sign times the tol, times (1 -+ EPS)
+    z = z_from_point([1.0, 0.6, 0.2]) * np.sqrt(1 + sign * DEFAULT_TOL.unitarity_tol
+                                                * (1 + side * EPS))
+    for site, row in ((twoqubit.invariants_from_z, z), (twoqubit.schmidt_strength, np.abs(z))):
+        if side < 0:
+            site(row)
+        else:
+            with pytest.raises(ValidationError, match=r"not normalized .+ \(unitarity_tol\)$"):
+                site(row)
