@@ -182,9 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full report for a catalog gate or JSON file")
     p.add_argument("source", help="catalog name or path to a gate JSON file")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument(
-        "--degrees", action="store_true", help="display angles in degrees (text only)"
-    )
+    p.add_argument("--degrees", action="store_true", help="display angles in degrees (text only)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("sweep", help="sweep one edge and write CSV (and SVG)")
@@ -194,19 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", action="store_true", help="also write an SVG plot")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser(
-        "verify-tables",
-        help="check closed-form edge coefficients against the engine",
-    )
+    p = sub.add_parser("verify-tables",
+                       help="check closed-form edge coefficients against the engine")
     p.add_argument("--n", type=int, default=97, help="grid points per edge")
     p.set_defaults(func=_cmd_verify_tables)
 
     p = sub.add_parser("audit", help="seeded randomized property audit")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--dump", help="where to write a counterexample gate on failure"
-    )
+    p.add_argument("--dump", help="where to write a counterexample gate on failure")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("list-gates", help="list catalog gates with their coordinates")

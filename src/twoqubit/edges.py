@@ -102,48 +102,27 @@ def _stack(*columns) -> np.ndarray:
 
 
 def _a2a1_s(t: np.ndarray) -> np.ndarray:
-    return _stack(
-        np.cos(t) / 2,
-        (1 + np.sin(t)) / 2,
-        (1 - np.sin(t)) / 2,
-        np.cos(t) / 2,
-    )
+    return _stack(np.cos(t) / 2, (1 + np.sin(t)) / 2, (1 - np.sin(t)) / 2, np.cos(t) / 2)
 
 
 def _oa3_s(t: np.ndarray) -> np.ndarray:
-    return _stack(
-        np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2,
-        np.sin(_PI * t / 2) / 2,
-        np.sin(_PI * t / 2) / 2,
-        np.sin(_PI * t / 2) / 2,
-    )
+    s = np.sin(_PI * t / 2) / 2
+    return _stack(np.sqrt(1 + 3 * np.cos(_PI * t / 2) ** 2) / 2, s, s, s)
 
 
 def _lq_s(t: np.ndarray) -> np.ndarray:
-    return _stack(
-        (np.cos(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-        (np.cos(t / 2) ** 2 - np.sin(t) / 2) / np.sqrt(2),
-        (np.sin(t / 2) ** 2 + np.sin(t) / 2) / np.sqrt(2),
-        (np.sin(t) / 2 - np.sin(t / 2) ** 2) / np.sqrt(2),
-    )
+    c, s, h, r = np.cos(t / 2) ** 2, np.sin(t / 2) ** 2, np.sin(t) / 2, np.sqrt(2)
+    return _stack((c + h) / r, (c - h) / r, (s + h) / r, (h - s) / r)
 
 
 def _qp_s(t: np.ndarray) -> np.ndarray:
-    return _stack(
-        np.sqrt(_C8**4 * np.cos(t / 2) ** 2 + _S8**4 * np.sin(t / 2) ** 2),
-        1 / (2 * np.sqrt(2)),
-        1 / (2 * np.sqrt(2)),
-        np.sqrt(_S8**4 * np.cos(t / 2) ** 2 + _C8**4 * np.sin(t / 2) ** 2),
-    )
+    c, s, mid = np.cos(t / 2) ** 2, np.sin(t / 2) ** 2, 1 / (2 * np.sqrt(2))
+    return _stack(np.sqrt(_C8**4 * c + _S8**4 * s), mid, mid, np.sqrt(_S8**4 * c + _C8**4 * s))
 
 
 def _a2p_s(t: np.ndarray) -> np.ndarray:
-    return _stack(
-        np.sqrt(1 + np.sin(t) ** 2 + np.sin(2 * t)) / 2,
-        np.cos(t) / 2,
-        np.cos(t) / 2,
-        np.sqrt(1 + np.sin(t) ** 2 - np.sin(2 * t)) / 2,
-    )
+    a, b = 1 + np.sin(t) ** 2, np.sin(2 * t)
+    return _stack(np.sqrt(a + b) / 2, np.cos(t) / 2, np.cos(t) / 2, np.sqrt(a - b) / 2)
 
 
 # The fifteen edges, built once: the six tetrahedron edges, then the nine

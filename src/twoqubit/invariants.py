@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gates import Q_MAGIC
-from .linops import DEFAULT_TOL, as_finite, as_triple, refuse_rows
+from .linops import DEFAULT_TOL, as_finite, as_triple, real_planes, real_table, refuse_rows
 
 __all__ = [
     "invariants_from_unitary",
@@ -58,19 +58,28 @@ def _det(u: np.ndarray) -> np.ndarray:
     return t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3] + t[..., 4] + t[..., 5]
 
 
+# U_B[j, k] = sum_ab Q_aj Q_bk U[a, b]; sqrt2 Q_MAGIC rounds to entries 0, +-1 and
+# +-i, so every coefficient of the table is exactly 0, +-1/2 or +-i/2
+_Q2 = np.round(np.sqrt(2) * Q_MAGIC)
+_BELL = real_table(np.einsum("aj,bk->jkab", _Q2, _Q2).reshape(16, 16) / 2)
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+
+
 def bell_matrix_array(u: np.ndarray):
     """det(U) and M(U) = U_B^T U_B for a stack of unitaries, shape (..., 4, 4),
     where U_B = Q^T U Q (the transpose of Q, not its adjoint) is U in the Bell basis.
 
-    det(U) is the closed form of ``_det``, with no LAPACK call. Each product with
-    Q is one (4N, 4) @ (4, 4) product over the flattened stack, not one per gate:
-    Q^T U is taken as (U^T Q)^T. Its entries are the same sums as those of
-    ``Q_MAGIC.T @ u @ Q_MAGIC``; the tests hold them, and each gate's det(U),
-    equal bit for bit to those of the gate alone."""
-    det, shape = _det(u), u.shape
-    qu = (u.swapaxes(-1, -2).reshape(-1, 4) @ Q_MAGIC).reshape(shape).swapaxes(-1, -2)
-    ub = (qu.reshape(-1, 4) @ Q_MAGIC).reshape(shape)
-    return det, ub.swapaxes(-1, -2) @ ub
+    det(U) is the closed form of ``_det``, with no LAPACK call. U_B's planes Br, Bi are
+    one real product with the exact table ``_BELL``, rounded only in its additions; then
+    Re M = [Br; Bi]^T [Br; -Bi] and Im M = R + R^T, R = Br^T Bi, so M is symmetric bit for
+    bit. Each gate's det(U) and M(U) equal those of the gate alone bit for bit."""
+    det, b = _det(u), real_planes(u, _BELL)
+    m = np.empty(b.shape[:-3] + (4, 4), dtype=complex)
+    y = np.multiply(b, _SIGNS, out=m.view(float).reshape(b.shape))  # [Br; -Bi] in m's memory
+    m.real = b.reshape(m.shape[:-2] + (8, 4)).swapaxes(-1, -2) @ y.reshape(m.shape[:-2] + (8, 4))
+    r = b[..., 0, :, :].swapaxes(-1, -2) @ b[..., 1, :, :]
+    np.add(r, r.swapaxes(-1, -2), out=m.imag)
+    return det, m
 
 
 def invariants_from_bell_array(det: np.ndarray, m: np.ndarray):

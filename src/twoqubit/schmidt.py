@@ -5,10 +5,12 @@ single-qubit factors. Gates in one local class share their coefficients, the
 |z_l| of the closed-form two-sided Pauli expansion at the canonical
 coordinates, which ``ClassData`` takes. Realigning U into a 4x4 matrix R with
 singular values 2 s_l gives them numerically: ``schmidt_decompose`` takes the
-SVD of R for its factors, and the audit's witness ``schmidt_coefficients_array``
-takes the eigenvalues 4 s_l^2 of R^dag R, with the SVD kept for rows whose
-smallest coefficient is too small for them. Normalization is chosen so
-that sum s_l^2 = 1 for unitaries, making s_l^2 a probability distribution; its
+SVD of R for its factors. The audit's witness ``schmidt_coefficients_array`` writes
+U as C in the quaternion basis {I, i sx, i sy, i sz} / sqrt2, where local unitaries act
+by real rotations, so C = O1 diag(2 z) O2^T with O1, O2 real orthogonal; it takes the
+eigenvalues 4 s_l^2 of the real C^dag C, with the SVD kept for rows whose smallest
+coefficient is too small for them. Normalization is chosen so that sum s_l^2 = 1
+for unitaries, making s_l^2 a probability distribution; its
 Shannon entropy (base 2) is the Schmidt strength, an entanglement measure for
 the operator itself ranging from 0 (local gates) to 2. This module reads
 gates and builds none: the controlled-unitary normal form is
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linops import DEFAULT_TOL, as_finite, as_triple, refuse_rows
+from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linops import DEFAULT_TOL, as_finite, as_triple, real_planes, real_table, refuse_rows
 
 __all__ = [
     "SchmidtData",
@@ -101,23 +104,32 @@ def _realign(u: np.ndarray) -> np.ndarray:
     return v.reshape(u.shape[:-2] + (4, 4))
 
 
+# C[l, m] = tr((P_l x P_m)^dag U) in the quaternion basis P = {I, i sx, i sy, i sz} / sqrt2,
+# the realignment folded in; every coefficient is exactly 0, +-1/2 or +-i/2
+_QUATERNIONS = np.array([IDENTITY2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z]).conj()
+_SCHMIDT = real_table(np.einsum("lac,mbd->lmabcd", _QUATERNIONS, _QUATERNIONS).reshape(16, 16) / 2)
+
+
 def schmidt_coefficients_array(u: np.ndarray) -> np.ndarray:
-    """Schmidt coefficients, descending, for a stack of 4x4 unitaries: half the
-    square roots of the eigenvalues of R^dag R for the realigned R. Their error
-    grows like 1.5e-16 / s4, so rows whose smallest coefficient is below
-    ``svd_fallback_tol`` take half the singular values of R instead, as
-    ``schmidt_decompose`` does.
+    """Schmidt coefficients, descending, for a stack of 4x4 unitaries: half the square
+    roots of the eigenvalues of the real Re(C^dag C) = [Cr; Ci]^T [Cr; Ci], C = Cr + i Ci
+    from the exact table ``_SCHMIDT``. Their error grows like 1.5e-16 / s4, so rows with
+    s4 below ``svd_fallback_tol``, or a discarded Im(C^dag C) = Cr^T Ci - Ci^T Cr above
+    ``imag_residue_tol``, take half the singular values of the realigned U instead.
 
     Raises:
         numpy.linalg.LinAlgError: if ``eigvalsh`` or a fallback SVD does not converge.
     """
-    r = _realign(np.asarray(u, dtype=complex))
-    w = np.linalg.eigvalsh(np.swapaxes(r, -1, -2).conj() @ r)
-    # rounding can leave the smallest eigenvalue below 0; its row falls back
+    u = np.asarray(u, dtype=complex)
+    x = real_planes(u, _SCHMIDT).reshape(u.shape[:-2] + (8, 4))  # [Cr; Ci]
+    w = np.linalg.eigvalsh(x.swapaxes(-1, -2) @ x.copy())  # a copy skips numpy's slower syrk
+    p = x[..., :4, :].swapaxes(-1, -2) @ x[..., 4:, :]
+    im = np.abs(p - p.swapaxes(-1, -2)).max(axis=(-2, -1))
+    # rounding can leave the smallest eigenvalue below 0; its row falls back, as a NaN row does
     s = np.sqrt(np.maximum(w[..., ::-1], 0.0)) / 2.0
-    fallback = ~(s[..., 3] >= DEFAULT_TOL.svd_fallback_tol)  # a NaN row falls back too
+    fallback = ~((s[..., 3] >= DEFAULT_TOL.svd_fallback_tol) & (im <= DEFAULT_TOL.imag_residue_tol))
     if fallback.any():
-        s[fallback] = np.linalg.svd(r[fallback], compute_uv=False) / 2.0
+        s[fallback] = np.linalg.svd(_realign(u[fallback]), compute_uv=False) / 2.0
     return s
 
 

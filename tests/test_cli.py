@@ -41,22 +41,22 @@ TABLES_FAULT_OUT = (
 TABLES_FAULT_ERR = "FAIL: edge A2A3 deviates by 5.000e-03 at parameter 0.589048623\n"
 AUDIT_FAULT_OUT = (
     "audit: samples=5 seed=1\n"
-    "  three-route invariant consistency: max deviation 1.332e-06 (tol 1e-08)  FAIL\n"
-    "  local invariance of schmidt coefficients: max deviation 4.441e-16 (tol 1e-09)  PASS\n"
+    "  three-route invariant consistency: max deviation 4.441e-07 (tol 1e-08)  FAIL\n"
+    "  local invariance of schmidt coefficients: max deviation 5.551e-16 (tol 1e-09)  PASS\n"
     "  schmidt number unchanged by local operations: histogram {4: 5}  PASS\n"
     "  perfect-entangler fraction: fraction 0.6000 (expected 0.8488 +/- 0.6408)  PASS\n"
     "audit: FAIL\n"
 )
 COUNTEREXAMPLE = (
-    "[[[0.3008559315235962, -0.42599898702530936], [0.4945425213405801, -0.325112663091667"
-    "75], [0.39596587159870517, -0.07599678628051182], [0.3209916349741927, 0.334872975447"
-    "00695]], [[0.3707328745128757, -0.20536928923219366], [-0.1651701074292601, 0.0974295"
-    "553489898], [0.5343023136106314, 0.02385403542482162], [-0.2217569186821747, -0.66961"
-    "3918488]], [[0.4633663590983916, -0.16205800283213662], [0.08470949635940254, -0.4846"
-    "0568820496247], [-0.6068504964342247, 0.1229998458568467], [-0.3308382176250861, -0.1"
-    "5543498903166533]], [[0.02741396941030163, -0.5537765411890379], [0.1436221992418452,"
-    " 0.591869969090101], [-0.40565936447632844, 0.0585792845447795], [0.33833838664157595"
-    ", -0.19793611050981605]]]\n"
+    "[[[0.19306338383049249, 0.4331408787958501], [0.7293470359337516, -0.3139574711706128]"
+    ", [-0.0005154758119464219, -0.2837864455956123], [-0.2301322913755378, 0.1053718769777"
+    "9625]], [[0.5057843246427561, 0.4937358418403561], [-0.15899682214329852, 0.2419144950"
+    "7032808], [-0.29494217122126953, -0.0033340808867478836], [0.3004272112227036, -0.4892"
+    "3002089808365]], [[0.20367129653222005, 0.24892324363401921], [0.07407185696239986, 0."
+    "27406265710263394], [-0.09729521126104261, 0.613854259196737], [0.04297204986416829, 0"
+    ".6540858009449181]], [[-0.41142598920057977, -0.05297661300679826], [0.346586638528667"
+    "83, -0.2914819326740334], [-0.41023770922163777, 0.5271476068285782], [0.2460545551028"
+    "6792, -0.3407575344189424]]]\n"
 )
 
 

@@ -15,7 +15,7 @@ from twoqubit import (
     make_gate,
 )
 from twoqubit.gates import PAULI_BASIS, Q_MAGIC
-from twoqubit.invariants import bell_matrix_array
+from twoqubit.invariants import bell_matrix_array, invariants_from_unitary
 from twoqubit.sampling import haar_unitary
 
 EPS = np.finfo(float).eps
@@ -95,16 +95,38 @@ def _bits_equal(a, b) -> bool:
     return np.array_equal(a.real, b.real) and np.array_equal(a.imag, b.imag)
 
 
-@pytest.mark.parametrize("n", [1, 7, 4097])
+@pytest.mark.parametrize("n", [1, 7, 1024, 4097])
 def test_bell_transform_of_a_stack_is_the_per_gate_product_bit_for_bit(n):
-    # the stack is flattened into one product with Q per side; each gate
-    # still gets exactly the entries of its own Q^T U Q and the det(U) it
-    # gets alone
+    # the stack is one real product with the exact table; each gate still gets
+    # the det(U) and M(U) it gets alone, M is symmetric bit for bit, and it
+    # agrees with the complex product (Q^T U Q)^T (Q^T U Q) to rounding
     u = haar_unitary(np.random.default_rng(n), 4, n)
     det, m = bell_matrix_array(u)
+    singles = [bell_matrix_array(g) for g in u]
+    assert _bits_equal(m, np.stack([m_i for _, m_i in singles]))
+    assert _bits_equal(det, np.stack([det_i for det_i, _ in singles]))
+    assert _bits_equal(m, np.swapaxes(m, -1, -2))
     ub = [Q_MAGIC.T @ g @ Q_MAGIC for g in u]
-    assert _bits_equal(m, np.stack([b.T @ b for b in ub]))
-    assert _bits_equal(det, np.stack([bell_matrix_array(g)[0] for g in u]))
+    assert np.max(np.abs(m - np.stack([b.T @ b for b in ub]))) <= 2e-15
+
+
+def test_bell_table_is_exact():
+    # every coefficient of U_B = Q^T U Q is 0, +-1/2 or +-i/2: the basis matrix
+    # E_ab maps to the exact U_B[j, k] = Q_aj Q_bk, whose M(U) has no rounding
+    q = np.round(np.sqrt(2) * Q_MAGIC)
+    for a, b in itertools.product(range(4), repeat=2):
+        e = np.zeros((4, 4), dtype=complex)
+        e[a, b] = 1.0
+        ub = np.outer(q[a], q[b]) / 2
+        assert _bits_equal(bell_matrix_array(e)[1], ub.T @ ub), (a, b)
+
+
+def test_catalog_invariants_are_exact():
+    # entries 0, +-1, +-i and (1 +- i)/2 pass through the exact table unrounded
+    expected = {"identity": (1, 3), "cnot": (0, 1), "cz": (0, 1), "swap": (-1, -3),
+                "dcnot": (0, -1), "iswap": (0, -1), "sqrt_swap": (-0.25j, 0)}
+    for name, (g1, g2) in expected.items():
+        assert invariants_from_unitary(catalog(name)) == (g1, g2), name
 
 
 def test_bell_transform_determinant_of_signed_permutations_is_exact():

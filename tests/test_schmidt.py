@@ -17,10 +17,12 @@ from twoqubit import (
     schmidt_strength,
     z_from_point,
 )
-from twoqubit.linops import DEFAULT_TOL, kron
+from twoqubit.linops import DEFAULT_TOL, kron, real_planes
 from twoqubit.sampling import haar_unitary, random_local_unitary
 from twoqubit.canonical import ClassData, canonical_gates_array
 from twoqubit.schmidt import (
+    _SCHMIDT,
+    _realign,
     schmidt_coefficients_array,
     schmidt_number_from_coefficients,
     schmidt_numbers_array,
@@ -384,7 +386,7 @@ def test_svd_failure_on_a_fallback_row_raises(rng, monkeypatch):
         schmidt_coefficients_array(u)
 
 
-@pytest.mark.parametrize("n", [1, 7, 4097])
+@pytest.mark.parametrize("n", [1, 7, 1024, 4097])
 def test_stack_coefficients_equal_the_per_gate_ones_bit_for_bit(n):
     # the first five rows are near-line gates, which take the SVD
     rng = np.random.default_rng(n)
@@ -392,3 +394,47 @@ def test_stack_coefficients_equal_the_per_gate_ones_bit_for_bit(n):
     u = np.concatenate([near, haar_unitary(rng, 4, n)])[:n]
     assert np.array_equal(schmidt_coefficients_array(u),
                           np.array([schmidt_coefficients_array(g) for g in u]))
+
+
+def _quaternion_matrix(u) -> np.ndarray:
+    """C = Cr + i Ci, u (..., 4, 4) in the quaternion basis, as the kernel forms it."""
+    c = real_planes(u, _SCHMIDT)
+    return c[..., 0, :, :] + 1j * c[..., 1, :, :]
+
+
+def test_quaternion_matrix_of_a_canonical_core_is_diagonal(rng):
+    # sigma_l x sigma_l = -(i sigma_l) x (i sigma_l) for l >= 1, so the core
+    # sum_l z_l sigma_l x sigma_l is C = diag(2 z0, -2 z1, -2 z2, -2 z3)
+    points = rng.uniform(-PI, PI, (500, 3))
+    c = _quaternion_matrix(canonical_gates_array(points))
+    z = z_from_point_array(points)
+    assert np.max(np.abs(c - np.eye(4) * c)) <= 1e-15
+    assert np.max(np.abs(np.abs(np.diagonal(c, axis1=-2, axis2=-1)) / 2 - np.abs(z))) <= 1e-15
+    assert np.max(np.abs(np.diagonal(c, axis1=-2, axis2=-1) - 2 * z * [1, -1, -1, -1])) <= 1e-15
+
+
+def test_discarded_imaginary_gram_is_rounding_on_dressed_haar_gates(rng):
+    # local unitaries act on C by real rotations, so C^dag C is real: the
+    # kernel drops Im(C^dag C) = Cr^T Ci - Ci^T Cr, which stays at rounding
+    n = 2000
+    u = (np.exp(2j * PI * rng.random(n))[:, None, None] * random_local_unitary(rng, n)
+         @ haar_unitary(rng, 4, n) @ random_local_unitary(rng, n))
+    c = _quaternion_matrix(u)
+    assert np.max(np.abs((np.swapaxes(c, -1, -2).conj() @ c).imag)) <= 1e-15
+
+
+def test_a_non_unitary_stack_gets_the_svd_coefficients(rng, monkeypatch):
+    # a kron of non-unitary factors has s4 = 0; a Ginibre matrix has s4 above
+    # svd_fallback_tol, but a complex C^dag C. Both rows take the realigned SVD
+    a, b = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+    ginibre = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / 4
+    u = np.stack([kron(a, b), ginibre, haar_unitary(rng)])
+    expected = np.linalg.svd(_realign(u), compute_uv=False) / 2
+    assert expected[1, 3] > DEFAULT_TOL.svd_fallback_tol
+    c = _quaternion_matrix(u)
+    assert np.max(np.abs((np.swapaxes(c, -1, -2).conj() @ c).imag[1])) > 1e-2
+    rows = _count_svd_rows(monkeypatch)
+    s = schmidt_coefficients_array(u)
+    assert rows == [2]
+    assert np.array_equal(s[:2], expected[:2])
+    assert np.max(np.abs(s[2] - expected[2])) <= 1e-14

@@ -35,6 +35,7 @@ from twoqubit.canonical import (
     weyl_reduce_array,
 )
 from twoqubit.cli import report_text
+from twoqubit.gates import SIGMA_X, SIGMA_Y, SIGMA_Z
 from twoqubit.invariants import invariants_from_point
 from twoqubit.sampling import haar_unitary, random_local_unitary
 from twoqubit.schmidt import (
@@ -518,3 +519,23 @@ def test_row_norm_decided_at_unitarity_tol(sign, side):
         else:
             with pytest.raises(ValidationError, match=r"not normalized .+ \(unitarity_tol\)$"):
                 site(row)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_gram_imaginary_residue_decided_at_imag_residue_tol(side):
+    # imag_residue_tol (1e-9) in schmidt_coefficients_array: the gate whose
+    # quaternion-basis matrix is C = diag(2 s) + i eps E_01 has the discarded
+    # Im(C^dag C) = 2 s1 eps (E_01 - E_10), planted at the tol times (1 -+ EPS);
+    # s4 = 0.3 keeps svd_fallback_tol out of the decision
+    s = np.array([0.7, 0.5, 0.4, 0.3])
+    eps = DEFAULT_TOL.imag_residue_tol * (1 + side * EPS) / (2 * s[0])
+    c = np.diag(2 * s).astype(complex)
+    c[0, 1] = 1j * eps
+    q = np.array([np.eye(2), 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z])  # sqrt2 times the basis
+    u = np.einsum("lm,lac,mbd->abcd", c, q, q).reshape(4, 4) / 2  # sum_lm C_lm P_l x P_m
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting_svd(mp, rows)
+        coefficients = schmidt_coefficients_array(u[None])
+    assert rows == ([] if side < 0 else [1])
+    assert np.max(np.abs(coefficients[0] - s)) <= 1e-14

@@ -66,7 +66,8 @@ def test_large_audit_step_requires_a_pass():
     assert 'tail -n 1 <<< "$out" | grep -qx "audit: PASS"' in run
 
 
-@pytest.mark.parametrize("line, bound", [("local invariance of schmidt coefficients", "1e-13")])
+@pytest.mark.parametrize("line, bound", [("local invariance of schmidt coefficients", "1e-13"),
+                                         ("three-route invariant consistency", "1e-13")])
 def test_large_audit_step_bounds_a_deviation(line, bound):
     run = _steps()["Smoke, a 100000-sample audit passes"]["run"]
     assert f"re.search(r'{line}: max deviation (\\S+)', sys.stdin.read())" in run
