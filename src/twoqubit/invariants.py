@@ -75,7 +75,7 @@ def bell_matrix_array(u: np.ndarray):
     bit. Each gate's det(U) and M(U) equal those of the gate alone bit for bit."""
     det, b = _det(u), real_planes(u, _BELL)
     m = np.empty(b.shape[:-3] + (4, 4), dtype=complex)
-    y = np.multiply(b, _SIGNS, out=m.view(float).reshape(b.shape))  # [Br; -Bi] in m's memory
+    y = np.multiply(b, _SIGNS, out=m.view(float).reshape(b.shape))  # [Br; -Bi], in m: no new stack
     m.real = b.reshape(m.shape[:-2] + (8, 4)).swapaxes(-1, -2) @ y.reshape(m.shape[:-2] + (8, 4))
     r = b[..., 0, :, :].swapaxes(-1, -2) @ b[..., 1, :, :]
     np.add(r, r.swapaxes(-1, -2), out=m.imag)
@@ -85,8 +85,8 @@ def bell_matrix_array(u: np.ndarray):
 def invariants_from_bell_array(det: np.ndarray, m: np.ndarray):
     """(G1, G2) from ``bell_matrix_array``'s det(U) and M(U); G2 refused as ``_real_g2``."""
     tr = m.trace(axis1=-2, axis2=-1)
-    # tr(M^2) = sum_ij M_ij M_ji, cheaper than forming M @ M
-    tr_m2 = (m * m.swapaxes(-1, -2)).sum(axis=(-2, -1))
+    # M is symmetric bit for bit, so tr(M^2) = sum_ij M_ij^2, cheaper than forming M @ M
+    tr_m2 = (m * m).sum(axis=(-2, -1))
     g1 = tr**2 / (16 * det)
     return g1, _real_g2((tr**2 - tr_m2) / (4 * det))
 
