@@ -110,17 +110,6 @@ def test_bell_transform_of_a_stack_is_the_per_gate_product_bit_for_bit(n):
     assert np.max(np.abs(m - np.stack([b.T @ b for b in ub]))) <= 2e-15
 
 
-def test_bell_table_is_exact():
-    # every coefficient of U_B = Q^T U Q is 0, +-1/2 or +-i/2: the basis matrix
-    # E_ab maps to the exact U_B[j, k] = Q_aj Q_bk, whose M(U) has no rounding
-    q = np.round(np.sqrt(2) * Q_MAGIC)
-    for a, b in itertools.product(range(4), repeat=2):
-        e = np.zeros((4, 4), dtype=complex)
-        e[a, b] = 1.0
-        ub = np.outer(q[a], q[b]) / 2
-        assert _bits_equal(bell_matrix_array(e)[1], ub.T @ ub), (a, b)
-
-
 def test_catalog_invariants_are_exact():
     # entries 0, +-1, +-i and (1 +- i)/2 pass through the exact table unrounded
     expected = {"identity": (1, 3), "cnot": (0, 1), "cz": (0, 1), "swap": (-1, -3),
