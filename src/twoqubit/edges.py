@@ -183,17 +183,94 @@ def sweep(name: str, n_points: int) -> Sweep:
     return Sweep(**vars(ClassData.from_points(spec.point_fn(params))), name=name, param=params)
 
 
+def _split(v):
+    """Veltkamp's split of doubles v into hi + lo, each of at most 26 significant bits."""
+    c = v * 134217729.0  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+# 10^(14 - e) at index 1 - e, e = floor(log10|x|) in [-5, 1] for 1e-4 <= |x| < 10
+# (one off at most), exact since 5^19 < 2^53, and its two halves
+_POW10 = np.array([float(10**k) for k in range(13, 20)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+_TEN = 10 ** np.arange(15, dtype=np.int64)
+_SEPARATORS = (",", "\n", ",true\n", ",false\n")
+# One %-template per (sign, head, zeros after the head, separator): a head
+# "d." for e = 0 or "0.", "0.0", ... for e = -1 ... -4, then the integer printed
+# by %d; then the bare integers 0 ... 9 (no argument) and the %.15g fallback.
+_TEMPLATES = np.array(
+    [sign + head + "0" * zeros + "%d" + sep for sign in ("", "-")
+     for head in [f"{d}." for d in range(1, 10)] + ["0." + "0" * z for z in range(4)]
+     for zeros in range(14) for sep in _SEPARATORS]
+    + [sign + str(d) + sep for sign in ("", "-") for d in range(10) for sep in _SEPARATORS]
+    + ["%.15g" + sep for sep in _SEPARATORS], dtype=object)
+_BARE = 2 * 13 * 14 * 4
+_FALLBACK = _BARE + 2 * 10 * 4
+
+
+def _digits(x):
+    """(fast, e, m): where ``fast``, m is |x| 10^(14 - e) rounded half-even, the
+    15 digits m in [1e14, 1e15) that %.15g prints at the exponent e in [-4, 0].
+
+    hi + lo = |x| 10^(14 - e) exactly (Dekker's two-product, Numer. Math. 18, 224
+    (1971)). Below 1e15 < 2^50 the ulp of hi is at most 1/8, so a hi that is no
+    half-integer lies at least an ulp from one, farther than |lo|, and rounds as
+    the exact product does; at a half-integer the sign of lo decides, and lo = 0
+    is an exact tie, which rint takes to even, as CPython does. The product,
+    not m, must lie in [1e14, 1e15): that catches a log10 one off near 10^j."""
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 10)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi = a * _POW10[1 - e]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[1 - e], _POW10_LO[1 - e]
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    del a, a_hi, a_lo, p_hi, p_lo
+    m = np.rint(hi)
+    tie = (np.abs(hi - m) == 0.5) & (lo != 0)
+    m[tie] = hi[tie] + np.copysign(0.5, lo[tie])
+    fast &= (m < 1e15) & ((hi > 1e14) | ((hi == 1e14) & (lo >= 0)))
+    return fast, e, m.astype(np.int64)
+
+
 def _csv_rows(columns, flags=None) -> str:
     """CSV rows of equal-length columns, formatted by one %-format call: each
-    row holds the values at 15 significant digits and, if ``flags`` is given,
-    ``true`` or ``false``, put in that row's format; LF line endings."""
+    row holds the values as %.15g prints them and, if ``flags`` is given,
+    ``true`` or ``false``; LF line endings.
+
+    Each value gets a literal template from ``_TEMPLATES``, so that a value
+    with 1e-4 <= |x| < 10 prints as one integer: its exact 15 digits
+    (:func:`_digits`) after the head, trailing zeros dropped. A zero, or a
+    value whose digits after the head are all zero, takes no argument; every
+    other value (|x| < 1e-4, |x| >= 10, non-finite, a carry to 10^(e + 1))
+    keeps %.15g, its float in the same argument list."""
     table = np.column_stack(columns)
-    row = ",".join(["%.15g"] * table.shape[1])
-    if flags is None:
-        rows = (row + "\n") * len(table)
-    else:
-        rows = "".join(np.where(flags, row + ",true\n", row + ",false\n").tolist())
-    return rows % tuple(table.ravel().tolist())
+    x = table.ravel()
+    fast, e, arg = _digits(x)
+    lead = arg // _TEN[14]
+    arg -= lead * _TEN[14] * (e == 0)  # the digits after "d."
+    sign = np.signbit(x)
+    head = np.where(e == 0, lead - 1, 8 - e)
+    zeros = 14 - np.searchsorted(_TEN[:14], arg, "right")  # 0 for e < 0
+    index = ((13 * sign + head) * 14 + zeros) * 4
+    del e, head, zeros
+    bare = (x == 0) | (fast & (arg == 0))
+    index[bare] = _BARE + 4 * (10 * sign + lead * fast)[bare]
+    fallback = ~(fast | bare)
+    index[fallback] = _FALLBACK
+    index.reshape(table.shape)[:, -1] += 1 if flags is None else 3 - np.asarray(flags)
+    strip = np.flatnonzero(fast & ~bare & (arg % 10 == 0))
+    if len(strip):
+        v = arg[strip]
+        arg[strip] = v // _TEN[sum(v % _TEN[j] == 0 for j in range(1, 15))]
+    rows = "".join(_TEMPLATES[index].tolist())
+    del index, lead, sign
+    if fallback.any():
+        arg = arg.astype(object)
+        arg[fallback] = x[fallback]
+    return rows % tuple(arg[~bare].tolist())
 
 
 _SWEEP_HEADER = "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe\n"
