@@ -8,7 +8,10 @@ it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`).
 :func:`write_sweep_csv` writes the same rows as CSV, evaluated ``linops.CHUNK``
 at a time, each chunk (flags included) formatted by one %-format call, keeping
 only the grid and its strengths, which :func:`write_edge_svg` writes as an SVG
-plot a chunk of points at a time.
+plot a chunk of points at a time. The CSV holds what %.15g prints, but a value
+with 1e-4 <= |x| < 10 prints as one integer in a literal template: numpy
+computes its 15 digits exactly (Dekker's two-product, rounded half-even as
+CPython rounds), and every other value keeps %.15g in the same call.
 Sweeps always compute coefficients through the expansion-coefficient engine
 (z_from_point); the closed forms are kept only as an independent oracle,
 checked by :func:`verify_tables`, which reads only the coefficients; it
@@ -185,20 +188,17 @@ def sweep(name: str, n_points: int) -> Sweep:
 
 def _split(v):
     """Veltkamp's split of doubles v into hi + lo, each of at most 26 significant bits."""
-    c = v * 134217729.0  # 2^27 + 1
-    hi = c - (c - v)
+    hi = v * 134217729.0 - (v * 134217729.0 - v)  # 2^27 + 1
     return hi, v - hi
 
 
-# 10^(14 - e) at index 1 - e, e = floor(log10|x|) in [-5, 1] for 1e-4 <= |x| < 10
-# (one off at most), exact since 5^19 < 2^53, and its two halves
+# 10^(14 - e) at index 1 - e for e in [-5, 1], exact since 5^19 < 2^53, and its halves
 _POW10 = np.array([float(10**k) for k in range(13, 20)])
 _POW10_HI, _POW10_LO = _split(_POW10)
 _TEN = 10 ** np.arange(15, dtype=np.int64)
 _SEPARATORS = (",", "\n", ",true\n", ",false\n")
-# One %-template per (sign, head, zeros after the head, separator): a head
-# "d." for e = 0 or "0.", "0.0", ... for e = -1 ... -4, then the integer printed
-# by %d; then the bare integers 0 ... 9 (no argument) and the %.15g fallback.
+# A %d template per (sign, head "d." at e = 0 or "0.", "0.0", ... at e = -1 ... -4,
+# zeros after the head, separator); then the bare digits 0-9 and the fallback
 _TEMPLATES = np.array(
     [sign + head + "0" * zeros + "%d" + sep for sign in ("", "-")
      for head in [f"{d}." for d in range(1, 10)] + ["0." + "0" * z for z in range(4)]
@@ -210,19 +210,17 @@ _FALLBACK = _BARE + 2 * 10 * 4
 
 
 def _digits(x):
-    """(fast, e, m): where ``fast``, m is |x| 10^(14 - e) rounded half-even, the
-    15 digits m in [1e14, 1e15) that %.15g prints at the exponent e in [-4, 0].
-
-    hi + lo = |x| 10^(14 - e) exactly (Dekker's two-product, Numer. Math. 18, 224
-    (1971)). Below 1e15 < 2^50 the ulp of hi is at most 1/8, so a hi that is no
-    half-integer lies at least an ulp from one, farther than |lo|, and rounds as
-    the exact product does; at a half-integer the sign of lo decides, and lo = 0
-    is an exact tie, which rint takes to even, as CPython does. The product,
-    not m, must lie in [1e14, 1e15): that catches a log10 one off near 10^j."""
+    """(fast, e, m): where ``fast``, m in [1e14, 1e15) is |x| 10^(14 - e) rounded
+    half-even, the 15 digits that %.15g prints for x at the exponent e in [-4, 0]."""
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 10)
     a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
+    e = np.floor(np.log10(a)).astype(np.intp)  # may be one off next to 10^j
+    # hi + lo is the product exactly (Dekker's two-product, Numer. Math. 18, 224
+    # (1971)). Below 1e15 < 2^50 the ulp of hi is at most 1/8, so a hi that is no
+    # half-integer lies farther than |lo| from one and rounds as the product does;
+    # at a half-integer the sign of lo decides, and lo = 0 is a true tie, which rint
+    # takes to even, as CPython does. The product, not m, must lie in [1e14, 1e15).
     hi = a * _POW10[1 - e]
     a_hi, a_lo = _split(a)
     p_hi, p_lo = _POW10_HI[1 - e], _POW10_LO[1 - e]
@@ -236,26 +234,21 @@ def _digits(x):
 
 
 def _csv_rows(columns, flags=None) -> str:
-    """CSV rows of equal-length columns, formatted by one %-format call: each
-    row holds the values as %.15g prints them and, if ``flags`` is given,
-    ``true`` or ``false``; LF line endings.
-
-    Each value gets a literal template from ``_TEMPLATES``, so that a value
-    with 1e-4 <= |x| < 10 prints as one integer: its exact 15 digits
-    (:func:`_digits`) after the head, trailing zeros dropped. A zero, or a
-    value whose digits after the head are all zero, takes no argument; every
-    other value (|x| < 1e-4, |x| >= 10, non-finite, a carry to 10^(e + 1))
-    keeps %.15g, its float in the same argument list."""
+    """CSV rows of equal-length columns, formatted by one %-format call as %.15g
+    prints each value, with ``true`` or ``false`` after each row if ``flags`` is
+    given; LF line endings. A value with 1e-4 <= |x| < 10 prints its exact digits
+    (:func:`_digits`), trailing zeros dropped, as one %d in a ``_TEMPLATES`` entry;
+    a zero or a digit alone takes no argument, and every other value (tiny, 10 or
+    more, non-finite, or carried to the next decade) keeps %.15g in the same call."""
     table = np.column_stack(columns)
     x = table.ravel()
     fast, e, arg = _digits(x)
     lead = arg // _TEN[14]
     arg -= lead * _TEN[14] * (e == 0)  # the digits after "d."
     sign = np.signbit(x)
-    head = np.where(e == 0, lead - 1, 8 - e)
     zeros = 14 - np.searchsorted(_TEN[:14], arg, "right")  # 0 for e < 0
-    index = ((13 * sign + head) * 14 + zeros) * 4
-    del e, head, zeros
+    index = ((13 * sign + np.where(e == 0, lead - 1, 8 - e)) * 14 + zeros) * 4
+    del e, zeros
     bare = (x == 0) | (fast & (arg == 0))
     index[bare] = _BARE + 4 * (10 * sign + lead * fast)[bare]
     fallback = ~(fast | bare)

@@ -1,16 +1,19 @@
 import dataclasses
 import re
+from fractions import Fraction
 from itertools import zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twoqubit import ValidationError, edge, edge_names, emit_figure_data, figure_svg, sweep, verify_tables
 from twoqubit import svgplot
 from twoqubit.canonical import (POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData,
                                 canonical_gates_array)
-from twoqubit.edges import (FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, Sweep, write_edge_svg,
-                            write_sweep_csv)
+from twoqubit.edges import (FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, Sweep, _csv_rows,
+                            write_edge_svg, write_sweep_csv)
 from twoqubit.linops import CHUNK
 from twoqubit.schmidt import schmidt_strength
 
@@ -260,12 +263,16 @@ def test_sweep_csv_format(tmp_path):
     assert "\r" not in text
 
 
-def _per_value_csv(header, columns, flags=None):
-    """The CSV as formatted one value at a time: the oracle for the block renderer."""
+def _per_value_rows(columns, flags=None):
+    """CSV rows formatted one value at a time: the oracle for the block renderer."""
     rows = [",".join(f"{x:.15g}" for x in row) for row in np.column_stack(columns).tolist()]
     if flags is not None:
         rows = [row + ("," + ("true" if pe else "false")) for row, pe in zip(rows, flags)]
-    return "\n".join([header, *rows]) + "\n"
+    return "".join(row + "\n" for row in rows)
+
+
+def _per_value_csv(header, columns, flags=None):
+    return header + "\n" + _per_value_rows(columns, flags)
 
 
 def _first_difference(got, expected):
@@ -316,6 +323,93 @@ def test_figure_csv_equals_the_per_value_oracle(figure):
     strengths = [ClassData.from_points(edge(name).point_fn(params)).strength for name in names]
     expected = _per_value_csv("param," + ",".join(names), [params, *strengths])
     assert _first_difference(emit_figure_data(figure, 4097), expected) is None
+
+
+def _assert_rows_equal_the_oracle(values, width=1):
+    """_csv_rows of ``values`` laid out as rows of ``width`` columns, without
+    flags and with alternating ones, against the per-value oracle."""
+    table = np.asarray(values, dtype=float).reshape(-1, width)
+    columns = list(table.T)
+    flags = np.arange(len(table)) % 2 == 0
+    for rows_flags in (None, flags):
+        assert _first_difference(_csv_rows(columns, rows_flags),
+                                 _per_value_rows(columns, rows_flags)) is None
+
+
+_ROWS = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width, max_size=width),
+    min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ROWS)
+@example([[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-4, 9.999999999999999]])
+def test_csv_rows_equal_the_per_value_oracle_on_any_double(rows):
+    _assert_rows_equal_the_oracle(rows, width=len(rows[0]))
+
+
+def _ulp_neighbours(x, count=60):
+    """x and its ``count`` nearest doubles on each side."""
+    below = [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+    above = [x]
+    for _ in range(count):
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+@pytest.mark.parametrize("j", range(-6, 3))
+def test_csv_rows_near_powers_of_ten(j):
+    # where log10 may be one off and the 15 digits may carry to the next decade
+    near = np.array(_ulp_neighbours(10.0**j))
+    _assert_rows_equal_the_oracle(np.stack([near, -near], axis=-1), width=2)
+
+
+@pytest.mark.parametrize("shift", [-4e-15, 4e-15])
+def test_csv_rows_near_powers_of_ten_with_log10_off(monkeypatch, shift):
+    # a log10 a few ulps off puts the values next to 10^j in the wrong decade;
+    # the exact product, not its rounded digits, must send them to %.15g
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    near = np.array([_ulp_neighbours(10.0**j) for j in range(-4, 2)]).ravel()
+    _assert_rows_equal_the_oracle(np.stack([near, -near], axis=-1), width=2)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-4, 2.0**-10])
+def test_csv_rows_on_dyadic_ties(scale):
+    # 1 + k/2^17 times 10^14 is an exact tie x.5 for k = 4 mod 8: the digits
+    # round half-even, as CPython rounds
+    values = (1 + np.arange(0, 9 * 2**17, 4) / 2**17) * scale
+    assert (Fraction(1 + 4 / 2**17) * 10**14).denominator == 2
+    _assert_rows_equal_the_oracle(values, width=4)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
+def test_csv_rows_just_below_a_decade(scale):
+    # 1 - r 1e-14 rounds to a string of nines or carries to 1 at 15 digits
+    r = np.arange(2000, dtype=float)
+    _assert_rows_equal_the_oracle((1 - r * 1e-14) * scale, width=4)
+
+
+@pytest.mark.parametrize("gate", [1e-4, 10.0])
+def test_csv_rows_at_the_gates(gate):
+    # just inside and just outside the range printed as integers, in ulps and
+    # in steps of the 15th digit
+    steps = gate * (1 + np.arange(-200, 201) * 1e-16)
+    _assert_rows_equal_the_oracle(np.concatenate([_ulp_neighbours(gate), steps]), width=2)
+
+
+def test_csv_rows_take_every_route_in_one_call():
+    # zeros, a tiny value, values of 10 and above and non-finite ones keep
+    # their literal or %.15g route, beside digit templates with and without
+    # leading and trailing zeros
+    values = [0.0, -0.0, 2.5e-05, -3e-300, 12.5, -1e20, 10.0, np.inf, -np.inf, np.nan,
+              1.5, -2.0, 0.0001, 0.000123, 1.00000000000001, -0.25]
+    expected = ("0\n-0\n2.5e-05\n-3e-300\n12.5\n-1e+20\n10\ninf\n-inf\nnan\n"
+                "1.5\n-2\n0.0001\n0.000123\n1.00000000000001\n-0.25\n")
+    assert _csv_rows([np.array(values)]) == expected == _per_value_rows([np.array(values)])
+    _assert_rows_equal_the_oracle(values, width=4)
 
 
 def _per_point_polylines(series):

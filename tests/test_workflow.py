@@ -89,6 +89,16 @@ def test_million_row_sweep_step_bounds_the_svg_peak():
     assert "test $((svg * 100)) -le $((plain * 115))" in run
 
 
+def test_million_row_sweep_csv_step_compares_a_per_value_rendering():
+    from twoqubit.edges import _SWEEP_HEADER
+
+    run = _steps()["Smoke, a million-row sweep CSV equals its values formatted one at a time"]["run"]
+    assert "python -m twoqubit sweep PN --n 1000001 --out pn.csv\n" in run
+    assert "sw = twoqubit.sweep('PN', 1000001)" in run and "f'{x:.15g}' for x in row.tolist()" in run
+    assert f"sys.stdout.write({_SWEEP_HEADER!r})" in run
+    assert run.endswith("> oracle.csv\ncmp pn.csv oracle.csv\n")
+
+
 def test_verify_tables_smoke_step_spans_many_chunks():
     from twoqubit.linops import CHUNK
 
