@@ -36,6 +36,7 @@ parameter:
 """
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from typing import Callable
@@ -197,16 +198,21 @@ _POW10 = np.array([float(10**k) for k in range(13, 20)])
 _POW10_HI, _POW10_LO = _split(_POW10)
 _TEN = 10 ** np.arange(15, dtype=np.int64)
 _SEPARATORS = (",", "\n", ",true\n", ",false\n")
-# A %d template per (sign, head "d." at e = 0 or "0.", "0.0", ... at e = -1 ... -4,
-# zeros after the head, separator); then the bare digits 0-9 and the fallback
-_TEMPLATES = np.array(
-    [sign + head + "0" * zeros + "%d" + sep for sign in ("", "-")
-     for head in [f"{d}." for d in range(1, 10)] + ["0." + "0" * z for z in range(4)]
-     for zeros in range(14) for sep in _SEPARATORS]
-    + [sign + str(d) + sep for sign in ("", "-") for d in range(10) for sep in _SEPARATORS]
-    + ["%.15g" + sep for sep in _SEPARATORS], dtype=object)
 _BARE = 2 * 13 * 14 * 4
 _FALLBACK = _BARE + 2 * 10 * 4
+
+
+@functools.cache
+def _templates() -> np.ndarray:
+    """A %d template per (sign, head "d." at e = 0 or "0.", "0.0", ... at e = -1 ... -4,
+    zeros after the head, separator), then the bare digits 0-9 and the fallback; built
+    at the first CSV, so that commands that write none hold none of it."""
+    return np.array(
+        [sign + head + "0" * zeros + "%d" + sep for sign in ("", "-")
+         for head in [f"{d}." for d in range(1, 10)] + ["0." + "0" * z for z in range(4)]
+         for zeros in range(14) for sep in _SEPARATORS]
+        + [sign + str(d) + sep for sign in ("", "-") for d in range(10) for sep in _SEPARATORS]
+        + ["%.15g" + sep for sep in _SEPARATORS], dtype=object)
 
 
 def _digits(x):
@@ -237,7 +243,7 @@ def _csv_rows(columns, flags=None) -> str:
     """CSV rows of equal-length columns, formatted by one %-format call as %.15g
     prints each value, with ``true`` or ``false`` after each row if ``flags`` is
     given; LF line endings. A value with 1e-4 <= |x| < 10 prints its exact digits
-    (:func:`_digits`), trailing zeros dropped, as one %d in a ``_TEMPLATES`` entry;
+    (:func:`_digits`), trailing zeros dropped, as one %d in a :func:`_templates` entry;
     a zero or a digit alone takes no argument, and every other value (tiny, 10 or
     more, non-finite, or carried to the next decade) keeps %.15g in the same call."""
     table = np.column_stack(columns)
@@ -258,7 +264,7 @@ def _csv_rows(columns, flags=None) -> str:
     if len(strip):
         v = arg[strip]
         arg[strip] = v // _TEN[sum(v % _TEN[j] == 0 for j in range(1, 15))]
-    rows = "".join(_TEMPLATES[index].tolist())
+    rows = "".join(_templates()[index].tolist())
     del index, lead, sign
     if fallback.any():
         arg = arg.astype(object)
