@@ -259,6 +259,7 @@ def _csv_rows(columns, flags=None) -> str:
     index[bare] = _BARE + 4 * (10 * sign + lead * fast)[bare]
     fallback = ~(fast | bare)
     index[fallback] = _FALLBACK
+    # the last column ends its row: _SEPARATORS[1], or [2] and [3] for true and false
     index.reshape(table.shape)[:, -1] += 1 if flags is None else 3 - np.asarray(flags)
     strip = np.flatnonzero(fast & ~bare & (arg % 10 == 0))
     if len(strip):
