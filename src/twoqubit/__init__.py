@@ -50,7 +50,6 @@ from .schmidt import (
 )
 from .edges import (
     EdgeSpec,
-    Sweep,
     edge,
     edge_names,
     emit_figure_data,
@@ -98,7 +97,6 @@ __all__ = [
     "schmidt_strength",
     "controlled_unitary_gate",
     "EdgeSpec",
-    "Sweep",
     "edge",
     "edge_names",
     "sweep",

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .audit import run_audit
 from .canonical import ClassData
-from .edges import verify_tables, write_edge_svg, write_sweep_csv
+from .edges import sweep, verify_tables, write_edge_svg
 from .errors import NumericalError, ParseError, ValidationError
 from .gates import catalog, catalog_names, gate_from_json_data, gate_to_json_data
 
@@ -119,7 +119,7 @@ def _cmd_sweep(args) -> int:
     if args.svg and out.suffix.lower() == ".svg":
         raise ValidationError(f"the CSV path {out} and the SVG path {out.with_suffix('.svg')} "
                               "can be one file; give --out a suffix other than .svg")
-    params, strength = write_sweep_csv(args.edge, args.n, out)
+    params, strength = sweep(args.edge, args.n, out)
     if args.svg:
         write_edge_svg(args.edge, params, strength, out.with_suffix(".svg"))
     written = str(out) + (f" and {out.with_suffix('.svg')}" if args.svg else "")

@@ -4,8 +4,7 @@ perfect-entangler polyhedron.
 Each edge is the straight segment between two named vertices of
 :mod:`canonical` (O, A1, A2, A3 or L, M, N, P, Q, A2), traced linearly over
 a parameter range, together with closed-form Schmidt coefficients along
-it. :func:`sweep` evaluates an edge once, as columns (:class:`Sweep`).
-:func:`write_sweep_csv` writes the same rows as CSV, evaluated ``linops.CHUNK``
+it. :func:`sweep` writes an edge's rows as CSV, evaluated ``linops.CHUNK``
 at a time, each chunk (flags included) formatted by one %-format call, keeping
 only the grid and its strengths, which :func:`write_edge_svg` writes as an SVG
 plot a chunk of points at a time. The CSV holds what %.15g prints, but a value
@@ -50,7 +49,6 @@ from .svgplot import line_plot
 
 __all__ = [
     "EdgeSpec",
-    "Sweep",
     "edge",
     "edge_names",
     "sweep",
@@ -88,15 +86,6 @@ class EdgeSpec:
         b = _VERTICES[self.end]
         lo, hi = self.param_range
         return a + (np.asarray(t, dtype=float) - lo)[..., None] * ((b - a) / (hi - lo))
-
-
-@dataclass(frozen=True, eq=False)
-class Sweep(ClassData):
-    """One edge evaluated on a parameter grid: the :class:`ClassData`
-    columns of its points, row i belonging to ``param[i]``."""
-
-    name: str
-    param: np.ndarray
 
 
 def _stack(*columns) -> np.ndarray:
@@ -173,18 +162,6 @@ def _grid(param_range: tuple[float, float], n_points: int) -> np.ndarray:
     one check of a grid size, so ValidationError, as ``as_scalar`` raises it,
     for anything but an integer of at least 2."""
     return np.linspace(*param_range, as_scalar(n_points, "n_points", 2))
-
-
-def sweep(name: str, n_points: int) -> Sweep:
-    """Evaluate an edge on an endpoint-inclusive uniform parameter grid.
-
-    Coefficients come from the expansion-coefficient engine, not from the
-    closed-form table. An unknown name is refused before a bad grid size, both
-    with ValidationError.
-    """
-    spec = edge(name)
-    params = _grid(spec.param_range, n_points)
-    return Sweep(**vars(ClassData.from_points(spec.point_fn(params))), name=name, param=params)
 
 
 def _split(v):
@@ -276,11 +253,15 @@ def _csv_rows(columns, flags=None) -> str:
 _SWEEP_HEADER = "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe\n"
 
 
-def write_sweep_csv(name: str, n_points: int, path) -> tuple[np.ndarray, np.ndarray]:
-    """Write the CSV of ``sweep(name, n_points)``'s rows to ``path``, evaluating
-    and writing ``linops.CHUNK`` rows at a time, and return the grid and its
-    strengths, the only columns held whole. The name and the grid size are
-    refused as :func:`sweep` refuses them, before ``path`` is opened."""
+def sweep(name: str, n_points: int, path) -> tuple[np.ndarray, np.ndarray]:
+    """Write an edge's rows on an endpoint-inclusive uniform parameter grid to
+    ``path`` as CSV, evaluating and writing ``linops.CHUNK`` rows at a time, and
+    return the grid and its strengths, the only columns held whole.
+
+    Coefficients come from the expansion-coefficient engine, not from the
+    closed-form table. An unknown name is refused before a bad grid size, both
+    with ValidationError and before ``path`` is opened.
+    """
     spec = edge(name)
     params = _grid(spec.param_range, n_points)
     strength = np.empty_like(params)
@@ -358,6 +339,6 @@ def figure_svg(figure: str, n_points: int) -> str:
 
 def write_edge_svg(name: str, param: np.ndarray, strength: np.ndarray, path) -> None:
     """Write the SVG line plot of one edge's strength profile over its grid to
-    ``path``, a chunk of points at a time; the twin of :func:`write_sweep_csv`."""
+    ``path``, a chunk of points at a time; the twin of :func:`sweep`."""
     with open(path, "w", newline="\n") as f:
         line_plot(f, [(name, param, strength)], title=f"edge {name}")

@@ -1,7 +1,9 @@
 """The exported names: every name in an ``__all__`` resolves, so a name
-deleted from a module cannot linger in its own or the package's list, and
-every Python block of README.md runs."""
+deleted from a module cannot linger in its own or the package's list, the
+functions that the benchmark's tracer looks up stay traceable, and every
+Python block of README.md runs."""
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -54,3 +56,26 @@ def test_readme_audit_quote_is_the_call():
                       r"deviation (\S+) \(tol", text[text.index("audit.checks[0]"):])
     check = run_audit(1000, 42).checks[0]
     assert quote.groups() == (f"{check.value:.2e}", str(check.where), f"{check.value:.3e}")
+
+
+# the functions that perfbench's tracer looks up by name; it wraps a layer's
+# public functions, and only those defined in the layer's own module
+TRACED = ["canonical.canonical_points_array", "schmidt.schmidt_coefficients_array",
+          "schmidt.z_from_point_array", "schmidt.schmidt_number_from_coefficients",
+          "invariants.invariants_from_unitary_array", "edges.sweep", "cli.build_parser"]
+
+
+@pytest.mark.parametrize("qualname", TRACED)
+def test_traced_name_is_a_public_function_of_its_module(qualname):
+    layer, name = qualname.split(".")
+    module = importlib.import_module(f"twoqubit.{layer}")
+    fn = getattr(module, name)
+    assert inspect.isfunction(fn) and not name.startswith("_")
+    assert fn.__module__ == module.__name__
+
+
+def test_cli_sweeps_with_the_edges_sweep():
+    import twoqubit.cli
+    import twoqubit.edges
+
+    assert twoqubit.cli.sweep is twoqubit.edges.sweep

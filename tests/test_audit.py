@@ -9,7 +9,7 @@ import twoqubit.canonical as canonical_mod
 import twoqubit.invariants as invariants_mod
 from twoqubit.audit import HAAR_PE_FRACTION, pe_fraction_tolerance, run_audit
 from twoqubit.canonical import ClassData
-from twoqubit.edges import sweep, verify_tables, write_edge_svg, write_sweep_csv
+from twoqubit.edges import sweep, verify_tables, write_edge_svg
 from twoqubit.errors import ExtractionError, NumericalError
 from twoqubit.invariants import (
     invariants_from_point_array,
@@ -19,6 +19,8 @@ from twoqubit.invariants import (
 from twoqubit.linops import CHUNK, DEFAULT_TOL, Check
 from twoqubit.sampling import haar_unitary, random_local_unitary
 from twoqubit.schmidt import schmidt_coefficients_array, schmidt_numbers_array, z_from_point_array
+
+from helpers import edge_columns
 
 
 def test_pe_band_is_four_binomial_sigma():
@@ -274,7 +276,7 @@ def test_sweep_memory_does_not_grow_with_rows(tmp_path):
     # the command keeps the grid and its strengths, 16 B per row; every other
     # column lives for one chunk
     out = tmp_path / "pn.csv"
-    small, large = (_traced_peak(write_sweep_csv, "PN", n, out) for n in (2 * CHUNK, 16 * CHUNK))
+    small, large = (_traced_peak(sweep, "PN", n, out) for n in (2 * CHUNK, 16 * CHUNK))
     assert (large - small) / (14 * CHUNK) <= 24, (small, large)
 
 
@@ -288,8 +290,8 @@ def test_edge_svg_memory_does_not_grow_with_rows(tmp_path):
     # each chunk's points are written as they are formatted, so neither the
     # polyline text nor the document is held; the caller holds the columns
     out = tmp_path / "pn.svg"
-    small, large = (_traced_peak(write_edge_svg, "PN", sw.param, sw.strength, out)
-                    for sw in (sweep("PN", n) for n in (2 * CHUNK, 16 * CHUNK)))
+    small, large = (_traced_peak(write_edge_svg, "PN", grid, data.strength, out)
+                    for grid, data in (edge_columns("PN", n) for n in (2 * CHUNK, 16 * CHUNK)))
     assert (large - small) / (14 * CHUNK) <= 2, (small, large)
 
 
@@ -302,7 +304,7 @@ def test_sweep_chunk_memory(tmp_path):
     # one chunk and a short tail of CSV rows: the digit renderer's temporaries
     # and template list read 1.22 MB (1.32 MB with the template table built in
     # the same call), where %.15g alone read 0.93 MB
-    assert _traced_peak(write_sweep_csv, "PN", 1030, tmp_path / "pn.csv") <= 1.6e6
+    assert _traced_peak(sweep, "PN", 1030, tmp_path / "pn.csv") <= 1.6e6
 
 
 def _density_integral(tets, n: int, integrand=None) -> float:

@@ -39,10 +39,12 @@ from twoqubit.canonical import (
     is_perfect_entangler_array,
     weyl_reduce_array,
 )
-from twoqubit.edges import edge_names, sweep
+from twoqubit.edges import edge_names
 from twoqubit.invariants import invariants_from_point_array
 from twoqubit.schmidt import schmidt_coefficients_array, schmidt_numbers_array
 from twoqubit.sampling import haar_unitary, random_local_unitary
+
+from helpers import edge_columns
 
 PI = np.pi
 
@@ -348,7 +350,7 @@ def test_class_data_from_unitaries_columns():
     # displaced off the controlled-unitary line and off the vertices by delta
     rng = np.random.default_rng(32)
     vertices = [*TETRAHEDRON_VERTICES.values(), *POLYHEDRON_VERTICES.values()]
-    special = vertices + [row for name in edge_names() for row in sweep(name, 5).points]
+    special = vertices + [row for name in edge_names() for row in edge_columns(name, 5)[1].points]
     displaced = [
         point
         for delta in (1e-9, 1e-7, 1e-5, 1e-3)

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from fractions import Fraction
 from itertools import zip_longest
@@ -10,12 +9,12 @@ from hypothesis import strategies as st
 
 from twoqubit import ValidationError, edge, edge_names, emit_figure_data, figure_svg, sweep, verify_tables
 from twoqubit import svgplot
-from twoqubit.canonical import (POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData,
-                                canonical_gates_array)
-from twoqubit.edges import (FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, Sweep, _csv_rows,
-                            write_edge_svg, write_sweep_csv)
+from twoqubit.canonical import POLYHEDRON_VERTICES, TETRAHEDRON_VERTICES, ClassData
+from twoqubit.edges import FIGURES, POLYHEDRON_EDGES, TETRAHEDRON_EDGES, _csv_rows, write_edge_svg
 from twoqubit.linops import CHUNK
 from twoqubit.schmidt import schmidt_strength
+
+from helpers import edge_columns
 
 PI = np.pi
 
@@ -127,8 +126,8 @@ def test_a2m_matches_a2a1_restriction():
     a2a1 = edge("A2A1")
     assert np.allclose(a2m.point_fn(t), a2a1.point_fn(t), atol=1e-15)
     # the engine, not the shared closed form: A2M is the first half of A2A1
-    first_half = sweep("A2A1", 99)
-    assert np.allclose(sweep("A2M", 50).s, first_half.s[:50], atol=1e-15)
+    first_half = edge_columns("A2A1", 99)[1]
+    assert np.allclose(edge_columns("A2M", 50)[1].s, first_half.s[:50], atol=1e-15)
 
 
 def _same(t):
@@ -147,82 +146,73 @@ def _same(t):
 ])
 def test_shared_coefficient_pairs(pair):
     a, b, to_a = pair
-    sw = sweep(b, 64)
+    grid, data = edge_columns(b, 64)
     # images under a chamber symmetry with the same |z|, compared through the
     # engine on a's line, extended past its end vertex where the map leaves it
-    shared = ClassData.from_points(edge(a).point_fn(to_a(sw.param)))
-    assert np.max(np.abs(shared.s - sw.s)) <= 1e-12
+    shared = ClassData.from_points(edge(a).point_fn(to_a(grid)))
+    assert np.max(np.abs(shared.s - data.s)) <= 1e-12
     if to_a is _same:
         assert edge(a).param_range == edge(b).param_range
 
 
 @pytest.mark.parametrize("name", edge_names())
-def test_sweep_columns_are_class_data_of_its_points(name):
-    sw = sweep(name, 33)
-    data = ClassData.from_points(edge(name).point_fn(sw.param))
-    for column in ("points", "g1", "g2", "s", "strength", "schmidt_number", "is_pe"):
-        assert np.array_equal(getattr(sw, column), getattr(data, column)), column
-
-
-def test_sweep_inherits_the_class_data_builders():
-    # Sweep adds a name and a grid to ClassData; the builders it inherits give
-    # the plain ClassData columns, with neither of them
-    points = sweep("QP", 5).points
-    u = canonical_gates_array(points)
-    built = [(Sweep.from_points(points), ClassData.from_points(points)),
-             (Sweep.from_unitaries(u), ClassData.from_unitaries(u))]
-    for data, expected in built:
-        assert type(data) is ClassData
-        for field in dataclasses.fields(ClassData):
-            assert np.array_equal(getattr(data, field.name), getattr(expected, field.name))
+def test_sweep_columns_are_class_data_of_its_points(name, tmp_path):
+    # every column the sweep writes, and the grid and strengths it returns,
+    # are those of the ClassData of its points
+    out = tmp_path / "sweep.csv"
+    params, strength = sweep(name, 33, out)
+    grid, data = edge_columns(name, 33)
+    assert np.array_equal(params, grid) and np.array_equal(strength, data.strength)
+    assert _first_difference(out.read_bytes().decode(), _sweep_oracle(grid, data)) is None
 
 
 def test_sweep_rows_consistent():
-    sw = sweep("LN", 33)
-    assert sw.name == "LN"
-    assert sw.param.shape == sw.strength.shape == sw.g1.shape == sw.g2.shape == (33,)
-    assert sw.points.shape == (33, 3) and sw.s.shape == (33, 4) and sw.is_pe.shape == (33,)
-    for s, strength in zip(sw.s, sw.strength):
+    grid, data = edge_columns("LN", 33)
+    assert grid.shape == data.strength.shape == data.g1.shape == data.g2.shape == (33,)
+    assert data.points.shape == (33, 3) and data.s.shape == (33, 4) and data.is_pe.shape == (33,)
+    for s, strength in zip(data.s, data.strength):
         assert abs(strength - schmidt_strength(s)) <= 1e-12
         assert s[0] >= s[1] >= s[2] >= s[3] >= -1e-15
 
 
 def test_sweep_oa1_three_points():
-    strengths = sweep("OA1", 3).strength
+    strengths = edge_columns("OA1", 3)[1].strength
     assert np.allclose(strengths, [0.0, 1.0, 0.0], atol=1e-12)
 
 
 def test_sweep_oa1_five_points_symmetric():
-    strengths = sweep("OA1", 5).strength
+    strengths = edge_columns("OA1", 5)[1].strength
     assert np.allclose(strengths, [0.0, H_EIGHTH, 1.0, H_EIGHTH, 0.0], atol=1e-12)
     for k in range(5):
         assert abs(strengths[k] - strengths[4 - k]) <= 1e-12
 
 
 def test_sweep_a2a3_constant_two():
-    sw = sweep("A2A3", 11)
-    assert np.max(np.abs(sw.strength - 2.0)) <= 1e-12
-    assert np.allclose(sw.s, 0.5, atol=1e-12)
+    data = edge_columns("A2A3", 11)[1]
+    assert np.max(np.abs(data.strength - 2.0)) <= 1e-12
+    assert np.allclose(data.s, 0.5, atol=1e-12)
 
 
 def test_sweep_controlled_unitary_column():
     # OA1 is the controlled-unitary line; A2A3 keeps all four coefficients 1/2
-    assert sweep("OA1", 9).controlled_unitary.all()
-    assert not sweep("A2A3", 9).controlled_unitary.any()
+    assert edge_columns("OA1", 9)[1].controlled_unitary.all()
+    assert not edge_columns("A2A3", 9)[1].controlled_unitary.any()
 
 
 def test_sweep_pn_symmetric_nonmonotonic():
-    strengths = sweep("PN", 101).strength
+    strengths = edge_columns("PN", 101)[1].strength
     assert np.max(np.abs(strengths - strengths[::-1])) <= 1e-10
     diffs = np.diff(strengths)
     assert np.any(diffs > 0) and np.any(diffs < 0)
 
 
-def test_sweep_rejects_bad_input():
+def test_sweep_rejects_bad_input(tmp_path):
+    out = tmp_path / "sweep.csv"
     with pytest.raises(ValidationError):
-        sweep("OA1", 1)
+        sweep("OA1", 1, out)
     with pytest.raises(ValidationError):
-        sweep("nope", 5)
+        sweep("nope", 5, out)
+    assert not out.exists()
 
 
 MONOTONIC_EDGES = ["OA2", "A2A1", "OA3", "A1A3", "LQ", "LM", "A2M", "A2Q", "QP", "MN", "LN", "A2P"]
@@ -230,28 +220,28 @@ MONOTONIC_EDGES = ["OA2", "A2A1", "OA3", "A1A3", "LQ", "LM", "A2M", "A2Q", "QP",
 
 @pytest.mark.parametrize("name", MONOTONIC_EDGES)
 def test_strength_monotonic_on_grid(name):
-    strengths = sweep(name, 101).strength
+    strengths = edge_columns(name, 101)[1].strength
     diffs = np.diff(strengths)
     assert np.all(diffs > 0) or np.all(diffs < 0), name
 
 
 def test_strength_monotonic_oa1_first_half():
-    sw = sweep("OA1", 101)
-    strengths = sw.strength[sw.param <= PI / 2 + 1e-12]
+    grid, data = edge_columns("OA1", 101)
+    strengths = data.strength[grid <= PI / 2 + 1e-12]
     assert np.all(np.diff(strengths) > 0)
 
 
 def test_polyhedron_edges_strength_range_and_pe():
     for name in POLYHEDRON_EDGES:
-        sw = sweep(name, 64)
-        assert np.all(sw.strength >= 1.0 - 1e-10), name
-        assert np.all(sw.strength <= 2.0 + 1e-10), name
-        assert np.all(sw.is_pe), name
+        data = edge_columns(name, 64)[1]
+        assert np.all(data.strength >= 1.0 - 1e-10), name
+        assert np.all(data.strength <= 2.0 + 1e-10), name
+        assert np.all(data.is_pe), name
 
 
 def test_sweep_csv_format(tmp_path):
     out = tmp_path / "a2a3.csv"
-    write_sweep_csv("A2A3", 3, out)
+    sweep("A2A3", 3, out)
     text = out.read_bytes().decode()
     lines = text.split("\n")
     assert lines[0] == "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe"
@@ -284,12 +274,12 @@ def _first_difference(got, expected):
     return None
 
 
-def _sweep_oracle(sw):
-    """The sweep CSV of a :class:`Sweep`'s columns, formatted one value at a time."""
+def _sweep_oracle(grid, data):
+    """The sweep CSV of a grid and its ClassData columns, formatted one value at a time."""
     return _per_value_csv(
         "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe",
-        [sw.param, sw.points, sw.s, sw.strength, sw.g1.real, sw.g1.imag, sw.g2],
-        sw.is_pe.tolist(),
+        [grid, data.points, data.s, data.strength, data.g1.real, data.g1.imag, data.g2],
+        data.is_pe.tolist(),
     )
 
 
@@ -299,10 +289,10 @@ def _sweep_oracle(sw):
                                4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 1])
 @pytest.mark.parametrize("name", ["PN", "OA1"])
 def test_sweep_csv_equals_the_per_value_oracle(name, n, tmp_path):
-    sw, out = sweep(name, n), tmp_path / "sweep.csv"
-    params, strength = write_sweep_csv(name, n, out)
-    assert _first_difference(out.read_bytes().decode(), _sweep_oracle(sw)) is None
-    assert np.array_equal(params, sw.param) and np.array_equal(strength, sw.strength)
+    (grid, data), out = edge_columns(name, n), tmp_path / "sweep.csv"
+    params, strength = sweep(name, n, out)
+    assert _first_difference(out.read_bytes().decode(), _sweep_oracle(grid, data)) is None
+    assert np.array_equal(params, grid) and np.array_equal(strength, data.strength)
 
 
 def test_sweep_command_writes_sweep_csv(tmp_path, capsys):
@@ -310,10 +300,10 @@ def test_sweep_command_writes_sweep_csv(tmp_path, capsys):
 
     out = tmp_path / "pn.csv"
     assert main(["sweep", "PN", "--n", "4097", "--out", str(out), "--svg"]) == 0
-    sw = sweep("PN", 4097)
-    assert _first_difference(out.read_bytes().decode(), _sweep_oracle(sw)) is None
+    grid, data = edge_columns("PN", 4097)
+    assert _first_difference(out.read_bytes().decode(), _sweep_oracle(grid, data)) is None
     assert (_polylines(out.with_suffix(".svg").read_bytes().decode())
-            == _per_point_polylines([("PN", sw.param, sw.strength)]))
+            == _per_point_polylines([("PN", grid, data.strength)]))
 
 
 @pytest.mark.parametrize("figure", FIGURES)
@@ -440,11 +430,11 @@ def _polylines(svg):
 
 
 def test_edge_svg_points_equal_the_per_point_oracle(tmp_path):
-    sw = sweep("PN", 4097)
+    grid, data = edge_columns("PN", 4097)
     out = tmp_path / "pn.svg"
-    write_edge_svg("PN", sw.param, sw.strength, out)
+    write_edge_svg("PN", grid, data.strength, out)
     assert (_polylines(out.read_bytes().decode())
-            == _per_point_polylines([("PN", sw.param, sw.strength)]))
+            == _per_point_polylines([("PN", grid, data.strength)]))
 
 
 def test_figure_svg_points_equal_the_per_point_oracle():
@@ -488,19 +478,21 @@ def test_figure_columns_equal_the_sweeps(figure):
     for k, name in enumerate(names, start=1):
         if param_range == edge(name).param_range:
             column = [row[k] for row in rows[1:]]
-            assert column == [f"{x:.15g}" for x in sweep(name, n).strength.tolist()], name
+            assert column == [f"{x:.15g}" for x in edge_columns(name, n)[1].strength.tolist()], name
 
 
 @pytest.mark.parametrize("n_points", [1, 0, True, 2.5, "3", None, 2**63], ids=repr)
-@pytest.mark.parametrize("entry", [lambda n: sweep("OA1", n), verify_tables,
+@pytest.mark.parametrize("entry", [lambda n: sweep("OA1", n, "oa1.csv"), verify_tables,
                                    lambda n: emit_figure_data("fig2", n)],
                          ids=["sweep", "verify_tables", "emit_figure_data"])
-def test_grid_size_refused(entry, n_points):
+def test_grid_size_refused(entry, n_points, tmp_path, monkeypatch):
     # numpy indexes with int64, so 2**63 points are refused too
     rule = f"be at most {2**63 - 1}" if n_points == 2**63 else "be an integer of at least 2"
     message = f"n_points must {rule}, got {n_points!r}"
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         entry(n_points)
+    assert list(tmp_path.iterdir()) == []  # refused before the CSV is opened
 
 
 def test_figure_unknown_id():

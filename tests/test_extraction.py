@@ -21,9 +21,11 @@ from twoqubit.canonical import (
     canonical_points_array,
     weyl_reduce_array,
 )
-from twoqubit.edges import edge_names, sweep
+from twoqubit.edges import edge_names
 from twoqubit.invariants import invariants_from_unitary, invariants_from_unitary_array
 from twoqubit.sampling import haar_unitary, random_local_unitary
+
+from helpers import edge_columns
 
 PI = np.pi
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -31,7 +33,7 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 # vertices, edge midpoints and quarter points: every one has a repeated
 # eigenphase or a phase at 0 or pi
 SPECIAL_POINTS = [*TETRAHEDRON_VERTICES.values(), *POLYHEDRON_VERTICES.values()] + [
-    row for name in edge_names() for row in sweep(name, 5).points
+    row for name in edge_names() for row in edge_columns(name, 5)[1].points
 ]
 
 seeds = st.integers(0, 2**32 - 1)

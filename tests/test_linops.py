@@ -186,7 +186,7 @@ COUNT_MAX = 2**63 - 1
         (lambda x: run_audit(10, x), 1.5, "seed must be an integer of at least 0, got 1.5"),
         (controlled_unitary_gate, "0.5", "p must lie in [0, 1], got '0.5'"),
         (controlled_unitary_gate, True, "p must lie in [0, 1], got True"),
-        (lambda x: sweep("OA1", x), 2**63, f"n_points must be at most {COUNT_MAX}, got {2**63}"),
+        (lambda x: sweep("OA1", x, "oa1.csv"), 2**63, f"n_points must be at most {COUNT_MAX}, got {2**63}"),
         (verify_tables, 10**26, f"n_points must be at most {COUNT_MAX}, got {10**26}"),
         # a number of the right kind but out of range gets the same rule
         (lambda x: run_audit(x, 1), 0, "samples must be an integer of at least 1, got 0"),
@@ -198,15 +198,17 @@ COUNT_MAX = 2**63 - 1
          "p-str", "p-bool", "sweep-huge", "verify_tables-huge", "samples-zero",
          "seed-negative", "p-above", "p-nan"],
 )
-def test_scalar_input_raises_validation_error(entry, bad, message):
+def test_scalar_input_raises_validation_error(entry, bad, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         entry(bad)
+    assert list(tmp_path.iterdir()) == []  # a refused sweep opens no CSV
 
 
-def test_scalar_check_accepts_numpy_numbers_and_any_seed():
+def test_scalar_check_accepts_numpy_numbers_and_any_seed(tmp_path):
     assert run_audit(np.int64(3), 2**70).passed
     assert np.array_equal(controlled_unitary_gate(np.float64(0.5)), controlled_unitary_gate(0.5))
-    assert sweep("OA1", np.int32(3)).param.size == 3
+    assert sweep("OA1", np.int32(3), tmp_path / "oa1.csv")[0].size == 3
 
 
 # every Tolerance field that a report reads: the audit's two row checks and

@@ -94,7 +94,10 @@ def test_million_row_sweep_csv_step_compares_a_per_value_rendering():
 
     run = _steps()["Smoke, a million-row sweep CSV equals its values formatted one at a time"]["run"]
     assert "python -m twoqubit sweep PN --n 1000001 --out pn.csv\n" in run
-    assert "sw = twoqubit.sweep('PN', 1000001)" in run and "f'{x:.15g}' for x in row.tolist()" in run
+    # the oracle's columns are ClassData.from_points of PN's grid, evaluated whole
+    assert "p = np.linspace(*e.param_range, 1000001)" in run and "e = twoqubit.edge('PN')" in run
+    assert "d = twoqubit.ClassData.from_points(e.point_fn(p))" in run
+    assert "f'{x:.15g}' for x in row.tolist()" in run
     assert f"sys.stdout.write({_SWEEP_HEADER!r})" in run
     assert run.endswith("> oracle.csv\ncmp pn.csv oracle.csv\n")
 
