@@ -4,12 +4,12 @@ random gates.
 Checks, over ``samples`` Haar-random gates:
   * the three invariant routes (matrix, coordinates, expansion
     coefficients) agree pairwise within ``DEFAULT_TOL.invariant_tol``;
-  * sorted Schmidt coefficients and invariants are unchanged by random
-    single-qubit operations on both sides (``DEFAULT_TOL.local_invariance_tol``),
+  * sorted Schmidt coefficients and invariants are unchanged by random single-qubit
+    operations on both sides (``invariant_tol`` too: one class, two evaluations),
     the dressed gates' realigned coefficients (``schmidt_coefficients_array``,
     one Gram ``eigvalsh`` per chunk) checked against |z(c)| at the plain points;
-  * Schmidt numbers are unchanged by those operations: the Schmidt number of
-    the dressed gates' realigned coefficients equals that of the plain gates' |z(c)|;
+  * Schmidt numbers, each decided at ``zero_tol``, are unchanged by those operations:
+    the dressed gates' realigned coefficients give that of the plain gates' |z(c)|;
   * the perfect-entangler fraction matches the Haar-measure weight of the
     polyhedron within 4 binomial standard deviations.
 
@@ -122,7 +122,7 @@ def run_audit(samples: int, seed: int) -> Report:
     band = pe_fraction_tolerance(samples)
     checks = (
         worst("three-route invariant consistency", 0, "invariant_tol"),
-        worst("local invariance of schmidt coefficients", 1, "local_invariance_tol"),
+        worst("local invariance of schmidt coefficients", 1, "invariant_tol"),
         Check("schmidt number unchanged by local operations", float(changed_rows), 0.0,
               kept[2][1] if changed_rows else None, f"histogram {histogram}"),
         Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band, None,

@@ -43,27 +43,21 @@ def _round15(x: float) -> float:
     return float(f"{x:.15g}") + 0.0
 
 
-def _json_floats(values) -> str:
-    return "[\n" + ",\n".join(f"    {_round15(v)!r}" for v in values) + "\n  ]"
-
-
 def report_json(data: ClassData, source: str) -> str:
-    """The report as ``json.dumps(payload, indent=2) + "\\n"`` would write it, but
-    rendered directly: ``indent`` selects json's pure-Python encoder. Every value
-    is finite, so ``repr`` writes each float as json does."""
-    return (
-        "{\n"
-        f'  "source": {json.dumps(source)},\n'
-        f'  "canonical_point": {_json_floats(data.points.tolist())},\n'
-        f'  "g1": {_json_floats((data.g1.real, data.g1.imag))},\n'
-        f'  "g2": {_round15(data.g2)!r},\n'
-        f'  "schmidt_coefficients": {_json_floats(data.s.tolist())},\n'
-        f'  "schmidt_number": {int(data.schmidt_number)},\n'
-        f'  "schmidt_strength": {_round15(data.strength)!r},\n'
-        f'  "perfect_entangler": {"true" if data.is_pe else "false"},\n'
-        f'  "controlled_unitary": {"true" if data.controlled_unitary else "false"}\n'
-        "}\n"
-    )
+    """The report as ``json.dumps(payload, indent=2)`` and a newline; every float
+    rounded to 15 significant digits, and finite, so it is plain JSON."""
+    payload = {
+        "source": source,
+        "canonical_point": [_round15(v) for v in data.points.tolist()],
+        "g1": [_round15(data.g1.real), _round15(data.g1.imag)],
+        "g2": _round15(data.g2),
+        "schmidt_coefficients": [_round15(v) for v in data.s.tolist()],
+        "schmidt_number": int(data.schmidt_number),
+        "schmidt_strength": _round15(data.strength),
+        "perfect_entangler": bool(data.is_pe),
+        "controlled_unitary": bool(data.controlled_unitary),
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _disp(x: float) -> float:

@@ -143,11 +143,11 @@ def schmidt_strength(s) -> float:
 
     Raises:
         ValidationError: as ``as_finite``, for anything but four finite reals;
-            if a coefficient is below -``DEFAULT_TOL.negative_tol``; or if
+            if a coefficient is below -``DEFAULT_TOL.zero_tol``; or if
             sum s_l^2 differs from 1 by more than ``DEFAULT_TOL.unitarity_tol``.
     """
     s = as_finite(s, (4,), _S_ROW)
-    refuse_rows(ValidationError, "negative Schmidt coefficient", np.max(-s), "negative_tol")
+    refuse_rows(ValidationError, "negative Schmidt coefficient", np.max(-s), "zero_tol")
     refuse_rows(ValidationError, "s not normalized", abs(np.sum(s**2) - 1), "unitarity_tol")
     return float(schmidt_strength_array(s))
 

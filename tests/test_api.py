@@ -52,8 +52,8 @@ def test_readme_audit_quote_is_the_call():
     from twoqubit import run_audit
 
     text = README.read_text()
-    quote = re.search(r"value=(\S+),\s+#\s+tolerance=1e-08, where=(\d+), detail='max\s+#\s+"
-                      r"deviation (\S+) \(tol", text[text.index("audit.checks[0]"):])
+    quote = re.search(r"value=(\S+),\s+#\s+tolerance=1e-09, where=(\d+), detail='max\s+#\s+"
+                      r"deviation (\S+) \(tol 1e-09\)'\)", text[text.index("audit.checks[0]"):])
     check = run_audit(1000, 42).checks[0]
     assert quote.groups() == (f"{check.value:.2e}", str(check.where), f"{check.value:.3e}")
 

@@ -159,8 +159,7 @@ def _one_shot_checks(samples: int, seed: int):
     band = pe_fraction_tolerance(samples)
     return gates, (
         Check.worst_row("three-route invariant consistency", route_dev, "invariant_tol"),
-        Check.worst_row("local invariance of schmidt coefficients", local_dev,
-                        "local_invariance_tol"),
+        Check.worst_row("local invariance of schmidt coefficients", local_dev, "invariant_tol"),
         Check("schmidt number unchanged by local operations", float(bad.size), 0.0,
               int(bad[0]) if bad.size else None, f"histogram {histogram}"),
         Check("perfect-entangler fraction", abs(fraction - HAAR_PE_FRACTION), band, None,

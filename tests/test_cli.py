@@ -41,7 +41,7 @@ TABLES_FAULT_OUT = (
 TABLES_FAULT_ERR = "FAIL: edge A2A3 deviates by 5.000e-03 at parameter 0.589048623\n"
 AUDIT_FAULT_OUT = (
     "audit: samples=5 seed=1\n"
-    "  three-route invariant consistency: max deviation 4.441e-07 (tol 1e-08)  FAIL\n"
+    "  three-route invariant consistency: max deviation 4.441e-07 (tol 1e-09)  FAIL\n"
     "  local invariance of schmidt coefficients: max deviation 5.551e-16 (tol 1e-09)  PASS\n"
     "  schmidt number unchanged by local operations: histogram {4: 5}  PASS\n"
     "  perfect-entangler fraction: fraction 0.6000 (expected 0.8488 +/- 0.6408)  PASS\n"

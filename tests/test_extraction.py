@@ -136,7 +136,7 @@ def test_extraction_error_names_rows_and_tolerance(monkeypatch):
 
     monkeypatch.setattr(canonical_mod, "invariants_from_bell_array", planted)
     u = haar_unitary(np.random.default_rng(9), 4, 6)
-    with pytest.raises(ExtractionError, match=r"rows \[3\] \(1 in all\).*tol 1e-08"):
+    with pytest.raises(ExtractionError, match=r"rows \[3\] \(1 in all\).*tol 1e-09"):
         canonical_points_array(u)
     canonical_points_array(np.delete(u, 3, axis=0))
 

@@ -44,11 +44,9 @@ def test_tolerance_defaults():
     assert dataclasses.asdict(DEFAULT_TOL) == {
         "unitarity_tol": 1e-10,
         "zero_tol": 1e-8,
-        "negative_tol": 1e-12,
         "imag_residue_tol": 1e-9,
-        "invariant_tol": 1e-8,
+        "invariant_tol": 1e-9,
         "eigh_offdiag_tol": 1e-8,
-        "local_invariance_tol": 1e-9,
         "base_mirror_tol": 1e-13,
         "facet_tol": 1e-10,
         "table_tol": 1e-10,
@@ -213,7 +211,7 @@ def test_scalar_check_accepts_numpy_numbers_and_any_seed(tmp_path):
 
 # every Tolerance field that a report reads: the audit's two row checks and
 # verify_tables' edge checks
-REPORT_FIELDS = ["invariant_tol", "local_invariance_tol", "table_tol"]
+REPORT_FIELDS = ["invariant_tol", "table_tol"]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

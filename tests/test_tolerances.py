@@ -365,7 +365,7 @@ def _count_three_row(monkeypatch):
         (lambda mp: twoqubit.schmidt_strength([1, 1, 0, 0]), ValidationError, "unitarity_tol",
          "[0]"),
         (lambda mp: twoqubit.schmidt_strength([-0.5, 0.5, 0.5, 0.5]), ValidationError,
-         "negative_tol", "[0]"),
+         "zero_tol", "[0]"),
         (_count_three_row, ValidationError, "unitarity_tol", "[0]"),
     ],
     ids=["extraction", "class-data-g2", "matrix-route-g2", "z-route-g2", "audit-z-route-g2",
@@ -418,13 +418,13 @@ def test_svd_fallback_decided_at_its_tol(theta, side, seed):
     assert np.max(np.abs(s - np.sort(np.abs(z_from_point(point)))[::-1])) <= 1e-14
 
 
-# local_invariance_tol (1e-9) against the audit's own deviation: 1.3e-15 at
-# 1000 samples (seed 42), 3.3e-15 and 4.0e-15 at 1e5 (seeds 3 and 42); so a
-# deviation planted 10 BAND from the tol decides the check alone
+# the local line reads invariant_tol (1e-9), against the audit's own deviation:
+# 1.3e-15 at 1000 samples (seed 42), 3.3e-15 and 4.0e-15 at 1e5 (seeds 3 and 42);
+# so a deviation planted 10 BAND from the tol decides the check alone
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 29), st.sampled_from([-1.0, 1.0]), seeds)
 def test_local_invariance_decided_at_its_tol(row, side, seed):
-    shift = DEFAULT_TOL.local_invariance_tol + side * 10 * BAND
+    shift = DEFAULT_TOL.invariant_tol + side * 10 * BAND
     true = audit_mod.schmidt_coefficients_array
 
     def planted(u):
@@ -437,13 +437,29 @@ def test_local_invariance_decided_at_its_tol(row, side, seed):
         report = twoqubit.run_audit(30, seed)
     check = report.checks[1]
     assert check.passed is (side < 0) and check.where == row, check.detail
-    assert check.detail.endswith(f"(tol {DEFAULT_TOL.local_invariance_tol:g})")
+    assert check.detail.endswith("(tol 1e-09)")
     assert (report.counterexample is None) is (side < 0)
 
 
 # Probes that plant a value at tol * (1 -+ EPS): EPS * tol is at least 1e-13, far
 # above the rounding of each planted quantity, so the tol alone decides the two sides
 EPS = 1e-3
+
+
+@SETTINGS
+@given(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3), st.integers(0, 3),
+       st.sampled_from([-1.0, 1.0]))
+def test_negative_coefficient_decided_at_zero_tol(rest, index, side):
+    # zero_tol (1e-8) also bounds a coefficient below 0: -zero_tol (1 -+ EPS)
+    # planted at any place of a row normalized around it
+    planted = -DEFAULT_TOL.zero_tol * (1 + side * EPS)
+    rest = np.array(rest) * np.sqrt((1 - planted**2) / np.sum(np.square(rest)))
+    row = np.insert(rest, index, planted)
+    if side < 0:
+        twoqubit.schmidt_strength(row)
+    else:
+        with pytest.raises(ValidationError, match=rf"at rows \[0\] .+ \(zero_tol\)$"):
+            twoqubit.schmidt_strength(row)
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])

@@ -26,7 +26,7 @@ def test_tier1_step_runs_the_roadmap_command():
     ("twoqubit analyze nonunitary.json", 2),
     ("twoqubit analyze nan.json", 2),
     ("twoqubit sweep OA1 --n 1 --out one.csv", 2),
-    ("twoqubit sweep PN --n 11 --out pn.SVG --svg", 2),
+    ("twoqubit sweep PN --n 11 --out upper.SVG --svg", 2),
     ("twoqubit audit --samples 0", 2),
     ("twoqubit verify-tables --n 1", 2),
     (f"twoqubit audit --samples {10**30}", 2),
@@ -37,6 +37,15 @@ def test_failing_path_step_expects_its_exit_code(command, code):
     runs = [step["run"] for name, step in _steps().items() if name.startswith("Failing path")]
     assert [f"python -m {command} || code=$?" in run and f'test "$code" -eq {code}' in run
             for run in runs].count(True) == 1
+
+
+def test_svg_suffix_step_checks_names_no_other_step_writes():
+    # every step runs in one workspace, so a file an earlier step wrote would fail it
+    name = "Failing path, a sweep whose --out ends in .SVG exits 2 and writes nothing"
+    run = _steps()[name]["run"]
+    assert "test ! -e upper.SVG && test ! -e upper.svg" in run
+    assert not any("upper." in step.get("run", "") for other, step in _steps().items()
+                   if other != name)
 
 
 def test_full_device_step_requires_the_write_error():
