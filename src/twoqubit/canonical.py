@@ -181,7 +181,7 @@ def points_from_bell_array(det, m, g1_ref, g2_ref):
     Raises:
         ExtractionError: if a point misses (G1, G2) by more than ``invariant_tol``.
     """
-    lam = _eigenphases(m * np.exp(-0.5j * np.angle(det))[..., None, None])
+    lam = _eigenphases(m * np.exp(-0.5j * np.arctan2(det.imag, det.real))[..., None, None])
     lam.sort(axis=-1)
     points = weyl_reduce_array(0.5 * (lam.take(_PAIR_A, axis=-1) + lam.take(_PAIR_B, axis=-1)))
     g1, g2 = invariants_from_point_array(points)

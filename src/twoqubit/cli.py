@@ -87,7 +87,8 @@ def _load_gate(source: str) -> np.ndarray:
     if source in catalog_names():
         return catalog(source)
     try:
-        data = json.loads(Path(source).read_text())
+        with open(source) as file:
+            data = json.load(file)
     except OSError as exc:
         raise ParseError(
             f"{source!r} is neither a catalog name ({', '.join(catalog_names())}) "

@@ -77,15 +77,12 @@ def z_from_point_array(c: np.ndarray) -> np.ndarray:
     cos_sum = np.cos((c3 + c2) / 2)
     sin_diff = np.sin((c3 - c2) / 2)
     sin_sum = np.sin((c3 + c2) / 2)
-    return np.stack(
-        [
-            0.5 * (e_plus * cos_diff + e_minus * cos_sum),
-            0.5 * (e_plus * cos_diff - e_minus * cos_sum),
-            -0.5j * (e_plus * sin_diff - e_minus * sin_sum),
-            0.5j * (e_plus * sin_diff + e_minus * sin_sum),
-        ],
-        axis=-1,
-    )
+    z = np.empty(c.shape[:-1] + (4,), dtype=complex)
+    z[..., 0] = 0.5 * (e_plus * cos_diff + e_minus * cos_sum)
+    z[..., 1] = 0.5 * (e_plus * cos_diff - e_minus * cos_sum)
+    z[..., 2] = -0.5j * (e_plus * sin_diff - e_minus * sin_sum)
+    z[..., 3] = 0.5j * (e_plus * sin_diff + e_minus * sin_sum)
+    return z
 
 
 def z_from_point(c) -> np.ndarray:

@@ -386,6 +386,21 @@ def test_class_data_from_points_agrees_with_from_unitaries():
     assert np.allclose(from_points.strength, from_gates.strength, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 7, 1024, 4097])
+def test_class_data_of_a_point_stack_is_the_per_point_data_bit_for_bit(n):
+    # the chamber's vertices and the base plane first, then any real triples
+    rng = np.random.default_rng(n)
+    special = list(TETRAHEDRON_VERTICES.values()) + list(POLYHEDRON_VERTICES.values())
+    base = np.column_stack([rng.uniform(0, PI, 8), rng.uniform(0, PI / 2, 8), np.zeros(8)])
+    points = np.concatenate([special, base, rng.uniform(-2 * PI, 2 * PI, (n, 3))])[:n]
+    stack = ClassData.from_points(points)
+    for k, point in enumerate(points):
+        alone = ClassData.from_points(point)
+        for field in ("points", "g1", "g2", "s", "strength"):
+            row, own = getattr(stack, field)[k], np.asarray(getattr(alone, field))
+            assert row.tobytes() == own.tobytes(), (field, k)
+
+
 def test_class_data_refuses_imaginary_g2_residue(monkeypatch):
     true_real_g2 = invariants_mod._real_g2
 

@@ -130,6 +130,17 @@ def test_analyze_unknown_source_exit_1(capsys):
     assert "catalog name" in err
 
 
+@pytest.mark.parametrize("source", ["", "gate.json/"])
+def test_analyze_opens_the_source_path_as_given(tmp_path, monkeypatch, capsys, source):
+    # no readable file: "" is not read as ".", nor "gate.json/" as "gate.json"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gate.json").write_text(json.dumps(gate_to_json_data(np.eye(4))))
+    code, out, err = run(capsys, "analyze", source)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {source!r} is neither a catalog name")
+    assert err.endswith(f": {source!r}\n")
+
+
 def test_analyze_bad_json_exit_1(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope")

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -253,3 +254,66 @@ def test_gate_json_rejects_nonunitary():
     data = [[[2.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
     with pytest.raises(ValidationError):
         gate_from_json_data(data)
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("kind", [int, float, _Int, _Float, np.float64])
+def test_gate_json_takes_ints_floats_and_their_subclasses(kind):
+    data = [[[kind(i == j), kind(0)] for j in range(4)] for i in range(4)]
+    assert gate_from_json_data(data).tobytes() == np.eye(4, dtype=complex).tobytes()
+
+
+# numpy's integers and float32 are no subclass of int or float
+@pytest.mark.parametrize("value", [True, False, np.int64(0), np.float32(0), "0", None, [0]])
+@pytest.mark.parametrize("part", [0, 1])
+def test_gate_json_refuses_a_part_that_is_no_int_or_float(value, part):
+    data = gate_to_json_data(np.eye(4))
+    data[1][2][part] = value
+    with pytest.raises(ParseError, match=re.escape("entry [1][2] must be a [re, im] number pair")):
+        gate_from_json_data(data)
+
+
+@pytest.mark.parametrize("part", [0, 1])
+@pytest.mark.parametrize("i, j", list(itertools.product(range(4), range(4))))
+def test_gate_json_refuses_a_huge_integer_naming_the_first(i, j, part):
+    # every entry from [i][j] on holds one, of either sign; the first is named
+    data = gate_to_json_data(np.eye(4))
+    for k in range(4 * i + j, 16):
+        data[k // 4][k % 4][part] = (-1) ** k * 10**400
+    with pytest.raises(ValidationError, match=re.escape(
+            f"matrix entries must be finite, but entry [{i}, {j}] is not")):
+        gate_from_json_data(data)
+
+
+@pytest.mark.parametrize("first, named", [
+    (float("nan"), [0, 3]),  # a NaN before the huge integer is named first
+    (2**1024 - 2**970 - 1, [2, 1]),  # rounds to the largest float, which is finite
+    (2**1024 - 2**970, [0, 3]),  # the least integer that float() refuses
+], ids=["nan", "largest-float", "least-refused"])
+def test_gate_json_names_the_first_entry_that_is_not_finite(first, named):
+    data = gate_to_json_data(np.eye(4))
+    data[0][3][1], data[2][1][0] = first, 10**400
+    with pytest.raises(ValidationError, match=re.escape(
+            f"matrix entries must be finite, but entry {named} is not")):
+        gate_from_json_data(data)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gate_json_loads_each_entry_as_complex_does(seed):
+    # a Haar gate, and a controlled Haar gate whose JSON holds the ints 0 and 1
+    rng = np.random.default_rng(seed)
+    controlled = np.eye(4, dtype=complex)
+    controlled[2:, 2:] = haar_unitary(rng, 2)
+    for u in (haar_unitary(rng), controlled):
+        data = [[[int(x) if x.is_integer() else x for x in entry] for entry in row]
+                for row in gate_to_json_data(u)]
+        assert {type(x) for row in data for entry in row for x in entry} <= {int, float}
+        expected = np.array([[complex(*entry) for entry in row] for row in data])
+        assert gate_from_json_data(data).tobytes() == expected.tobytes()

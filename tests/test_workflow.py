@@ -25,6 +25,7 @@ def test_tier1_step_runs_the_roadmap_command():
     ("twoqubit analyze no-such-file", 1),
     ("twoqubit analyze nonunitary.json", 2),
     ("twoqubit analyze nan.json", 2),
+    ("twoqubit analyze huge.json", 2),
     ("twoqubit sweep OA1 --n 1 --out one.csv", 2),
     ("twoqubit sweep PN --n 11 --out upper.SVG --svg", 2),
     ("twoqubit audit --samples 0", 2),
