@@ -2,12 +2,13 @@
 
 Subcommands: analyze, sweep, verify-tables, audit, list-gates.
 
-Exit codes: 0 success, 1 parse error, 2 validation error (a count that
-no memory can hold included), 3 numerical error (an extraction or G2
-residue beyond its tolerance, as ``NumericalError``, or numpy's
-``LinAlgError``), 4 output that cannot be written, stdout included, 5
-table verification failure, 6 audit property violation. ``main`` alone maps
-errors to codes, and it flushes stdout, so a failed write to it exits 4 too.
+Exit codes: 0 success, 1 a gate source that cannot be read or parsed, 2
+validation error (a count that no memory can hold included) or argparse's
+usage error, 3 numerical error (an extraction or G2 residue beyond its
+tolerance, as ``NumericalError``, or numpy's ``LinAlgError``), 4 output that
+cannot be written, stdout included, 5 table verification failure, 6 audit
+property violation. ``main`` alone maps errors to codes, and it flushes
+stdout, so a failed write to it exits 4 too.
 """
 from __future__ import annotations
 
@@ -164,7 +165,8 @@ def _cmd_list_gates(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="twoqubit",
         description="Nonlocal structure of two-qubit gates: canonical "
@@ -201,15 +203,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list-gates", help="list catalog gates with their coordinates")
     p.set_defaults(func=_cmd_list_gates)
 
-    return parser
+    return parser, sub.choices
 
 
-# parse_args leaves the parser unchanged, so one build serves every call
-_parser = functools.cache(build_parser)
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+# parsing leaves a parser unchanged, so one build serves every call
+_parsers = functools.cache(_build_parsers)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``. A command goes to its own parser alone;
+    the full pass runs for anything else and for arguments that parser leaves, so
+    every help, version and usage error is argparse's own."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        namespace = argparse.Namespace(command=argv[0])
+        args, rest = commands[argv[0]].parse_known_args(argv[1:], namespace)
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()

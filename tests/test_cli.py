@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -592,14 +593,80 @@ def test_stdout_on_full_device_exit_4_without_traceback(stdio):
 def test_parser_built_once(capsys, monkeypatch):
     import twoqubit.cli as cli_mod
 
-    calls = []
-    build = cli_mod.build_parser
-    monkeypatch.setattr(cli_mod, "build_parser", lambda: calls.append(1) or build())
-    run(capsys, "list-gates")
-    run(capsys, "analyze", "cnot")
-    assert calls == []
-    assert cli_mod._parser() is cli_mod._parser()
-    assert cli_mod._parser.cache_info().misses == 1
+    cli_mod._parsers()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for _ in range(2):
+        run(capsys, "list-gates")
+        run(capsys, "analyze", "cnot", "--format", "json")
+        with pytest.raises(SystemExit):  # the full pass, on the same parser
+            main(["analyze", "cnot", "--bogus"])
+    assert built == []
+    assert cli_mod._parsers() is cli_mod._parsers()
+    assert cli_mod._parsers.cache_info().misses == 1
+
+
+def _outcome(capsys, call):
+    # (return value, SystemExit code, stdout, stderr) of call()
+    try:
+        result, code = call(), None
+    except SystemExit as exc:
+        result, code = None, exc.code
+    out, err = capsys.readouterr()
+    return result, code, out, err
+
+
+# no command, help, version, a command in the wrong case, usage errors inside and
+# after a command's arguments, option abbreviations, '--', and commands that parse
+PARSE_CASES = [
+    [], ["-h"], ["--version"], ["bogus"], ["Analyze", "cnot"], ["-h", "analyze"],
+    ["analyze"], ["analyze", "-h"], ["analyze", "cnot", "-h"], ["analyze", "--", "cnot"],
+    ["analyze", "cnot", "--format", "xml"], ["analyze", "cnot", "--format=json"],
+    ["analyze", "cnot", "--form", "json"], ["analyze", "cnot", "--bogus"],
+    ["analyze", "--bogus", "cnot"], ["analyze", "cnot", "extra"],
+    ["analyze", "cnot", "--bogus", "-h"], ["analyze", "cnot", "--degrees"],
+    ["--version", "analyze"], ["analyze", "cnot", "--version"],
+    ["sweep", "PN", "--n", "abc", "--out", "x.csv"], ["sweep", "PN", "--out", "x.csv", "--svg"],
+    ["sweep", "PN"], ["verify-tables", "--n", "5"], ["audit", "--sam", "3"],
+    ["audit", "--samples"], ["audit", "--seed", "-1"], ["list-gates"], ["list-gates", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    # each command records its arguments, so a parse that succeeds runs nothing
+    import twoqubit.cli as cli_mod
+
+    parser, commands = cli_mod._build_parsers()
+    seen = []
+    for sub in commands.values():
+        sub.set_defaults(func=lambda args: seen.append(args) or 0)
+    monkeypatch.setattr(cli_mod, "_parsers", lambda: (parser, commands))
+    _, code, out, err = _outcome(capsys, lambda: main(argv))
+    full, full_code, full_out, full_err = _outcome(capsys, lambda: parser.parse_args(argv))
+    assert (code, out, err) == (full_code, full_out, full_err)
+    assert [vars(args) for args in seen] == ([] if full is None else [vars(full)])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze"], "the following arguments are required: source"),
+    (["analyze", "cnot", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_error_exits_2_with_argparse_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: twoqubit") and err.endswith(f": error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "cnot", "--format", "json"],
+                                  ["analyze", "cnot", "--bogus"], []])
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["twoqubit", *argv])
+    assert _outcome(capsys, main) == _outcome(capsys, lambda: main(argv))
 
 
 def test_list_gates_extracts_catalog_once(capsys, monkeypatch):

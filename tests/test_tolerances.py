@@ -522,6 +522,27 @@ def test_chamber_face_decided_at_facet_tol(face, side):
     assert bool(is_perfect_entangler_array(point)) is (side < 0)
 
 
+# the PE facets in chamber faces as triangles; on the base c3 = 0 the half
+# L Q A2 of the quad, where c1 <= pi/2 and so the base condition holds
+CHAMBER_FACETS = {0: np.array([POLYHEDRON_VERTICES[v] for v in ("L", "Q", "A2")]),
+                  **{face: SURFACES[face][2] for face in (1, 2, 5)}}
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(CHAMBER_FACETS)),
+       st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+def test_chamber_facet_decided_at_facet_tol_property(face, weights):
+    # an interior point of the facet, moved along its normal by facet_tol times
+    # (1 -+ EPS): the first plant is inside for both readers, the second outside
+    a = PE_HALFSPACES[0][face]
+    w = np.array(weights)
+    point = (w / w.sum()) @ CHAMBER_FACETS[face]
+    for side in (-1.0, 1.0):
+        planted = point + DEFAULT_TOL.facet_tol * (1 + side * EPS) * a / (a @ a)
+        assert in_weyl_chamber(planted) is (side < 0)
+        assert bool(is_perfect_entangler_array(planted)) is (side < 0)
+
+
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("side", [-1.0, 1.0])
 def test_row_norm_decided_at_unitarity_tol(sign, side):

@@ -26,6 +26,7 @@ def test_tier1_step_runs_the_roadmap_command():
     ("twoqubit analyze nonunitary.json", 2),
     ("twoqubit analyze nan.json", 2),
     ("twoqubit analyze huge.json", 2),
+    ("twoqubit analyze cnot --bogus", 2),
     ("twoqubit sweep OA1 --n 1 --out one.csv", 2),
     ("twoqubit sweep PN --n 11 --out upper.SVG --svg", 2),
     ("twoqubit audit --samples 0", 2),
@@ -52,6 +53,12 @@ def test_svg_suffix_step_checks_names_no_other_step_writes():
 def test_full_device_step_requires_the_write_error():
     run = _steps()["Failing path, output to a full device exits 4"]["run"]
     assert "|| code=$?; } 2> err.txt" in run and 'grep -qF "cannot write output" err.txt' in run
+
+
+def test_usage_error_step_requires_argparse_message_and_no_output():
+    run = _steps()["Failing path, an unrecognized option after a command exits 2 and names it"]["run"]
+    assert "|| code=$?; } > out.txt 2> err.txt" in run and "test ! -s out.txt" in run
+    assert 'grep -qF "unrecognized arguments: --bogus" err.txt' in run
 
 
 def test_zero_sample_step_requires_the_count_rule():
