@@ -231,16 +231,17 @@ class ClassData:
         gates' realigned coefficients (``schmidt_coefficients_array``).
 
         Raises:
-            NumericalError: a G2 residue, then a missed point (``ExtractionError``);
-                a failed numpy solver (det, eigh) raises numpy's error.
+            NumericalError: a G2 residue, a NaN one for a singular or overflowing
+                row, then a missed point (``ExtractionError``); ``eigh`` raises its own.
         """
         return cls._from_unitaries(u)[0]
 
     @classmethod
     def _from_unitaries(cls, u):
         """``from_unitaries`` and the points' own (G1, G2) and z(c), which the audit reads."""
-        det, m = bell_matrix_array(np.asarray(u, dtype=complex))
-        g1, g2 = invariants_from_bell_array(det, m)
+        with np.errstate(all="ignore"):  # a singular or overflowing row turns NaN, refused by G2
+            det, m = bell_matrix_array(np.asarray(u, dtype=complex))
+            g1, g2 = invariants_from_bell_array(det, m)
         points, point_invariants = points_from_bell_array(det, m, g1, g2)
         z = z_from_point_array(points)
         return _class_data(points, g1, g2, points, z), point_invariants, z

@@ -7,10 +7,10 @@ M(U) = U_B^T U_B, from canonical coordinates, or from the coefficients of
 the two-sided Pauli expansion of the nonlocal part. All three routes must
 agree; the tests enforce this.
 
-The array helpers (prefixed ``invariants_from_*_array``) accept stacked
-inputs and are used by the extraction and audit machinery. Each returns
-complex G1 and real G2: G2 is real for every unitary, so the routes that
-compute it complex refuse its imaginary residue where they compute it.
+The array helpers (prefixed ``invariants_from_*_array``) serve the extraction
+and the audit. Each returns complex G1 and real G2: G2 is real for a unitary, so
+a route that computes it complex refuses |Im G2| above ``invariant_tol``, a NaN
+one (a singular or overflowing gate) included, where it computes it.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ __all__ = [
 
 def _real_g2(g2: np.ndarray) -> np.ndarray:
     """The real part of complex G2 values (...,); G2 is real for unitary input,
-    so rows whose imaginary residue exceeds ``imag_residue_tol`` raise NumericalError."""
-    refuse_rows(NumericalError, "G2 imaginary residue", np.abs(g2.imag), "imag_residue_tol")
+    so rows whose imaginary residue exceeds ``invariant_tol`` raise NumericalError."""
+    refuse_rows(NumericalError, "G2 imaginary residue", np.abs(g2.imag), "invariant_tol")
     return g2.real
 
 
@@ -87,14 +87,13 @@ def invariants_from_bell_array(det: np.ndarray, m: np.ndarray):
     tr = m.trace(axis1=-2, axis2=-1)
     # M is symmetric bit for bit, so tr(M^2) = sum_ij M_ij^2, cheaper than forming M @ M
     tr_m2 = (m * m).sum(axis=(-2, -1))
-    g1 = tr**2 / (16 * det)
-    return g1, _real_g2((tr**2 - tr_m2) / (4 * det))
+    return tr**2 / (16 * det), _real_g2((tr**2 - tr_m2) / (4 * det))
 
 
 def invariants_from_unitary_array(u: np.ndarray):
-    """(G1, G2) for a stack of unitaries, shape (..., 4, 4), as
-    ``invariants_from_bell_array``."""
-    return invariants_from_bell_array(*bell_matrix_array(u))
+    """(G1, G2) for unitaries (..., 4, 4), as ``ClassData.from_unitaries`` forms them."""
+    with np.errstate(all="ignore"):  # a singular or overflowing row turns NaN, refused by G2
+        return invariants_from_bell_array(*bell_matrix_array(u))
 
 
 def invariants_from_unitary(u) -> tuple[complex, float]:

@@ -47,14 +47,13 @@ class Tolerance:
     # on the workloads a zero s reads <= 6.1e-17 (none below 0), a nonzero s3 >= 4.4e-2
     # but for the planted near-line gates
     zero_tol: float = 1e-8
-    # largest |Im G2|, and entry of the Schmidt kernel's Im(C^dag C), taken as rounding
-    # noise; the latter reads at most 6.1e-16 on 1e5 Haar draws
-    imag_residue_tol: float = 1e-9
-    # two evaluations of one class agree: the extraction, locally_equivalent and the
-    # audit's route and local-dressing lines. At unitarity defect 0.99e-10, 14 classes
-    # x 2e4 perturbations U (I + E), plain and dressed, read an extraction residual of
-    # at most 4.0e-11 and points at most 5.0e-11 from their polar factor's; the audit
-    # lines read at most 3.3e-15 in the 1e5-sample audits at seeds 3 and 42
+    # two evaluations of one class agree: the extraction, locally_equivalent, the audit's
+    # lines, |Im G2| (G2 is real for a unitary) and the Schmidt kernel's discarded
+    # Im(C^dag C), which sends a row to the SVD. At unitarity defect 0.99e-10, 14 classes
+    # x 2e4 perturbations U (I + E) read an extraction residual <= 4.0e-11 and points
+    # <= 5.0e-11 from their polar factor's; |Im G2| <= sqrt3 times the defect, 1.7e-10, so
+    # this field stays above sqrt3 unitarity_tol. Audit lines: <= 3.3e-15 (1e5 samples,
+    # seeds 3 and 42); Im(C^dag C): <= 6.1e-16 on 1e5 Haar draws
     invariant_tol: float = 1e-9
     # extraction: larger off-diagonal -> eigvals; at most 1.9e-11 on 1e5 Haar draws
     eigh_offdiag_tol: float = 1e-8

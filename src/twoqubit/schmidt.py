@@ -112,7 +112,7 @@ def schmidt_coefficients_array(u: np.ndarray) -> np.ndarray:
     roots of the eigenvalues of the real Re(C^dag C) = [Cr; Ci]^T [Cr; Ci], C = Cr + i Ci
     from the exact table ``_SCHMIDT``. Their error grows like 1.5e-16 / s4, so rows with
     s4 below ``svd_fallback_tol``, or a discarded Im(C^dag C) = Cr^T Ci - Ci^T Cr above
-    ``imag_residue_tol``, take half the singular values of the realigned U instead.
+    ``invariant_tol``, take half the singular values of the realigned U instead.
 
     Raises:
         numpy.linalg.LinAlgError: if ``eigvalsh`` or a fallback SVD does not converge.
@@ -124,7 +124,7 @@ def schmidt_coefficients_array(u: np.ndarray) -> np.ndarray:
     im = np.abs(p - p.swapaxes(-1, -2)).max(axis=(-2, -1))
     # rounding can leave the smallest eigenvalue below 0; its row falls back, as a NaN row does
     s = np.sqrt(np.maximum(w[..., ::-1], 0.0)) / 2.0
-    fallback = ~((s[..., 3] >= DEFAULT_TOL.svd_fallback_tol) & (im <= DEFAULT_TOL.imag_residue_tol))
+    fallback = ~((s[..., 3] >= DEFAULT_TOL.svd_fallback_tol) & (im <= DEFAULT_TOL.invariant_tol))
     if fallback.any():
         s[fallback] = np.linalg.svd(_realign(u[fallback]), compute_uv=False) / 2.0
     return s

@@ -236,7 +236,7 @@ def _shift_g2(monkeypatch, row, shift):
     "plant, row, shift, error, what, field",
     [(_shift_g1, 7, 0.1, ExtractionError, "canonical point misses the local invariants",
       "invariant_tol"),
-     (_shift_g2, 12, 1e-6j, NumericalError, "G2 imaginary residue", "imag_residue_tol")],
+     (_shift_g2, 12, 1e-6j, NumericalError, "G2 imaginary residue", "invariant_tol")],
     ids=["extraction", "g2-imaginary-residue"],
 )
 def test_refusal_in_the_second_chunk_names_its_samples(monkeypatch, plant, row, shift,

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -233,10 +231,15 @@ def test_canonical_gate_matches_pauli_expansion(rng):
 
 
 def test_extraction_failure_reports_residual(monkeypatch):
-    # absurdly tight tolerance forces the failure path
-    tight = dataclasses.replace(linops.DEFAULT_TOL, invariant_tol=1e-18)
-    monkeypatch.setattr(linops, "DEFAULT_TOL", tight)
-    with pytest.raises(ExtractionError, match="residual"):
+    # a G1 twice the tolerance off the gate's own forces the failure path
+    true = canonical_mod.invariants_from_bell_array
+
+    def planted(det, m):
+        g1, g2 = true(det, m)
+        return g1 + 2 * linops.DEFAULT_TOL.invariant_tol, g2
+
+    monkeypatch.setattr(canonical_mod, "invariants_from_bell_array", planted)
+    with pytest.raises(ExtractionError, match=r"at rows \[0\] .+ residual"):
         canonical_points_array(haar_unitary(np.random.default_rng(3), 4))
 
 

@@ -6,6 +6,7 @@ tests aim at the cases that stress each step: degenerate spectra, phases
 at +/-pi, the ``eigvals`` fallback and the failure report.
 """
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from twoqubit.canonical import (
     ClassData,
     POLYHEDRON_VERTICES,
     TETRAHEDRON_VERTICES,
+    canonical_point,
     canonical_points_array,
+    locally_equivalent,
     weyl_reduce_array,
 )
 from twoqubit.edges import edge_names
@@ -148,12 +151,12 @@ def test_non_unitary_row_is_refused_by_its_g2_residue():
     with pytest.raises(NumericalError) as info:
         canonical_points_array(u)
     assert type(info.value) is NumericalError
-    assert re.match(r"G2 imaginary residue at rows \[3\] \(1 in all\).*\(imag_residue_tol\)$",
+    assert re.match(r"G2 imaginary residue at rows \[3\] \(1 in all\).*\(invariant_tol\)$",
                     str(info.value)), str(info.value)
 
 
 def test_every_route_refuses_a_near_unitary_gate_alike():
-    # 1e-9 off unitary: the G2 residue is about 3e-9, above imag_residue_tol,
+    # 1e-9 off unitary: the G2 residue is about 3e-9, above invariant_tol,
     # while the extracted point still matches (G1, Re G2)
     rng = np.random.default_rng(3)
     u = haar_unitary(rng) + 1e-9 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
@@ -164,3 +167,23 @@ def test_every_route_refuses_a_near_unitary_gate_alike():
         messages.append((type(info.value), str(info.value)))
     assert messages[0][1].startswith("G2 imaginary residue at rows [0] (1 in all)")
     assert messages == [messages[0]] * 3
+
+
+@pytest.mark.parametrize("route", [canonical_point, invariants_from_unitary,
+                                   ClassData.from_unitaries,
+                                   lambda u: locally_equivalent(u, np.eye(4))],
+                         ids=["canonical_point", "invariants_from_unitary", "from_unitaries",
+                              "locally_equivalent"])
+@pytest.mark.parametrize("matrix", [np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, 0.0]),
+                                    1e200 * np.eye(4), 1e-200 * np.eye(4)],
+                         ids=["zero", "singular", "overflowing", "underflowing"])
+def test_singular_or_overflowing_gate_is_refused_by_its_g2_without_a_warning(route, matrix):
+    # det(U) and the invariants' products turn NaN in silence, and the NaN G2
+    # residue is refused; a numpy warning would raise in place of the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            route(matrix)
+    assert type(info.value) is NumericalError
+    assert str(info.value) == ("G2 imaginary residue at rows [0] (1 in all); worst residual nan "
+                               "exceeds tol 1e-09 (invariant_tol)")

@@ -44,7 +44,6 @@ def test_tolerance_defaults():
     assert dataclasses.asdict(DEFAULT_TOL) == {
         "unitarity_tol": 1e-10,
         "zero_tol": 1e-8,
-        "imag_residue_tol": 1e-9,
         "invariant_tol": 1e-9,
         "eigh_offdiag_tol": 1e-8,
         "base_mirror_tol": 1e-13,

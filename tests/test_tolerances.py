@@ -154,6 +154,20 @@ def test_base_mirror_threshold_gives_one_of_two_images():
     assert len({(r.is_pe, r.schmidt_number) for r in reports}) == 1
 
 
+@SETTINGS
+@given(st.floats(PI / 2 + 0.01, PI - 0.02), st.floats(0.01, 1.0), st.permutations(range(3)))
+def test_base_mirror_decided_at_its_tol_property(c1, f, order):
+    # [c1, c2, c3] with c1 > pi/2, c1 + c2 < pi and c3 at the tol times (1 -+ EPS),
+    # given in a drawn coordinate order: the reduction keeps c3's bits, so the first
+    # plant is mirrored to [pi - c1, c2, c3] and the second keeps c1 > pi/2
+    c2 = f * (PI - c1 - 0.005)
+    for side in (-1.0, 1.0):
+        point = np.array([c1, c2, DEFAULT_TOL.base_mirror_tol * (1 + side * EPS)])
+        reduced = weyl_reduce_array(point[list(order)])
+        assert bool(reduced[0] <= PI / 2) is (side < 0), reduced
+        assert reduced[2] == point[2]
+
+
 # c2 a small multiple of zero_tol: the two small coefficients,
 # sin(c2/2) |cos(theta/2)| and sin(c2/2) |sin(theta/2)|, straddle it
 near_line_c2 = st.floats(0.3, 6.0).map(lambda m: m * DEFAULT_TOL.zero_tol)
@@ -352,11 +366,11 @@ def _count_three_row(monkeypatch):
     "site,error,field,rows",
     [
         (_extraction, twoqubit.ExtractionError, "invariant_tol", "[3]"),
-        (_class_data_g2, twoqubit.NumericalError, "imag_residue_tol", "[2]"),
-        (_matrix_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[0]"),
-        (_z_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[0]"),
-        (_audit_z_route_g2, twoqubit.NumericalError, "imag_residue_tol", "[4]"),
-        (_audit_dressed_g2, twoqubit.NumericalError, "imag_residue_tol", "[1]"),
+        (_class_data_g2, twoqubit.NumericalError, "invariant_tol", "[2]"),
+        (_matrix_route_g2, twoqubit.NumericalError, "invariant_tol", "[0]"),
+        (_z_route_g2, twoqubit.NumericalError, "invariant_tol", "[0]"),
+        (_audit_z_route_g2, twoqubit.NumericalError, "invariant_tol", "[4]"),
+        (_audit_dressed_g2, twoqubit.NumericalError, "invariant_tol", "[1]"),
         (lambda mp: twoqubit.invariants_from_z([1, 1, 0, 0]), ValidationError, "unitarity_tol",
          "[0]"),
         (lambda mp: make_gate(np.diag([1, 1, 1, 2])), ValidationError, "unitarity_tol", "[0]"),
@@ -462,40 +476,81 @@ def test_negative_coefficient_decided_at_zero_tol(rest, index, side):
             twoqubit.schmidt_strength(row)
 
 
-@pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_eigh_fallback_decided_at_its_tol(monkeypatch, side):
-    # eigh_offdiag_tol (1e-8): a basis of diag(exp(i phi)) turned by alpha in the
-    # (1, 3) plane leaves the off-diagonal entry sin(alpha) cos(alpha)
-    # |exp(i phi3) - exp(i phi1)| in P^T m P, and its own phases on the diagonal
-    phi = np.array([0.3, 1.1, -0.5, -0.9])
-    off = DEFAULT_TOL.eigh_offdiag_tol * (1 + side * EPS)
-    alpha = 0.5 * np.arcsin(2 * off / abs(np.exp(1j * phi[3]) - np.exp(1j * phi[1])))
+def _eigh_plant(phi, plane, side):
+    """eigvals' row counts and the largest phase error of ``_eigenphases`` on
+    diag(exp(i phi)) when eigh's basis is turned by alpha in ``plane`` (i, j): the
+    turn leaves the off-diagonal entry sin(alpha) cos(alpha) |exp(i phi_j) -
+    exp(i phi_i)| in P^T m P, planted at eigh_offdiag_tol (1 + side EPS), and its
+    own phases on the diagonal."""
+    i, j = plane
+    gap = abs(np.exp(1j * phi[j]) - np.exp(1j * phi[i]))
+    alpha = 0.5 * np.arcsin(2 * DEFAULT_TOL.eigh_offdiag_tol * (1 + side * EPS) / gap)
     p = np.eye(4)
-    p[[1, 3, 1, 3], [1, 3, 3, 1]] = np.cos(alpha), np.cos(alpha), -np.sin(alpha), np.sin(alpha)
+    p[[i, j, i, j], [i, j, j, i]] = np.cos(alpha), np.cos(alpha), -np.sin(alpha), np.sin(alpha)
     rows, true_eigvals = [], np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (None, np.broadcast_to(p, a.shape)))
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or true_eigvals(a))
-    phases = canonical_mod._eigenphases(np.diag(np.exp(1j * phi))[None])
-    assert rows == ([] if side < 0 else [1])
-    assert np.max(np.abs(np.sort(phases[0]) - np.sort(phi))) <= 1e-16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda a: (None, np.broadcast_to(p, a.shape)))
+        mp.setattr(np.linalg, "eigvals", lambda a: rows.append(len(a)) or true_eigvals(a))
+        phases = canonical_mod._eigenphases(np.diag(np.exp(1j * phi))[None])
+    return rows, np.max(np.abs(np.sort(phases[0]) - np.sort(phi)))
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_table_check_decided_at_its_tol(monkeypatch, side):
-    # table_tol (1e-10): one closed-form row of QP shifted by the planted amount in
-    # every coefficient, which keeps its order; the engine agrees to about 1e-16
-    spec, n, at = edges_mod.edge("QP"), 11, 4
+def test_eigh_fallback_decided_at_its_tol(side):
+    rows, error = _eigh_plant(np.array([0.3, 1.1, -0.5, -0.9]), (1, 3), side)
+    assert rows == ([] if side < 0 else [1])
+    assert error <= 1e-16
+
+
+@SETTINGS
+@given(st.lists(st.floats(-3.1, 3.1), min_size=4, max_size=4),
+       st.sampled_from([(i, j) for i in range(4) for j in range(i + 1, 4)]))
+def test_eigh_fallback_decided_at_its_tol_property(phi, plane):
+    # drawn phases and plane: the first plant keeps eigh's phases, the second takes eigvals
+    phi = np.array(phi)
+    assume(abs(np.exp(1j * phi[plane[1]]) - np.exp(1j * phi[plane[0]])) >= 0.5)
+    for side in (-1.0, 1.0):
+        rows, error = _eigh_plant(phi, plane, side)
+        assert rows == ([] if side < 0 else [1])
+        assert error <= 1e-14
+
+
+def _table_plant(name, n, at, side):
+    """``verify_tables(n)`` with row ``at`` of edge ``name``'s closed form shifted in
+    every coefficient, which keeps its order, by table_tol (1 + side EPS); the engine
+    agrees to about 1e-16. Returns the row's parameter, the edge's check and the
+    names of the failed checks."""
+    spec = edges_mod.edge(name)
     t_star = np.linspace(*spec.param_range, n)[at]
+
     shift = DEFAULT_TOL.table_tol * (1 + side * EPS)
 
     def planted(t):
         return spec.closed_form_s(t) + shift * (t == t_star)[..., None]
 
-    monkeypatch.setitem(edges_mod._EDGES, "QP", dataclasses.replace(spec, closed_form_s=planted))
-    report = twoqubit.verify_tables(n)
-    check = next(c for c in report.checks if c.name == "QP")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(edges_mod._EDGES, name, dataclasses.replace(spec, closed_form_s=planted))
+        report = twoqubit.verify_tables(n)
+    check = next(c for c in report.checks if c.name == name)
+    return t_star, check, [c.name for c in report.checks if not c.passed]
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_table_check_decided_at_its_tol(side):
+    t_star, check, failed = _table_plant("QP", 11, 4, side)
     assert check.where == t_star, check.detail
-    assert [c.name for c in report.checks if not c.passed] == ([] if side < 0 else ["QP"])
+    assert failed == ([] if side < 0 else ["QP"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(list(edges_mod.edge_names())), st.integers(2, 40), st.data())
+def test_table_check_decided_at_its_tol_property(name, n, data):
+    # a drawn row of a drawn edge: that edge alone fails, at that row, on the second plant
+    at = data.draw(st.integers(0, n - 1))
+    for side in (-1.0, 1.0):
+        t_star, check, failed = _table_plant(name, n, at, side)
+        assert check.where == t_star, check.detail
+        assert failed == ([] if side < 0 else [name])
 
 
 # facet_tol (1e-10) through in_weyl_chamber: a point of each chamber face that is
@@ -558,21 +613,63 @@ def test_row_norm_decided_at_unitarity_tol(sign, side):
                 site(row)
 
 
-@pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_gram_imaginary_residue_decided_at_imag_residue_tol(side):
-    # imag_residue_tol (1e-9) in schmidt_coefficients_array: the gate whose
-    # quaternion-basis matrix is C = diag(2 s) + i eps E_01 has the discarded
-    # Im(C^dag C) = 2 s1 eps (E_01 - E_10), planted at the tol times (1 -+ EPS);
-    # s4 = 0.3 keeps svd_fallback_tol out of the decision
-    s = np.array([0.7, 0.5, 0.4, 0.3])
-    eps = DEFAULT_TOL.imag_residue_tol * (1 + side * EPS) / (2 * s[0])
+def _gram_plant(s, entry, o, side):
+    """The SVD row counts and the coefficients of ``schmidt_coefficients_array`` on the
+    gate whose quaternion-basis matrix is C = o (diag(2 s) + i eps E_lm), ``entry``
+    (l, m), with o real orthogonal, which cancels in C^dag C: its discarded
+    Im(C^dag C) = 2 s_l eps (E_lm - E_ml) is planted at invariant_tol (1 + side EPS)."""
+    l, m = entry
     c = np.diag(2 * s).astype(complex)
-    c[0, 1] = 1j * eps
+    c[l, m] = 1j * DEFAULT_TOL.invariant_tol * (1 + side * EPS) / (2 * s[l])
     q = np.array([np.eye(2), 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z])  # sqrt2 times the basis
-    u = np.einsum("lm,lac,mbd->abcd", c, q, q).reshape(4, 4) / 2  # sum_lm C_lm P_l x P_m
+    u = np.einsum("lm,lac,mbd->abcd", o @ c, q, q).reshape(4, 4) / 2  # sum_lm C_lm P_l x P_m
     rows = []
     with pytest.MonkeyPatch.context() as mp:
         _counting_svd(mp, rows)
         coefficients = schmidt_coefficients_array(u[None])
+    return rows, coefficients[0]
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_gram_imaginary_residue_decided_at_invariant_tol(side):
+    # s4 = 0.3 keeps svd_fallback_tol out of the decision
+    s = np.array([0.7, 0.5, 0.4, 0.3])
+    rows, coefficients = _gram_plant(s, (0, 1), np.eye(4), side)
     assert rows == ([] if side < 0 else [1])
-    assert np.max(np.abs(coefficients[0] - s)) <= 1e-14
+    assert np.max(np.abs(coefficients - s)) <= 1e-14
+
+
+@SETTINGS
+@given(st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+       st.sampled_from([(l, m) for l in range(4) for m in range(4) if l != m]), seeds)
+def test_gram_imaginary_residue_decided_at_invariant_tol_property(s, entry, seed):
+    # a drawn Schmidt row, s4 >= 0.05 clear of svd_fallback_tol, a drawn entry and a
+    # drawn rotation: the Gram route keeps the first plant, the SVD takes the second.
+    # Coefficients 0.01 apart keep eps's shift of them second order, below 1e-14
+    s = np.sort(s)[::-1]
+    assume(np.min(-np.diff(s)) >= 0.01)
+    o = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))[0]
+    for side in (-1.0, 1.0):
+        rows, coefficients = _gram_plant(s, entry, o, side)
+        assert rows == ([] if side < 0 else [1])
+        assert np.max(np.abs(coefficients - s)) <= 1e-14
+
+
+@SETTINGS
+@given(st.floats(0.1, PI / 2), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([-1, 1]))
+def test_g2_imaginary_residue_decided_at_invariant_tol_property(c1, f2, f3, sign):
+    # a common phase e^{i phi} on the z of a drawn point turns G2 into e^{4i phi} G2;
+    # phi puts Im G2 at sign times the tol times (1 -+ EPS), and the z route's
+    # _real_g2 accepts the first plant and refuses the second
+    point = [c1, f2 * c1, f3 * f2 * c1]
+    g2 = invariants_from_point(point)[1]
+    assume(abs(g2) >= 0.1)
+    z = z_from_point(point)
+    for side in (-1.0, 1.0):
+        phi = np.arcsin(sign * DEFAULT_TOL.invariant_tol * (1 + side * EPS) / g2) / 4
+        if side < 0:
+            assert twoqubit.invariants_from_z(z * np.exp(1j * phi))[1] == pytest.approx(g2)
+        else:
+            with pytest.raises(twoqubit.NumericalError,
+                               match=r"^G2 imaginary residue at rows \[0\] .+ \(invariant_tol\)$"):
+                twoqubit.invariants_from_z(z * np.exp(1j * phi))

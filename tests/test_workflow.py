@@ -4,14 +4,20 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _steps() -> dict:
-    yaml = pytest.importorskip("yaml")
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
     return {step["name"]: step for step in workflow["jobs"]["tier1"]["steps"] if "name" in step}
+
+
+def test_install_step_installs_every_module_the_tests_import():
+    # PyYAML included: this file imports it, so a runner without it fails here
+    install = _steps()["Install numpy and the test tools"]["run"].split()
+    assert {"numpy", "pytest", "hypothesis", "pyyaml"} <= set(install)
 
 
 def test_tier1_step_runs_the_roadmap_command():
