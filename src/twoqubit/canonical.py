@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionError
-from .gates import Q_MAGIC
+from .gates import Q_MAGIC, make_gate
 from .invariants import (
     bell_matrix_array, invariants_from_bell_array, invariants_from_point_array,
 )
-from .linops import DEFAULT_TOL, as_finite, as_scalar, as_triple, refuse_rows
+from .linops import DEFAULT_TOL, as_scalar, as_triple, refuse_rows
 from .schmidt import schmidt_numbers_array, schmidt_strength_array, z_from_point_array
 
 __all__ = [
@@ -228,7 +228,9 @@ class ClassData:
         """Class data of unitaries (..., 4, 4): the points and (G1, G2) of
         one det(U) and M(U) pass, then ``points_from_bell_array``, and ``s``
         as the sorted |z(c)| there, which the audit checks against the dressed
-        gates' realigned coefficients (``schmidt_coefficients_array``).
+        gates' realigned coefficients (``schmidt_coefficients_array``). It
+        trusts its rows to be unitary, as the audit's draws are, and pays for no
+        ``make_gate`` check: a non-unitary row is refused only as below.
 
         Raises:
             NumericalError: a G2 residue, a NaN one for a singular or overflowing
@@ -271,10 +273,10 @@ def locally_equivalent(a, b) -> bool:
     base-mirror image [pi - c1, c2, c3].
 
     Raises:
-        ValidationError: as ``as_finite``, for anything but a finite 4x4 matrix.
+        ValidationError: as ``make_gate``, for anything but a unitary 4x4 matrix.
         NumericalError: as ``ClassData.from_unitaries``, an ``ExtractionError`` included.
     """
-    u = np.stack([as_finite(g, (4, 4), "matrix", complex) for g in (a, b)])
+    u = np.stack([make_gate(g) for g in (a, b)])
     ca, cb = ClassData.from_unitaries(u).points
     tol = DEFAULT_TOL.invariant_tol
     mirror = min(ca[2], cb[2]) <= tol and (np.abs(ca - [np.pi - cb[0], cb[1], cb[2]]) <= tol).all()
@@ -283,8 +285,9 @@ def locally_equivalent(a, b) -> bool:
 
 def canonical_point(u) -> np.ndarray:
     """The chamber-reduced canonical coordinates [c1, c2, c3] of one gate matrix,
-    as ``canonical_points_array``; a malformed matrix is refused as ``as_finite``."""
-    return canonical_points_array(as_finite(u, (4, 4), "matrix", complex))
+    as ``canonical_points_array``; a malformed or non-unitary matrix is refused
+    as ``make_gate``."""
+    return canonical_points_array(make_gate(u))
 
 
 def is_perfect_entangler(c) -> bool:

@@ -5,12 +5,14 @@ Each edge is the straight segment between two named vertices of
 :mod:`canonical` (O, A1, A2, A3 or L, M, N, P, Q, A2), traced linearly over
 a parameter range, together with closed-form Schmidt coefficients along
 it. :func:`sweep` writes an edge's rows as CSV, evaluated ``linops.CHUNK``
-at a time, each chunk (flags included) formatted by one %-format call, keeping
-only the grid and its strengths, which :func:`write_edge_svg` writes as an SVG
-plot a chunk of points at a time. The CSV holds what %.15g prints, but a value
-with 1e-4 <= |x| < 10 prints as one integer in a literal template: numpy
-computes its 15 digits exactly (Dekker's two-product, rounded half-even as
-CPython rounds), and every other value keeps %.15g in the same call.
+at a time, each chunk (flags included) formatted as bytes by one bytes
+%-format call and written to a binary file, keeping only the grid and its
+strengths, which :func:`write_edge_svg` writes as an SVG plot a chunk of
+points at a time. The CSV holds what %.15g prints, but a value with
+1e-4 <= |x| < 10 prints as one integer in a literal template: numpy computes
+its 15 digits exactly (Dekker's two-product, its low part formed only at a
+half-integer tie and at the 1e14 boundary, rounded half-even as CPython
+rounds), and every other value keeps %.15g in the same call.
 Sweeps always compute coefficients through the expansion-coefficient engine
 (z_from_point); the closed forms are kept only as an independent oracle,
 checked by :func:`verify_tables`, which reads only the coefficients; it
@@ -194,7 +196,8 @@ def _templates() -> np.ndarray:
 
 def _digits(x):
     """(fast, e, m): where ``fast``, m in [1e14, 1e15) is |x| 10^(14 - e) rounded
-    half-even, the 15 digits that %.15g prints for x at the exponent e in [-4, 0]."""
+    half-even, the 15 digits that %.15g prints for x at the exponent e in [-4, 0];
+    the product's low part is formed only where it can decide m or ``fast``."""
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 10)
     a[~fast] = 1.0
@@ -203,26 +206,29 @@ def _digits(x):
     # (1971)). Below 1e15 < 2^50 the ulp of hi is at most 1/8, so a hi that is no
     # half-integer lies farther than |lo| from one and rounds as the product does;
     # at a half-integer the sign of lo decides, and lo = 0 is a true tie, which rint
-    # takes to even, as CPython does. The product, not m, must lie in [1e14, 1e15).
+    # takes to even, as CPython does. The product, not m, must lie in [1e14, 1e15),
+    # so lo decides at hi = 1e14 too.
     hi = a * _POW10[1 - e]
-    a_hi, a_lo = _split(a)
-    p_hi, p_lo = _POW10_HI[1 - e], _POW10_LO[1 - e]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    del a, a_hi, a_lo, p_hi, p_lo
     m = np.rint(hi)
-    tie = (np.abs(hi - m) == 0.5) & (lo != 0)
-    m[tie] = hi[tie] + np.copysign(0.5, lo[tie])
-    fast &= (m < 1e15) & ((hi > 1e14) | ((hi == 1e14) & (lo >= 0)))
+    k = np.flatnonzero(fast & ((np.abs(hi - m) == 0.5) | (hi == 1e14)))
+    a_hi, a_lo = _split(a[k])
+    p_hi, p_lo = _POW10_HI[1 - e[k]], _POW10_LO[1 - e[k]]
+    lo = ((a_hi * p_hi - hi[k]) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    tie = (hi[k] != 1e14) & (lo != 0)
+    m[k[tie]] = hi[k[tie]] + np.copysign(0.5, lo[tie])
+    fast &= (m < 1e15) & (hi >= 1e14)
+    fast[k[(hi[k] == 1e14) & (lo < 0)]] = False
     return fast, e, m.astype(np.int64)
 
 
-def _csv_rows(columns, flags=None) -> str:
-    """CSV rows of equal-length columns, formatted by one %-format call as %.15g
-    prints each value, with ``true`` or ``false`` after each row if ``flags`` is
-    given; LF line endings. A value with 1e-4 <= |x| < 10 prints its exact digits
-    (:func:`_digits`), trailing zeros dropped, as one %d in a :func:`_templates` entry;
-    a zero or a digit alone takes no argument, and every other value (tiny, 10 or
-    more, non-finite, or carried to the next decade) keeps %.15g in the same call."""
+def _csv_rows(columns, flags=None) -> bytes:
+    """CSV rows of equal-length columns as bytes, formatted by one bytes %-format
+    call as %.15g prints each value, with ``true`` or ``false`` after each row if
+    ``flags`` is given; LF line endings. A value with 1e-4 <= |x| < 10 prints its
+    exact digits (:func:`_digits`), trailing zeros dropped, as one %d in a
+    :func:`_templates` entry; a zero or a digit alone takes no argument, and every
+    other value (tiny, 10 or more, non-finite, or carried to the next decade) keeps
+    %.15g in the same call, its float put in the argument list by position."""
     table = np.column_stack(columns)
     x = table.ravel()
     fast, e, arg = _digits(x)
@@ -242,12 +248,13 @@ def _csv_rows(columns, flags=None) -> str:
     if len(strip):
         v = arg[strip]
         arg[strip] = v // _TEN[sum(v % _TEN[j] == 0 for j in range(1, 15))]
-    rows = "".join(_templates()[index].tolist())
+    # joined as str: a bytes join would hold a buffer view per template
+    rows = "".join(_templates()[index].tolist()).encode()
     del index, lead, sign
-    if fallback.any():
-        arg = arg.astype(object)
-        arg[fallback] = x[fallback]
-    return rows % tuple(arg[~bare].tolist())
+    args = arg[~bare].tolist()
+    for k, v in zip(np.flatnonzero(fallback[~bare]).tolist(), x[fallback].tolist()):
+        args[k] = v
+    return rows % tuple(args)
 
 
 _SWEEP_HEADER = "param,c1,c2,c3,s1,s2,s3,s4,strength,g1_re,g1_im,g2,is_pe\n"
@@ -265,8 +272,8 @@ def sweep(name: str, n_points: int, path) -> tuple[np.ndarray, np.ndarray]:
     spec = edge(name)
     params = _grid(spec.param_range, n_points)
     strength = np.empty_like(params)
-    with open(path, "w", newline="\n") as f:
-        f.write(_SWEEP_HEADER)
+    with open(path, "wb") as f:
+        f.write(_SWEEP_HEADER.encode())
         for rows in chunks(len(params)):
             data = ClassData.from_points(spec.point_fn(params[rows]))
             f.write(_csv_rows([params[rows], data.points, data.s, data.strength,
@@ -326,19 +333,19 @@ def emit_figure_data(figure: str, n_points: int) -> str:
     params, series = _figure_series(figure, n_points)
     header = "param," + ",".join(name for name, _, _ in series) + "\n"
     columns = [params] + [vals for _, _, vals in series]
-    return header + "".join([_csv_rows([c[rows] for c in columns])
-                             for rows in chunks(len(params))])
+    return header + b"".join([_csv_rows([c[rows] for c in columns])
+                              for rows in chunks(len(params))]).decode()
 
 
 def figure_svg(figure: str, n_points: int) -> str:
     """SVG line plot of the same data emit_figure_data produces."""
-    f = io.StringIO()
+    f = io.BytesIO()
     line_plot(f, _figure_series(figure, n_points)[1], title=figure)
-    return f.getvalue()
+    return f.getvalue().decode()
 
 
 def write_edge_svg(name: str, param: np.ndarray, strength: np.ndarray, path) -> None:
     """Write the SVG line plot of one edge's strength profile over its grid to
     ``path``, a chunk of points at a time; the twin of :func:`sweep`."""
-    with open(path, "w", newline="\n") as f:
+    with open(path, "wb") as f:
         line_plot(f, [(name, param, strength)], title=f"edge {name}")

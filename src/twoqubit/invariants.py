@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gates import Q_MAGIC
+from .gates import Q_MAGIC, make_gate
 from .linops import DEFAULT_TOL, as_finite, as_triple, real_planes, real_table, refuse_rows
 
 __all__ = [
@@ -100,10 +100,10 @@ def invariants_from_unitary(u) -> tuple[complex, float]:
     """(G1, G2), G1 complex and G2 real, from a gate matrix via the Bell basis.
 
     det(U) enters the formulas directly, so the result is insensitive to a
-    global phase of the input; no prior normalization is required. A
-    malformed matrix is refused as ``as_finite``, a G2 residue as ``_real_g2``.
+    global phase of the input. A malformed or non-unitary matrix is refused
+    as ``make_gate``, a G2 residue as ``_real_g2``.
     """
-    g1, g2 = invariants_from_unitary_array(as_finite(u, (4, 4), "matrix", complex))
+    g1, g2 = invariants_from_unitary_array(make_gate(u))
     return complex(g1), float(g2)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .gates import IDENTITY2, SIGMA_X, SIGMA_Y, SIGMA_Z, make_gate
 from .linops import DEFAULT_TOL, as_finite, as_triple, real_planes, real_table, refuse_rows
 
 __all__ = [
@@ -186,11 +186,10 @@ def schmidt_decompose(u) -> SchmidtData:
     normalized coefficients.
 
     Raises:
-        ValidationError: as ``as_finite``, if the matrix is not a finite 4x4
-            matrix, and as ``schmidt_strength``, if its coefficients are not
-            normalized; an SVD that does not converge raises numpy's own error.
+        ValidationError: as ``make_gate``, if the matrix is not a unitary 4x4
+            matrix; an SVD that does not converge raises numpy's own error.
     """
-    left, sigma, vh = np.linalg.svd(_realign(as_finite(u, (4, 4), "matrix", complex)))
+    left, sigma, vh = np.linalg.svd(_realign(make_gate(u)))
     coefficients = sigma / 2.0
     factors_a = np.ascontiguousarray(left.T.reshape(4, 2, 2))
     factors_b = vh.reshape(4, 2, 2)

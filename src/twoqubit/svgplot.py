@@ -29,8 +29,9 @@ def _esc(text: str) -> str:
 
 def line_plot(f, series, title: str) -> None:
     """Write (label, parameter array, Schmidt strength array) series as an SVG
-    document into the open text file ``f``. Each curve's points are formatted
-    and written ``linops.CHUNK`` at a time, so the document is never held whole."""
+    document, UTF-8 encoded, into the open binary file ``f``. Each curve's points
+    are formatted into bytes and written ``linops.CHUNK`` at a time, so the
+    document is never held whole."""
     series = [(label, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
               for label, x, y in series]
     x_lo, x_hi = (float(op([op(x) for _, x, _ in series])) for op in (np.min, np.max))
@@ -52,7 +53,7 @@ def line_plot(f, series, title: str) -> None:
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     def put(line: str) -> None:
-        f.write(line + "\n")
+        f.write((line + "\n").encode())
 
     put('<?xml version="1.0" encoding="UTF-8"?>')
     put(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -84,11 +85,11 @@ def line_plot(f, series, title: str) -> None:
     for k, (label, x, y) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
         dash = _DASHES[k % len(_DASHES)]
-        f.write('<polyline points="')
+        f.write(b'<polyline points="')
         for r in chunks(len(x)):
-            points = (" ".join(["%.2f,%.2f"] * (r.stop - r.start))
+            points = ((b" %.2f,%.2f" * (r.stop - r.start))
                       % tuple(np.column_stack([px(x[r]), py(y[r])]).ravel().tolist()))
-            f.write(" " + points if r.start else points)
+            f.write(points if r.start else points[1:])
         dash_attr = "" if dash == "none" else f' stroke-dasharray="{dash}"'
         put(f'" fill="none" stroke="{color}" stroke-width="1.5"{dash_attr}/>')
     # legend

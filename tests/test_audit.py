@@ -300,9 +300,10 @@ def test_benchmark_audit_memory():
 
 
 def test_sweep_chunk_memory(tmp_path):
-    # one chunk and a short tail of CSV rows: the digit renderer's temporaries
-    # and template list read 1.22 MB (1.32 MB with the template table built in
-    # the same call), where %.15g alone read 0.93 MB
+    # one chunk and a short tail of CSV rows: the digit renderer's temporaries,
+    # template list and the template text as str and as bytes read 1.29 MB
+    # (1.41 MB with the template table built in the same call), where %.15g
+    # alone read 0.93 MB
     assert _traced_peak(sweep, "PN", 1030, tmp_path / "pn.csv") <= 1.6e6
 
 

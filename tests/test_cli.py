@@ -590,6 +590,20 @@ def test_stdout_on_full_device_exit_4_without_traceback(stdio):
     assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("n", ["11", "2049"])
+def test_sweep_to_full_device_exit_4_without_traceback(n):
+    # 11 rows fail at the final flush, 2049 inside the first chunk's write; no
+    # --svg, since a user who may create /dev/full.svg would get that file
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(twoqubit.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "twoqubit", "sweep", "PN", "--n", n,
+                           "--out", "/dev/full"], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_parser_built_once(capsys, monkeypatch):
     import twoqubit.cli as cli_mod
 

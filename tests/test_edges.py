@@ -266,9 +266,11 @@ def _per_value_csv(header, columns, flags=None):
 
 
 def _first_difference(got, expected):
-    """None for equal texts, else the number and the two versions of their
-    first differing line; pytest's own diff of two long texts takes minutes."""
-    for k, pair in enumerate(zip_longest(got.split("\n"), expected.split("\n"))):
+    """None for equal texts (both str or both bytes), else the number and the two
+    versions of their first differing line; pytest's own diff of two long texts
+    takes minutes."""
+    newline = "\n" if isinstance(got, str) else b"\n"
+    for k, pair in enumerate(zip_longest(got.split(newline), expected.split(newline))):
         if pair[0] != pair[1]:
             return k, *pair
     return None
@@ -317,13 +319,13 @@ def test_figure_csv_equals_the_per_value_oracle(figure):
 
 def _assert_rows_equal_the_oracle(values, width=1):
     """_csv_rows of ``values`` laid out as rows of ``width`` columns, without
-    flags and with alternating ones, against the per-value oracle."""
+    flags and with alternating ones, against the per-value oracle's bytes."""
     table = np.asarray(values, dtype=float).reshape(-1, width)
     columns = list(table.T)
     flags = np.arange(len(table)) % 2 == 0
     for rows_flags in (None, flags):
         assert _first_difference(_csv_rows(columns, rows_flags),
-                                 _per_value_rows(columns, rows_flags)) is None
+                                 _per_value_rows(columns, rows_flags).encode()) is None
 
 
 _ROWS = st.integers(1, 4).flatmap(lambda width: st.lists(
@@ -398,7 +400,8 @@ def test_csv_rows_take_every_route_in_one_call():
               1.5, -2.0, 0.0001, 0.000123, 1.00000000000001, -0.25]
     expected = ("0\n-0\n2.5e-05\n-3e-300\n12.5\n-1e+20\n10\ninf\n-inf\nnan\n"
                 "1.5\n-2\n0.0001\n0.000123\n1.00000000000001\n-0.25\n")
-    assert _csv_rows([np.array(values)]) == expected == _per_value_rows([np.array(values)])
+    assert (_csv_rows([np.array(values)]) == expected.encode()
+            == _per_value_rows([np.array(values)]).encode())
     _assert_rows_equal_the_oracle(values, width=4)
 
 

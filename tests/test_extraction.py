@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoqubit.canonical as canonical_mod
-from twoqubit import ExtractionError, NumericalError, canonical_gate
+from twoqubit import (ExtractionError, NumericalError, ValidationError, canonical_gate, catalog,
+                      make_gate)
 from twoqubit.canonical import (
     ClassData,
     POLYHEDRON_VERTICES,
@@ -27,6 +28,7 @@ from twoqubit.canonical import (
 from twoqubit.edges import edge_names
 from twoqubit.invariants import invariants_from_unitary, invariants_from_unitary_array
 from twoqubit.sampling import haar_unitary, random_local_unitary
+from twoqubit.schmidt import schmidt_decompose
 
 from helpers import edge_columns
 
@@ -155,35 +157,70 @@ def test_non_unitary_row_is_refused_by_its_g2_residue():
                     str(info.value)), str(info.value)
 
 
+_NOT_UNITARY = re.compile(r"matrix is not unitary: \|\|U\^dag U - I\|\|_F at rows \[0\] "
+                          r"\(1 in all\); worst residual \S+ exceeds tol 1e-10 \(unitarity_tol\)")
+
+
 def test_every_route_refuses_a_near_unitary_gate_alike():
     # 1e-9 off unitary: the G2 residue is about 3e-9, above invariant_tol,
-    # while the extracted point still matches (G1, Re G2)
+    # while the extracted point still matches (G1, Re G2); the scalar entry
+    # admits its matrix as make_gate does, so the defect, above unitarity_tol,
+    # is refused first
     rng = np.random.default_rng(3)
     u = haar_unitary(rng) + 1e-9 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     messages = []
-    for route in (canonical_points_array, ClassData.from_unitaries, invariants_from_unitary):
+    for route in (canonical_points_array, ClassData.from_unitaries):
         with pytest.raises(NumericalError) as info:
             route(u)
         messages.append((type(info.value), str(info.value)))
     assert messages[0][1].startswith("G2 imaginary residue at rows [0] (1 in all)")
-    assert messages == [messages[0]] * 3
+    assert messages == [messages[0]] * 2
+    with pytest.raises(ValidationError) as info:
+        invariants_from_unitary(u)
+    assert _NOT_UNITARY.fullmatch(str(info.value)), str(info.value)
 
 
-@pytest.mark.parametrize("route", [canonical_point, invariants_from_unitary,
-                                   ClassData.from_unitaries,
-                                   lambda u: locally_equivalent(u, np.eye(4))],
-                         ids=["canonical_point", "invariants_from_unitary", "from_unitaries",
-                              "locally_equivalent"])
+_SCALAR_ENTRIES = {"canonical_point": canonical_point,
+                   "invariants_from_unitary": invariants_from_unitary,
+                   "locally_equivalent": lambda u: locally_equivalent(u, np.eye(4)),
+                   "schmidt_decompose": schmidt_decompose}
+
+
+@pytest.mark.parametrize("route", ["canonical_point", "invariants_from_unitary", "from_unitaries",
+                                   "locally_equivalent"])
 @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), np.diag([1.0, 1.0, 1.0, 0.0]),
                                     1e200 * np.eye(4), 1e-200 * np.eye(4)],
                          ids=["zero", "singular", "overflowing", "underflowing"])
 def test_singular_or_overflowing_gate_is_refused_by_its_g2_without_a_warning(route, matrix):
-    # det(U) and the invariants' products turn NaN in silence, and the NaN G2
-    # residue is refused; a numpy warning would raise in place of the refusal
+    # the stack entry trusts its rows: det(U) and the invariants' products turn
+    # NaN in silence, and the NaN G2 residue is refused; a scalar entry refuses
+    # the matrix first, as make_gate does, by its defect (inf or NaN on
+    # overflow); a numpy warning would raise in place of either refusal
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError) as info:
-            route(matrix)
-    assert type(info.value) is NumericalError
-    assert str(info.value) == ("G2 imaginary residue at rows [0] (1 in all); worst residual nan "
-                               "exceeds tol 1e-09 (invariant_tol)")
+        with pytest.raises((ValidationError, NumericalError)) as info:
+            _SCALAR_ENTRIES.get(route, ClassData.from_unitaries)(matrix)
+    if route == "from_unitaries":
+        assert type(info.value) is NumericalError
+        assert str(info.value) == ("G2 imaginary residue at rows [0] (1 in all); worst residual "
+                                   "nan exceeds tol 1e-09 (invariant_tol)")
+    else:
+        assert type(info.value) is ValidationError
+        assert _NOT_UNITARY.fullmatch(str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("entry", _SCALAR_ENTRIES.values(), ids=_SCALAR_ENTRIES)
+@pytest.mark.parametrize("matrix", [np.diag([1.0, 1.0, 1.0, 2.0]), 1.01 * catalog("cnot"),
+                                    np.zeros((4, 4)), 1e200 * np.eye(4)],
+                         ids=["diag-1112", "scaled-cnot", "zero", "overflowing"])
+def test_scalar_entries_admit_a_matrix_as_make_gate_does(entry, matrix):
+    # one admission rule: each entry that takes one matrix refuses a non-unitary
+    # one with make_gate's ValidationError at unitarity_tol, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            entry(matrix)
+    assert _NOT_UNITARY.fullmatch(str(info.value)), str(info.value)
+    with pytest.raises(ValidationError) as admitted:
+        make_gate(matrix)
+    assert str(info.value) == str(admitted.value)

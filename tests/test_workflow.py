@@ -125,6 +125,16 @@ def test_million_row_sweep_csv_step_compares_a_per_value_rendering():
     assert run.endswith("> oracle.csv\ncmp pn.csv oracle.csv\n")
 
 
+def test_million_row_sweep_svg_step_compares_a_per_point_rendering():
+    run = _steps()["Smoke, a million-row sweep SVG equals its points formatted one at a time"]["run"]
+    assert "python -m twoqubit sweep PN --n 1000001 --out pn.csv --svg\n" in run
+    # the oracle's strengths are ClassData.from_points of PN's grid, evaluated whole
+    assert "p = np.linspace(*e.param_range, 1000001)" in run and "e = twoqubit.edge('PN')" in run
+    assert "s = twoqubit.ClassData.from_points(e.point_fn(p)).strength" in run
+    assert "PYTHONPATH=src:tests python -c" in run and "from test_edges import _per_point_polylines" in run
+    assert "assert got == _per_point_polylines([('PN', p, s)])" in run
+
+
 def test_verify_tables_smoke_step_spans_many_chunks():
     from twoqubit.linops import CHUNK
 
